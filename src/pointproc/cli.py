@@ -507,6 +507,8 @@ def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
         io.write_grid_csv(session.path("gistar.csv"), spec, zgrid.z, "z")
         return
 
+    if p.get("top") is not None and p["top"] < 1:
+        raise ParameterError(f"--top must be positive, got {p['top']}")
     region = Region(*p["region"])
     path = str(p["input"])
     if path.endswith((".geojson", ".json")):
@@ -535,8 +537,6 @@ def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
         threads=cfg.threads,
     )
     if p.get("top") is not None:
-        if p["top"] < 1:
-            raise ParameterError(f"--top must be positive, got {p['top']}")
         results = results[: p["top"]]
     io.write_scan_csv(session.path("scan.csv"), results)
 

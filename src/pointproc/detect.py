@@ -11,9 +11,11 @@ p-value is exact under the null.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .core import (
@@ -30,6 +32,7 @@ from .core import (
 __all__ = [
     "Cylinder",
     "ScanResult",
+    "ScanResults",
     "ZScoreGrid",
     "aggregate_to_grid",
     "gi_star",
@@ -143,6 +146,49 @@ class ScanResult:
     p_value: float
 
 
+class ScanResults(Sequence):
+    """Read-only scan results in rank order, as columns.
+
+    Holds one row per cylinder (disc index * nwindows + window index) and
+    the rank order over them.  A `ScanResult` is built only when indexed
+    or iterated; a slice returns a list of them.
+    """
+
+    def __init__(self, order, discs, windows, observed, expected, llr, p_value):
+        self._order = order
+        self._discs = discs  # (cx, cy, radius) per disc
+        self._windows = windows  # (t_start, t_end) per window
+        self._columns = (observed, expected, llr, p_value)
+        for arr in (order, *self._columns):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._build(k) for k in self._order[index]]
+        return self._build(self._order[index])
+
+    def __iter__(self):
+        for k in self._order:
+            yield self._build(k)
+
+    def __repr__(self):
+        return f"ScanResults({len(self)} cylinders)"
+
+    def _build(self, k) -> ScanResult:
+        i, j = divmod(int(k), len(self._windows))
+        observed, expected, llr, p_value = self._columns
+        return ScanResult(
+            Cylinder(*self._discs[i], *self._windows[j]),
+            int(observed[k]),
+            float(expected[k]),
+            float(llr[k]),
+            float(p_value[k]),
+        )
+
+
 def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
     """Kulldorff Poisson log likelihood ratio; zero unless n > mu.
 
@@ -211,7 +257,7 @@ def space_time_scan(
     *,
     baseline: list[CountGrid] | None = None,
     threads: int = 1,
-) -> list[ScanResult]:
+) -> ScanResults:
     """Cylindrical space-time scan with a conditional Poisson null.
 
     Events are aggregated to (cell, time slice); candidate cylinders are
@@ -224,8 +270,9 @@ def space_time_scan(
     (1 + #{max_sim >= llr}) / (nsim + 1).
 
     Results are sorted by decreasing LLR (ties: centre x, y, radius,
-    start).  Each replicate uses substream i+1 of `rng`, so the output
-    is independent of `threads`.
+    start) and returned as a read-only `ScanResults` sequence, whose
+    objects are built on access.  Each replicate uses substream i+1 of
+    `rng`, so the output is independent of `threads`.
     """
     n_slices = int(n_slices)
     nsim = int(nsim)
@@ -274,59 +321,56 @@ def space_time_scan(
 
     discs, reps = _candidate_discs(spec, radii_arr)
     windows = _candidate_windows(n_slices, slice_len, dur_arr)
+    starts = np.array([s0 for s0, _ in windows])
+    ends = starts + np.array([w for _, w in windows])
 
     def window_sums(per_slice: np.ndarray) -> np.ndarray:
         """(ndiscs, nslices) -> (ndiscs, nwindows) sums over each window."""
-        cum = np.concatenate(
-            [np.zeros((per_slice.shape[0], 1)), np.cumsum(per_slice, axis=1)], axis=1
-        )
-        cols = [cum[:, s0 + w] - cum[:, s0] for s0, w in windows]
-        return np.stack(cols, axis=1)
+        cum = np.zeros((per_slice.shape[0], n_slices + 1), dtype=per_slice.dtype)
+        np.cumsum(per_slice, axis=1, out=cum[:, 1:])
+        return cum[:, ends] - cum[:, starts]
 
-    disc_counts = discs @ counts
-    disc_mass = discs @ mass
-    obs = window_sums(disc_counts)
-    expected = total * window_sums(disc_mass) / mass_total
-    llr = _poisson_llr(obs, expected, total)
+    # The observed pass stays on the dense product: sparse sums of the float
+    # mass round differently, and `expected` is part of the output.
+    obs = window_sums(discs @ counts)
+    expected = total * window_sums(discs @ mass) / mass_total
+    llr = _poisson_llr(obs, expected, total).ravel()
 
-    # null distribution of the maximum LLR
+    # Null distribution of the maximum LLR.  The LLR is 0 for n <= mu and
+    # rises with n above it, so each replicate's maximum is reached at the
+    # largest count within a group of cylinders sharing the same expected
+    # value: one LLR per group instead of one per cylinder.
+    mu, group = np.unique(expected.ravel(), return_inverse=True)
+    by_group = np.argsort(group, kind="stable")
+    group_starts = np.searchsorted(group[by_group], np.arange(mu.size))
+    members = sparse.csr_matrix(discs)
+    del discs
     pvals = (mass / mass_total).ravel()
 
     def replicate(i: int) -> float:
         sub = rng.substream(i + 1)
         sim = sub.multinomial(int(total), pvals).reshape(ncells, n_slices)
-        sim_obs = window_sums(discs @ sim.astype(float))
-        return float(_poisson_llr(sim_obs, expected, total).max())
+        sim_obs = window_sums(members @ sim.astype(float)).ravel()[by_group]
+        return float(_poisson_llr(np.maximum.reduceat(sim_obs, group_starts), mu, total).max())
 
-    max_llrs = np.array(indexed_map(replicate, nsim, threads))
+    max_llrs = np.sort(indexed_map(replicate, nsim, threads))
+    # (1 + #{max_sim >= llr}) / (nsim + 1), for every cylinder at once
+    p_value = (1 + nsim - np.searchsorted(max_llrs, llr, side="left")) / (nsim + 1)
 
-    flat_llr = llr.ravel()
     reps_arr = np.array(reps)
-    win_starts = np.array([w[0] for w in windows], dtype=float)
     n_win = len(windows)
     order = np.lexsort(
         (
-            np.tile(win_starts, len(reps)),
+            np.tile(starts, len(reps)),
             np.repeat(reps_arr[:, 2], n_win),
             np.repeat(reps_arr[:, 1], n_win),
             np.repeat(reps_arr[:, 0], n_win),
-            -flat_llr,
+            -llr,
         )
     )
-    results = []
-    for k in order:
-        i, j = divmod(int(k), n_win)
-        s0, w = windows[j]
-        cyl = Cylinder(
-            reps[i][0],
-            reps[i][1],
-            reps[i][2],
-            s0 * slice_len,
-            min((s0 + w) * slice_len, events.horizon),
-        )
-        o = float(obs[i, j])
-        e = float(expected[i, j])
-        lr = float(flat_llr[k])
-        p = float((1 + np.count_nonzero(max_llrs >= lr)) / (nsim + 1))
-        results.append(ScanResult(cyl, int(round(o)), e, lr, p))
-    return results
+    spans = [
+        (s0 * slice_len, min((s0 + w) * slice_len, events.horizon)) for s0, w in windows
+    ]
+    return ScanResults(
+        order, reps, spans, np.rint(obs).astype(np.int64).ravel(), expected.ravel(), llr, p_value
+    )

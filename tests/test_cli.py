@@ -265,6 +265,31 @@ class TestDetect:
                    "--nsim", 99, "--top", 3) == 0
         assert len((out / "scan.csv").read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("replay", [False, True], ids=["argv", "manifest"])
+    def test_scan_bad_top_rejected_before_scanning(self, tmp_path, monkeypatch, capsys, replay):
+        src = write_space_time(tmp_path)
+        argv = ["detect", "scan", "--in", src, "--region", "0,1,0,1", "--horizon", 1.0,
+                "--nx", 4, "--ny", 4, "--slices", 4,
+                "--radii", "0.2", "--durations", "0.3", "--nsim", 99]
+        if replay:
+            assert run("--seed", 5, "--out", tmp_path / "a", *argv, "--top", 3) == 0
+            manifest = tmp_path / "a" / "manifest.json"
+            doc = json.loads(manifest.read_text())
+            doc["params"]["top"] = 0
+            manifest.write_text(json.dumps(doc))
+            argv = ["--manifest", manifest]
+        else:
+            argv = [*argv, "--top", 0]
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("space_time_scan ran before --top was checked")
+
+        monkeypatch.setattr("pointproc.cli.space_time_scan", no_scan)
+        out = tmp_path / "run"
+        assert run("--out", out, *argv) == 1
+        assert "error: --top must be positive, got 0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_scan_low_nsim_fails_and_cleans_up(self, tmp_path):
         src = write_space_time(tmp_path)
         out = tmp_path / "run"

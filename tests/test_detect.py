@@ -327,6 +327,93 @@ class TestSpaceTimeScan:
             self.scan(ev, baseline=zero)
 
 
+def scan_rows(results):
+    return [(r.cylinder, r.observed, r.expected, r.llr, r.p_value) for r in results]
+
+
+class TestScanMatchesDenseReference:
+    """The grouped-maximum replicates and vectorised p-values against the
+    dense path that evaluates every cylinder in every replicate."""
+
+    SPEC = GridSpec(UNIT, 5, 5)
+    ARGS = (5, [0.15, 0.3], [0.2, 0.4], 99)
+
+    def check(self, events, seed, baseline=None):
+        want, max_llrs = brute.space_time_scan(
+            events, self.SPEC, *self.ARGS, RngStream(seed), baseline=baseline
+        )
+        got = space_time_scan(events, self.SPEC, *self.ARGS, RngStream(seed), baseline=baseline)
+        assert scan_rows(got) == want
+        return want, max_llrs
+
+    @pytest.mark.parametrize("uniform_grids", [False, True], ids=["volume", "grids"])
+    def test_uniform_baseline(self, uniform_grids):
+        baseline = None
+        if uniform_grids:
+            baseline = [CountGrid(self.SPEC, np.ones((5, 5), dtype=int)) for _ in range(5)]
+        self.check(make_events(0), 1, baseline=baseline)
+
+    def test_baseline_with_zero_mass_cells(self):
+        g = np.random.default_rng(9)
+        grids = []
+        for _ in range(5):
+            m = g.integers(0, 6, size=(5, 5))
+            m[:, 0] = 0  # events in these cells have no expectation: LLR inf
+            grids.append(CountGrid(self.SPEC, m))
+        want, _ = self.check(make_events(1), 2, baseline=grids)
+        assert math.isinf(want[0][3])
+
+    def test_tied_llrs(self):
+        want, max_llrs = self.check(make_events(0, n=10), 0)
+        pos = np.array([r[3] for r in want if r[3] > 0])
+        assert np.unique(pos).size < pos.size  # ties among cylinders
+        assert np.isin(pos, max_llrs).any()  # ties with replicate maxima
+
+
+class TestScanResults:
+    @pytest.fixture(scope="class")
+    def res(self):
+        return space_time_scan(
+            make_events(3), GridSpec(UNIT, 5, 5), 5, [0.15, 0.3], [0.2, 0.4], 99, RngStream(1)
+        )
+
+    def test_len_counts_every_cylinder(self, res):
+        # 25 single-cell discs + 25 distinct 3x3 (clipped) discs; 5 + 4 windows
+        assert len(res) == 50 * 9
+        assert sum(1 for _ in res) == len(res)
+
+    def test_indexing(self, res):
+        everything = list(res)
+        assert all(everything[k] == res[k] for k in range(len(res)))
+        assert res[-1] == everything[-1]
+        assert res[-len(res)] == everything[0]
+        with pytest.raises(IndexError):
+            res[len(res)]
+        with pytest.raises(IndexError):
+            res[-len(res) - 1]
+
+    def test_slices_are_lists(self, res):
+        everything = list(res)
+        for sl in (slice(None, 3), slice(5, 12), slice(None, None, -7), slice(-4, None)):
+            got = res[sl]
+            assert type(got) is list
+            assert got == everything[sl]
+        assert res[len(res) + 10:] == []
+
+    def test_iteration_stops(self, res):
+        it = iter(res)
+        for _ in range(len(res)):
+            next(it)
+        with pytest.raises(StopIteration):
+            next(it)
+
+    def test_read_only(self, res):
+        with pytest.raises(TypeError):
+            res[0] = res[1]
+        with pytest.raises(AttributeError):
+            res.append(res[0])
+
+
 class TestCylinder:
     def test_validation(self):
         with pytest.raises(ParameterError):
