@@ -7,8 +7,10 @@ bytes produced -- so
 
     pointproc --manifest <out>/manifest.json --out <elsewhere>
 
-reproduces the original outputs byte for byte.  On failure all files
-written by the run are removed and the exit status is non-zero.
+reproduces the original outputs byte for byte.  Replay turns the
+recorded parameters back into a command line for the argv parser, so a
+hand-edited manifest gets every check that argv gets.  On failure all
+files written by the run are removed and the exit status is non-zero.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .core import (
     RngStream,
     SpaceTimeEvents,
     SpatialPattern,
+    aggregate_to_grid,
 )
-from .detect import aggregate_to_grid, gi_star, space_time_scan
+from .detect import gi_star, space_time_scan
 from .spatial import (
     csr_envelope,
     dispersion_by_block,
@@ -176,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="summaries of a point pattern")
     anasub = ana.add_subparsers(dest="subcommand", required=True)
 
-    def pattern_parser(name, help_):
-        q = anasub.add_parser(name, parents=common, help=help_)
-        q.add_argument("--in", dest="input", required=True, help="x,y CSV or GeoJSON")
+    def pattern_parser(name, help_, subs=anasub, columns="x,y"):
+        q = subs.add_parser(name, parents=common, help=help_)
+        q.add_argument("--in", dest="input", required=True, help=f"{columns} CSV or GeoJSON")
         q.add_argument("--region", type=_region_arg, required=True)
         return q
 
@@ -216,16 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="hotspot and cluster detection")
     detsub = det.add_subparsers(dest="subcommand", required=True)
 
-    gis = detsub.add_parser("gistar", parents=common, help="Getis-Ord GI* z-scores")
-    gis.add_argument("--in", dest="input", required=True)
-    gis.add_argument("--region", type=_region_arg, required=True)
+    gis = pattern_parser("gistar", "Getis-Ord GI* z-scores", detsub)
     gis.add_argument("--nx", type=int, required=True)
     gis.add_argument("--ny", type=int, required=True)
     gis.add_argument("--radius", type=float, required=True)
 
-    scan = detsub.add_parser("scan", parents=common, help="space-time scan statistic")
-    scan.add_argument("--in", dest="input", required=True, help="x,y,t CSV or GeoJSON")
-    scan.add_argument("--region", type=_region_arg, required=True)
+    scan = pattern_parser("scan", "space-time scan statistic", detsub, "x,y,t")
     scan.add_argument("--horizon", type=float, required=True)
     scan.add_argument("--nx", type=int, required=True)
     scan.add_argument("--ny", type=int, required=True)
@@ -241,31 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------- run plumbing
 
-_PARAM_KEYS = {
-    ("simulate", "hpp"): ("rate", "horizon"),
-    ("simulate", "nhpp"): (
-        "intensity", "horizon", "rate", "segments", "base", "amplitude", "period",
-    ),
-    ("simulate", "hawkes"): ("mu", "alpha", "beta", "horizon"),
-    ("simulate", "csr"): ("rate", "region"),
-    ("analyze", "kde"): ("input", "region", "nx", "ny", "bandwidth"),
-    ("analyze", "g"): ("input", "region", "radii", "envelope"),
-    ("analyze", "f"): ("input", "region", "radii", "probe_nx", "probe_ny", "envelope"),
-    ("analyze", "k"): ("input", "region", "radii", "correction", "envelope"),
-    ("analyze", "nni"): ("input", "region"),
-    ("analyze", "quadrat"): ("input", "region", "nx", "ny"),
-    ("analyze", "dispersion"): ("input", "region", "nx", "ny", "blocks"),
-    ("detect", "gistar"): ("input", "region", "nx", "ny", "radius"),
-    ("detect", "scan"): (
-        "input", "region", "horizon", "nx", "ny", "slices",
-        "radii", "durations", "nsim", "baseline", "top",
-    ),
-}
+# namespace entries that steer a run rather than shape its outputs
+_RUN_KEYS = ("command", "subcommand", "seed", "out", "threads", "manifest")
 
 
 @dataclass
 class RunConfig:
-    """A fully resolved invocation; serializes to/from the manifest."""
+    """A fully resolved invocation; serializes to the manifest."""
 
     command: str
     subcommand: str
@@ -301,43 +282,62 @@ def _resolve_seed(value) -> int:
     return 0
 
 
+def _params(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
+
+
 def _config_from_args(args) -> RunConfig:
-    key = (args.command, args.subcommand)
-    params = {k: getattr(args, k) for k in _PARAM_KEYS[key]}
     return RunConfig(
         command=args.command,
         subcommand=args.subcommand,
         seed=_resolve_seed(args.seed),
         threads=max(1, args.threads or 1),
-        params=params,
+        params=_params(args),
     )
 
 
-def _config_from_manifest(path, threads_override) -> RunConfig:
+def _flag(key: str, value) -> str:
+    """A --flag=value token; the = form keeps a negative value from reading as a flag."""
+    name = "--in" if key == "input" else "--" + key.replace("_", "-")
+    if isinstance(value, list):
+        value = ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v)
+                         for v in value)
+    return name if value is None else f"{name}={value}"
+
+
+def _replay_args(parser: argparse.ArgumentParser, outer) -> argparse.Namespace:
+    """Parse a manifest's recorded run with the argv parser; the outer
+    --out and --threads still apply, as neither changes the bytes written."""
+    path = outer.manifest
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ParameterError(f"manifest not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ParameterError(f"{path}: invalid manifest JSON: {e}")
+    except (OSError, ValueError, RecursionError) as e:  # unreadable, not UTF-8, not JSON
+        raise ParameterError(f"{path}: invalid manifest: {e}")
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: manifest must be a JSON object")
     for fld in ("command", "subcommand", "seed", "params"):
         if fld not in doc:
             raise ParameterError(f"{path}: manifest is missing {fld!r}")
-    key = (doc["command"], doc["subcommand"])
-    if key not in _PARAM_KEYS:
-        raise ParameterError(f"{path}: unknown command {key[0]} {key[1]}")
-    missing = [k for k in _PARAM_KEYS[key] if k not in doc["params"]]
+    command, recorded = [doc["command"], doc["subcommand"]], doc["params"]
+    if not isinstance(recorded, dict):
+        raise ParameterError(f"{path}: manifest params must be a JSON object")
+    # a command string that starts with - would parse as a top-level option
+    if not all(isinstance(c, str) and not c.startswith("-") for c in command):
+        raise ParameterError(f"{path}: unknown command {command[0]} {command[1]}")
+    args = parser.parse_args([*command, f"--seed={doc['seed']}",
+                              *(_flag(k, v) for k, v in recorded.items() if v is not None)])
+    params = _params(args)
+    missing = [k for k in params if k not in recorded]
     if missing:
         raise ParameterError(f"{path}: manifest params missing {missing}")
-    params = {k: doc["params"][k] for k in _PARAM_KEYS[key]}
-    threads = threads_override if threads_override else 1
-    return RunConfig(
-        command=doc["command"],
-        subcommand=doc["subcommand"],
-        seed=int(doc["seed"]),
-        threads=max(1, int(threads)),
-        params=params,
-    )
+    # keys argparse took as an abbreviation or as --seed/--out/--threads
+    unknown = [_flag(k, v) for k, v in recorded.items() if k not in params]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.out, args.threads = outer.out, outer.threads
+    return args
 
 
 class _Session:
@@ -372,18 +372,16 @@ def _build_intensity(p) -> IntensityFn:
     if kind == "piecewise":
         if not p.get("segments"):
             raise ParameterError("piecewise intensity needs --segments")
-        segs = [tuple(map(float, s)) for s in p["segments"]]
+        segs = p["segments"]
         if segs[-1][1] < horizon:
             raise ParameterError(
                 f"segments end at {segs[-1][1]} but horizon is {horizon}"
             )
         return IntensityFn.piecewise(segs)
-    if kind == "sinusoid":
-        for name in ("base", "amplitude", "period"):
-            if p.get(name) is None:
-                raise ParameterError(f"sinusoid intensity needs --{name}")
-        return IntensityFn.sinusoid(p["base"], p["amplitude"], p["period"], horizon)
-    raise ParameterError(f"unknown intensity kind {kind!r}")
+    for name in ("base", "amplitude", "period"):
+        if p[name] is None:
+            raise ParameterError(f"sinusoid intensity needs --{name}")
+    return IntensityFn.sinusoid(p["base"], p["amplitude"], p["period"], horizon)
 
 
 def _cmd_simulate(cfg: RunConfig, session: _Session) -> None:
@@ -405,14 +403,27 @@ def _cmd_simulate(cfg: RunConfig, session: _Session) -> None:
     io.write_event_times(session.path("events.csv"), events)
 
 
+def _read_input(p, with_times: bool) -> np.ndarray:
+    """The --in file as x,y rows, or as x,y,t rows for a scan."""
+    path = p["input"]
+    if not path.endswith((".geojson", ".json")):
+        return io.read_space_time_csv(path) if with_times else io.read_points_csv(path)
+    pts, times = io.read_geojson_points(path)
+    if not with_times:
+        return pts
+    if times is None:
+        raise ParameterError(f"{path}: scan needs a numeric 't' property per feature")
+    return np.column_stack([pts, times]) if len(pts) else np.empty((0, 3))
+
+
 def _load_pattern(p) -> SpatialPattern:
     region = Region(*p["region"])
-    path = str(p["input"])
-    if path.endswith((".geojson", ".json")):
-        pts, _ = io.read_geojson_points(path)
-    else:
-        pts = io.read_points_csv(path)
-    return SpatialPattern(pts, region)
+    return SpatialPattern(_read_input(p, with_times=False), region)
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    lines = [header] + [f"{name},{format(v, '.17g')}" for name, v in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
@@ -464,38 +475,26 @@ def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
         return
 
     if kind == "nni":
-        index = nni(pattern)
-        lines = [
-            "statistic,value",
-            f"nni,{format(index, '.17g')}",
-            f"mean_min_distance,{format(mean_min_distance(pattern), '.17g')}",
-            f"intensity,{format(pattern.intensity, '.17g')}",
-        ]
-        session.path("nni.csv").write_text("\n".join(lines) + "\n")
+        _write_table(session.path("nni.csv"), "statistic,value", [
+            ("nni", nni(pattern)),
+            ("mean_min_distance", mean_min_distance(pattern)),
+            ("intensity", pattern.intensity),
+        ])
         return
 
     spec = GridSpec(region, p["nx"], p["ny"])
     if kind == "quadrat":
         res = quadrat_counts(pattern, spec)
         io.write_grid_csv(session.path("quadrat.csv"), spec, res.grid.counts)
-        lines = [
-            "statistic,value",
-            f"chi_square,{format(res.statistic, '.17g')}",
-            f"dof,{res.dof}",
-            f"p_value,{format(res.p_value, '.17g')}",
-        ]
-        session.path("quadrat_test.csv").write_text("\n".join(lines) + "\n")
+        _write_table(session.path("quadrat_test.csv"), "statistic,value", [
+            ("chi_square", res.statistic),
+            ("dof", res.dof),
+            ("p_value", res.p_value),
+        ])
         return
 
-    if kind == "dispersion":
-        rows = dispersion_by_block(pattern, spec, p["blocks"])
-        lines = ["block_size,index"] + [
-            f"{b},{format(v, '.17g')}" for b, v in rows
-        ]
-        session.path("dispersion.csv").write_text("\n".join(lines) + "\n")
-        return
-
-    raise ParameterError(f"unknown analyze subcommand {kind!r}")
+    rows = dispersion_by_block(pattern, spec, p["blocks"])
+    _write_table(session.path("dispersion.csv"), "block_size,index", rows)
 
 
 def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
@@ -510,15 +509,7 @@ def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
     if p.get("top") is not None and p["top"] < 1:
         raise ParameterError(f"--top must be positive, got {p['top']}")
     region = Region(*p["region"])
-    path = str(p["input"])
-    if path.endswith((".geojson", ".json")):
-        pts, times = io.read_geojson_points(path)
-        if times is None:
-            raise ParameterError(f"{path}: scan needs a numeric 't' property per feature")
-        data = np.column_stack([pts, times]) if len(pts) else np.empty((0, 3))
-    else:
-        data = io.read_space_time_csv(path)
-    events = SpaceTimeEvents(data, region, p["horizon"])
+    events = SpaceTimeEvents(_read_input(p, with_times=True), region, p["horizon"])
     spec = GridSpec(region, p["nx"], p["ny"])
     baseline = None
     if p.get("baseline"):
@@ -562,27 +553,21 @@ def main(argv=None) -> int:
 
     try:
         if args.manifest is not None:
-            cfg = _config_from_manifest(args.manifest, args.threads)
-        else:
-            cfg = _config_from_args(args)
+            args = _replay_args(parser, args)
+        cfg = _config_from_args(args)
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
     outdir = Path(args.out) if args.out is not None else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
     session = _Session(outdir)
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         _DISPATCH[cfg.command](cfg, session)
-        manifest_path = session.path("manifest.json")
-        manifest_path.write_text(
+        session.path("manifest.json").write_text(
             json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n"
         )
-    except _USER_ERRORS as e:
-        session.rollback()
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (*_USER_ERRORS, OSError) as e:
         session.rollback()
         print(f"error: {e}", file=sys.stderr)
         return 1

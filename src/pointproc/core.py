@@ -29,6 +29,7 @@ __all__ = [
     "RngStream",
     "SpaceTimeEvents",
     "SpatialPattern",
+    "aggregate_to_grid",
     "exponential_draw",
     "inter_arrival_times",
 ]
@@ -347,6 +348,23 @@ class CountGrid:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+
+def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> CountGrid:
+    """Bin points into grid cells (half-open cells, closed final edges).
+
+    The grid region must cover the pattern region, even where every
+    point falls inside the grid; the error lists the points outside it.
+    """
+    if not spec.region.covers(pattern.region):
+        outside = np.flatnonzero(~spec.region.contains(pattern.x, pattern.y)).tolist()
+        raise ParameterError(f"grid region must cover the pattern region; "
+                             f"points outside the grid at indices {outside}")
+    counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)
+    if len(pattern):
+        ix, iy = spec.cell_indices(pattern.x, pattern.y)
+        np.add.at(counts, (ix, iy), 1)
+    return CountGrid(spec, counts)
 
 
 def indexed_map(fn, count: int, threads: int = 1) -> list:

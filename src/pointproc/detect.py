@@ -25,7 +25,7 @@ from .core import (
     ParameterError,
     RngStream,
     SpaceTimeEvents,
-    SpatialPattern,
+    aggregate_to_grid,
     indexed_map,
 )
 
@@ -39,15 +39,6 @@ __all__ = [
     "rss",
     "space_time_scan",
 ]
-
-
-def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> CountGrid:
-    """Bin points into grid cells (half-open cells, closed final edges)."""
-    counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)
-    if len(pattern):
-        ix, iy = spec.cell_indices(pattern.x, pattern.y)
-        np.add.at(counts, (ix, iy), 1)
-    return CountGrid(spec, counts)
 
 
 def rss(a: CountGrid, b: CountGrid) -> float:

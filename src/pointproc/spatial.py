@@ -25,6 +25,7 @@ from .core import (
     Region,
     RngStream,
     SpatialPattern,
+    aggregate_to_grid,
     indexed_map,
 )
 
@@ -121,14 +122,15 @@ def quadrat_counts(pattern: SpatialPattern, spec: GridSpec) -> QuadratResult:
     """
     if spec.ncells < 2:
         raise DegenerateDataError("quadrat test needs at least two cells")
-    counts = _bin_counts(pattern, spec)
+    grid = aggregate_to_grid(pattern, spec)
+    counts = grid.counts
     cbar = len(pattern) / spec.ncells
     if cbar == 0.0:
         raise DegenerateDataError("quadrat test needs at least one point")
     statistic = float(((counts - cbar) ** 2).sum() / cbar)
     dof = spec.ncells - 1
     p = float(chdtrc(dof, statistic))  # chi-square survival function
-    return QuadratResult(CountGrid(spec, counts), statistic, dof, p)
+    return QuadratResult(grid, statistic, dof, p)
 
 
 def dispersion_by_block(
@@ -140,7 +142,7 @@ def dispersion_by_block(
     indicate randomness at that scale, above 1 clustering, below 1
     regularity.
     """
-    base = _bin_counts(pattern, spec)
+    base = aggregate_to_grid(pattern, spec).counts
     out = []
     for b in block_sizes:
         b = int(b)
@@ -156,16 +158,6 @@ def dispersion_by_block(
             raise DegenerateDataError("dispersion is undefined for an empty pattern")
         out.append((b, float(merged.var(ddof=1) / mean)))
     return out
-
-
-def _bin_counts(pattern: SpatialPattern, spec: GridSpec) -> np.ndarray:
-    if not spec.region.covers(pattern.region):
-        raise ParameterError("grid region must cover the pattern region")
-    counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)
-    if len(pattern):
-        ix, iy = spec.cell_indices(pattern.x, pattern.y)
-        np.add.at(counts, (ix, iy), 1)
-    return counts
 
 
 def _nn_distances(points: np.ndarray) -> np.ndarray:

@@ -1,13 +1,18 @@
+import copy
 import json
 import os
 import shutil
+import string
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointproc
 from pointproc import Region, RngStream, simulate_hpp
@@ -17,6 +22,14 @@ from pointproc.io import read_event_times, read_points_csv
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_code(*argv):
+    """main's exit code, whether returned or raised as SystemExit by argparse."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
 
 
 def child_env():
@@ -369,7 +382,119 @@ class TestSeedResolution:
         assert "POINTPROC_SEED" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """Manifests of small recorded runs, keyed by subcommand."""
+    d = tmp_path_factory.mktemp("recorded")
+    runs = {
+        "hpp": ["simulate", "hpp", "--rate", 2.0, "--horizon", 20.0],
+        "nni": ["analyze", "nni", "--in", write_pattern(d), "--region", "0,1,0,1"],
+        "scan": ["detect", "scan", "--in", write_space_time(d), "--region", "0,1,0,1",
+                 "--horizon", 1.0, "--nx", 4, "--ny", 4, "--slices", 4,
+                 "--radii", "0.2", "--durations", "0.3", "--nsim", 99, "--top", 3],
+    }
+    docs = {}
+    for name, argv in runs.items():
+        assert run("--seed", 7, "--out", d / name, *argv) == 0
+        docs[name] = json.loads((d / name / "manifest.json").read_text())
+    return docs
+
+
+def with_param(**kv):
+    return lambda doc: {**doc, "params": {**doc["params"], **kv}}
+
+
+BAD_MANIFESTS = {
+    "top-text": ("scan", with_param(top="x")),
+    "top-float": ("scan", with_param(top=2.5)),
+    "nsim-text": ("scan", with_param(nsim="abc")),
+    "region-3-values": ("nni", with_param(region=[0.0, 1.0, 0.0])),
+    "rate-text": ("hpp", with_param(rate="abc")),
+    "rate-bool": ("hpp", with_param(rate=True)),
+    "seed-text": ("hpp", lambda doc: {**doc, "seed": "x"}),
+    "unknown-key": ("hpp", with_param(shape=1.0)),
+    "abbreviated-key": ("hpp", with_param(hor=5.0)),
+    "params-array": ("hpp", lambda doc: {**doc, "params": []}),
+    "top-level-array": ("hpp", lambda doc: [doc]),
+}
+
+# letters-only text cannot spell a finite number, so no draw asks for a huge run
+ODD_VALUES = st.recursive(
+    st.one_of(st.text(string.ascii_letters, max_size=8), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(string.ascii_letters, max_size=4), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
 class TestManifestReplay:
+    @pytest.mark.parametrize("kind,edit", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+    def test_bad_manifest_is_a_usage_error(self, recorded, tmp_path, capsys, kind, edit):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(edit(recorded[kind])))
+        out = tmp_path / "run"
+        assert run_code("--manifest", m, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}", None],
+                             ids=["deeply-nested", "not-utf8", "directory"])
+    def test_unreadable_manifest_is_a_usage_error(self, tmp_path, capsys, content):
+        m = tmp_path / "m.json"
+        if content is None:
+            m.mkdir()
+        else:
+            m.write_bytes(content)
+        assert run("--manifest", m, "--out", tmp_path / "run") == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_replaced_param_never_escapes(self, recorded, data):
+        doc = copy.deepcopy(recorded[data.draw(st.sampled_from(["hpp", "nni"]))])
+        doc["params"][data.draw(st.sampled_from(sorted(doc["params"])))] = data.draw(ODD_VALUES)
+        with tempfile.TemporaryDirectory() as d:
+            m, out = Path(d) / "m.json", Path(d) / "run"
+            m.write_text(json.dumps(doc))
+            code = run_code("--manifest", m, "--out", out)
+            assert code in (0, 1, 2)
+            if code:
+                assert not out.exists() or list(out.iterdir()) == []
+
+    def test_replay_normalises_values(self, recorded, tmp_path):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(with_param(top="2")(recorded["scan"])))
+        out = tmp_path / "run"
+        assert run("--manifest", m, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["params"]["top"] == 2
+        assert len((out / "scan.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("case", ["segments", "baseline", "top", "negative-region"])
+    def test_replay_round_trip(self, tmp_path, case):
+        scan = ["detect", "scan", "--in", write_space_time(tmp_path), "--region", "0,1,0,1",
+                "--horizon", 1.0, "--nx", 3, "--ny", 3, "--slices", 3,
+                "--radii", "0.2", "--durations", "0.4", "--nsim", 99]
+        bases = []
+        for s in range(3):
+            b = tmp_path / f"base{s}.csv"
+            cells = [f"{i},{j},{(i + 2 * j + s) % 4}" for i in range(3) for j in range(3)]
+            b.write_text("\n".join(["cell_x,cell_y,value", *cells]) + "\n")
+            bases.append(str(b))
+        argv = {
+            "segments": ["simulate", "nhpp", "--intensity", "piecewise", "--horizon", 30.0,
+                         "--segments", "0:10:1,10:20:4.5,20:30:0.5"],
+            "baseline": [*scan, "--baseline", ",".join(bases)],
+            "top": [*scan, "--top", 4],
+            "negative-region": ["simulate", "csr", "--rate", 50.0, "--region=-1,1,-1,1"],
+        }[case]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("--seed", 9, "--out", a, *argv) == 0
+        assert run("--manifest", a / "manifest.json", "--out", b) == 0
+        assert read_bytes_map(a) == read_bytes_map(b)
+
     def test_simulate_replay_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run("--seed", 21, "--out", a, "simulate", "hawkes",
@@ -438,6 +563,13 @@ class TestTopLevel:
         stdout = capsys.readouterr().out
         assert "events.csv" in stdout
         assert "manifest.json" in stdout
+
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert run("--out", out, "simulate", "hpp", "--rate", 1.0, "--horizon", 5.0) == 1
+        assert "error:" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
 
     def test_entry_point_subprocess(self, tmp_path):
         env = child_env()

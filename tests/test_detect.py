@@ -49,6 +49,12 @@ class TestAggregateToGrid:
         with pytest.raises(ParameterError, match=r"\[1\]"):
             aggregate_to_grid(pat, spec)
 
+    def test_grid_must_cover_region_even_when_points_fit(self):
+        spec = GridSpec(Region(0, 0.5, 0, 0.5), 2, 2)
+        pat = SpatialPattern([[0.1, 0.1], [0.4, 0.3]], UNIT)
+        with pytest.raises(ParameterError, match=r"cover.*\[\]"):
+            aggregate_to_grid(pat, spec)
+
 
 class TestRss:
     def test_identity_zero(self):
