@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__, io
 from .core import (
-    CountGrid,
     DegenerateDataError,
     EnvelopeError,
+    Grid,
     GridSpec,
     InsufficientDataError,
     ParameterError,
@@ -421,11 +421,6 @@ def _load_pattern(p) -> SpatialPattern:
     return SpatialPattern(_read_input(p, with_times=False), region)
 
 
-def _write_table(path: Path, header: str, rows) -> None:
-    lines = [header] + [f"{name},{format(v, '.17g')}" for name, v in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
     p = cfg.params
     kind = cfg.subcommand
@@ -475,26 +470,24 @@ def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
         return
 
     if kind == "nni":
-        _write_table(session.path("nni.csv"), "statistic,value", [
-            ("nni", nni(pattern)),
-            ("mean_min_distance", mean_min_distance(pattern)),
-            ("intensity", pattern.intensity),
+        io.write_table(session.path("nni.csv"), "statistic,value", [
+            ["nni", "mean_min_distance", "intensity"],
+            [nni(pattern), mean_min_distance(pattern), pattern.intensity],
         ])
         return
 
     spec = GridSpec(region, p["nx"], p["ny"])
     if kind == "quadrat":
         res = quadrat_counts(pattern, spec)
-        io.write_grid_csv(session.path("quadrat.csv"), spec, res.grid.counts)
-        _write_table(session.path("quadrat_test.csv"), "statistic,value", [
-            ("chi_square", res.statistic),
-            ("dof", res.dof),
-            ("p_value", res.p_value),
+        io.write_grid_csv(session.path("quadrat.csv"), spec, res.grid.values)
+        io.write_table(session.path("quadrat_test.csv"), "statistic,value", [
+            ["chi_square", "dof", "p_value"],
+            [res.statistic, res.dof, res.p_value],
         ])
         return
 
     rows = dispersion_by_block(pattern, spec, p["blocks"])
-    _write_table(session.path("dispersion.csv"), "block_size,index", rows)
+    io.write_table(session.path("dispersion.csv"), "block_size,index", list(zip(*rows)))
 
 
 def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
@@ -503,7 +496,7 @@ def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
         pattern = _load_pattern(p)
         spec = GridSpec(pattern.region, p["nx"], p["ny"])
         zgrid = gi_star(aggregate_to_grid(pattern, spec), p["radius"])
-        io.write_grid_csv(session.path("gistar.csv"), spec, zgrid.z, "z")
+        io.write_grid_csv(session.path("gistar.csv"), spec, zgrid.values, "z")
         return
 
     if p.get("top") is not None and p["top"] < 1:
@@ -513,9 +506,7 @@ def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
     spec = GridSpec(region, p["nx"], p["ny"])
     baseline = None
     if p.get("baseline"):
-        baseline = [
-            CountGrid(spec, io.read_count_values(f, spec)) for f in p["baseline"]
-        ]
+        baseline = [Grid(spec, io.read_count_values(f, spec)) for f in p["baseline"]]
     results = space_time_scan(
         events,
         spec,

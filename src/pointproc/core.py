@@ -12,16 +12,17 @@ consumers.  Parallel work derives child streams with
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CountGrid",
     "DegenerateDataError",
     "EnvelopeError",
     "EventTimes",
+    "Grid",
     "GridSpec",
     "InsufficientDataError",
     "ParameterError",
@@ -320,37 +321,31 @@ class SpaceTimeEvents:
         return SpatialPattern(self.xy, self.region)
 
 
-class CountGrid:
-    """Non-negative integer counts on a grid."""
+class Grid:
+    """Finite values on a grid: cell counts, a density surface or z-scores.
 
-    def __init__(self, spec: GridSpec, counts):
-        arr = np.array(counts)
+    Integer input stays int64, so counts keep writing as integers;
+    anything else becomes float64.
+    """
+
+    def __init__(self, spec: GridSpec, values):
+        arr = np.asarray(values)
+        arr = arr.astype(np.int64 if np.issubdtype(arr.dtype, np.integer) else np.float64)
         if arr.shape != (spec.nx, spec.ny):
             raise ParameterError(
-                f"counts shape {arr.shape} does not match grid ({spec.nx}, {spec.ny})"
+                f"values shape {arr.shape} does not match grid ({spec.nx}, {spec.ny})"
             )
-        if not np.issubdtype(arr.dtype, np.integer):
-            as_int = arr.astype(np.int64)
-            if not np.array_equal(as_int, arr):
-                raise ParameterError("counts must be integers")
-            arr = as_int
-        else:
-            arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            raise ParameterError("counts must be non-negative")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("grid values must be finite")
         arr.setflags(write=False)
         self.spec = spec
-        self.counts = arr
+        self.values = arr
 
     def __repr__(self):
-        return f"CountGrid({self.spec.nx}x{self.spec.ny}, total={self.total})"
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+        return f"Grid({self.spec.nx}x{self.spec.ny}, {self.values.dtype})"
 
 
-def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> CountGrid:
+def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> Grid:
     """Bin points into grid cells (half-open cells, closed final edges).
 
     The grid region must cover the pattern region, even where every
@@ -364,17 +359,19 @@ def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> CountGrid:
     if len(pattern):
         ix, iy = spec.cell_indices(pattern.x, pattern.y)
         np.add.at(counts, (ix, iy), 1)
-    return CountGrid(spec, counts)
+    return Grid(spec, counts)
 
 
 def indexed_map(fn, count: int, threads: int = 1) -> list:
     """Run fn(0..count-1), returning results in index order.
 
     With threads > 1 the calls run on a thread pool; results are still
-    collected by index, so reductions over them are order-stable.
+    collected by index, so reductions over them are order-stable.  The
+    pool never has more workers than calls, nor more than the standard
+    library's default of min(32, cpus + 4).
     """
-    threads = max(1, int(threads))
-    if threads == 1 or count <= 1:
+    workers = min(int(threads), count, min(32, (os.cpu_count() or 1) + 4))
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))

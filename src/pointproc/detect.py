@@ -19,8 +19,8 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .core import (
-    CountGrid,
     DegenerateDataError,
+    Grid,
     GridSpec,
     ParameterError,
     RngStream,
@@ -33,7 +33,6 @@ __all__ = [
     "Cylinder",
     "ScanResult",
     "ScanResults",
-    "ZScoreGrid",
     "aggregate_to_grid",
     "gi_star",
     "rss",
@@ -41,38 +40,17 @@ __all__ = [
 ]
 
 
-def rss(a: CountGrid, b: CountGrid) -> float:
-    """Residual sum of squares between two grids of counts."""
+def rss(a: Grid, b: Grid) -> float:
+    """Residual sum of squares between two grids."""
     if a.spec != b.spec:
-        raise ParameterError("count grids must share the same grid specification")
-    diff = a.counts.astype(float) - b.counts.astype(float)
+        raise ParameterError("grids must share the same grid specification")
+    diff = a.values.astype(float) - b.values.astype(float)
     return float((diff * diff).sum())
 
 
-class ZScoreGrid:
-    """GI* z-scores per cell."""
-
-    def __init__(self, spec: GridSpec, z):
-        arr = np.array(z, dtype=float)
-        if arr.shape != (spec.nx, spec.ny):
-            raise ParameterError(
-                f"z shape {arr.shape} does not match grid ({spec.nx}, {spec.ny})"
-            )
-        arr.setflags(write=False)
-        self.spec = spec
-        self.z = arr
-
-    def __repr__(self):
-        return f"ZScoreGrid({self.spec.nx}x{self.spec.ny})"
-
-    def hot_cells(self, threshold: float = 1.96) -> np.ndarray:
-        """Boolean mask of cells with z at or above the threshold."""
-        return self.z >= float(threshold)
-
-
-def gi_star(grid: CountGrid, neighbourhood_radius: float) -> ZScoreGrid:
-    """Getis-Ord GI* with binary weights (centre distance <= radius,
-    the cell itself included).
+def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
+    """Getis-Ord GI* z-scores of a grid of counts, with binary weights
+    (centre distance <= radius, the cell itself included).
 
     z_i = (S_i - xbar W_i) / (s sqrt((n W_i - W_i^2) / (n - 1))), where
     S_i is the neighbourhood sum, W_i its size, and s the population
@@ -86,7 +64,7 @@ def gi_star(grid: CountGrid, neighbourhood_radius: float) -> ZScoreGrid:
     n = spec.ncells
     if n < 2:
         raise ParameterError("GI* needs at least two cells")
-    x = grid.counts.ravel().astype(float)
+    x = grid.values.ravel().astype(float)
     s = x.std()  # population sd, matching the n-1 variance factor above
     if s == 0.0:
         raise DegenerateDataError("GI* is undefined when every cell count is equal")
@@ -104,7 +82,7 @@ def gi_star(grid: CountGrid, neighbourhood_radius: float) -> ZScoreGrid:
     full = W >= n
     denom = s * np.sqrt(np.where(full, 1.0, var_term))
     z = np.where(full, 0.0, (S - xbar * W) / denom)
-    return ZScoreGrid(spec, z.reshape(spec.nx, spec.ny))
+    return Grid(spec, z.reshape(spec.nx, spec.ny))
 
 
 @dataclass(frozen=True)
@@ -246,7 +224,7 @@ def space_time_scan(
     nsim: int,
     rng: RngStream,
     *,
-    baseline: list[CountGrid] | None = None,
+    baseline: list[Grid] | None = None,
     threads: int = 1,
 ) -> ScanResults:
     """Cylindrical space-time scan with a conditional Poisson null.
@@ -254,9 +232,10 @@ def space_time_scan(
     Events are aggregated to (cell, time slice); candidate cylinders are
     every distinct disc of cell centres crossed with every distinct
     whole-slice window.  Expected counts scale the baseline mass (cell
-    volume by default, or per-slice population grids) to the observed
-    total N.  Significance: the total is redistributed over (cell,
-    slice) proportionally to the baseline nsim times; a cylinder's
+    volume by default, or one grid of non-negative mass per slice, which
+    need not be integers) to the observed total N.  Significance: the
+    total is redistributed over (cell, slice) proportionally to the
+    baseline nsim times; a cylinder's
     p-value is the rank of its LLR among the replicate maxima,
     (1 + #{max_sim >= llr}) / (nsim + 1).
 
@@ -305,7 +284,9 @@ def space_time_scan(
         for s, g in enumerate(baseline):
             if g.spec != spec:
                 raise ParameterError(f"baseline grid {s} does not match the scan grid")
-            mass[:, s] = g.counts.ravel().astype(float)
+            if np.any(g.values < 0):
+                raise ParameterError(f"baseline grid {s} has a negative value")
+            mass[:, s] = g.values.ravel().astype(float)
     mass_total = mass.sum()
     if mass_total <= 0.0:
         raise DegenerateDataError("baseline has zero total mass")

@@ -1,9 +1,10 @@
 """File formats: flat CSV for all artefacts, GeoJSON for point input.
 
-Writers emit LF line endings and format floats with '%.17g', which
+Every CSV is written by `write_table` and read by `_read_table`.  The
+writer emits LF line endings and formats floats with '.17g', which
 round-trips IEEE doubles exactly; given identical inputs the bytes are
-identical.  Readers validate headers and report malformed content as
-file:line messages.
+identical.  The reader validates the header and reports malformed
+content as file:line messages.
 """
 
 from __future__ import annotations
@@ -28,87 +29,79 @@ __all__ = [
     "write_points_csv",
     "write_scan_csv",
     "write_space_time_csv",
+    "write_table",
 ]
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
+def write_table(path, header: str, columns) -> None:
+    """A CSV table: the header line, then one row per index of the columns,
+    each line ending in LF.  Float columns are written as '.17g', every
+    other column with str."""
+    cols = [np.asarray(c) for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ParameterError(f"table columns differ in length: {[len(c) for c in cols]}")
+    template = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in cols)
+    rows = map(template.format, *(c.tolist() for c in cols))
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
 
 
-def _write_lines(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_rows(path, expected_header: str) -> list[tuple[int, list[str]]]:
-    """Rows as (1-based line number, fields), header validated."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+def _read_table(path, header: str) -> tuple[np.ndarray, list[int]]:
+    """The rows under a validated header as an (n, k) float array, with
+    each row's 1-based line number; blank lines are skipped."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise ParameterError(f"{path}: not a text file: {e}") from None
     if not lines:
-        raise ParameterError(f"{path}: empty file, expected header {expected_header!r}")
-    header = lines[0].strip()
-    if header != expected_header:
-        raise ParameterError(
-            f"{path}:1: expected header {expected_header!r}, got {header!r}"
-        )
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
+        raise ParameterError(f"{path}: empty file, expected header {header!r}")
+    if lines[0].strip() != header:
+        raise ParameterError(f"{path}:1: expected header {header!r}, got {lines[0].strip()!r}")
+    k = header.count(",") + 1
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        out.append((i, [f.strip() for f in line.split(",")]))
-    return out
-
-
-def _floats(path, lineno, fields, n) -> list[float]:
-    if len(fields) != n:
-        raise ParameterError(f"{path}:{lineno}: expected {n} fields, got {len(fields)}")
-    vals = []
-    for col, f in enumerate(fields, start=1):
-        try:
-            vals.append(float(f))
-        except ValueError:
-            raise ParameterError(
-                f"{path}:{lineno}: column {col}: not a number: {f!r}"
-            ) from None
-    return vals
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != k:
+            raise ParameterError(f"{path}:{lineno}: expected {k} fields, got {len(fields)}")
+        row = []
+        for col, f in enumerate(fields, start=1):
+            try:
+                row.append(float(f))
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: column {col}: not a number: {f!r}") from None
+        rows.append(row)
+        linenos.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, k), linenos
 
 
 def write_event_times(path, events: EventTimes) -> None:
-    _write_lines(path, ["t"] + [_fmt(t) for t in events.times])
+    write_table(path, "t", [events.times])
 
 
 def read_event_times(path, horizon: float | None = None) -> EventTimes:
-    rows = _read_rows(path, "t")
-    times = [_floats(path, i, f, 1)[0] for i, f in rows]
+    times = _read_table(path, "t")[0][:, 0]
     if horizon is None:
-        if not times:
+        if not times.size:
             raise ParameterError(f"{path}: no events and no horizon given")
-        horizon = max(times)
+        horizon = times.max()
     return EventTimes(times, horizon)
 
 
 def write_points_csv(path, pattern: SpatialPattern) -> None:
-    lines = ["x,y"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in pattern.points]
-    _write_lines(path, lines)
+    write_table(path, "x,y", pattern.points.T)
 
 
 def read_points_csv(path) -> np.ndarray:
-    rows = _read_rows(path, "x,y")
-    pts = [_floats(path, i, f, 2) for i, f in rows]
-    return np.array(pts, dtype=float) if pts else np.empty((0, 2))
+    return _read_table(path, "x,y")[0]
 
 
 def write_space_time_csv(path, events: SpaceTimeEvents) -> None:
-    lines = ["x,y,t"] + [
-        f"{_fmt(x)},{_fmt(y)},{_fmt(t)}"
-        for (x, y), t in zip(events.xy, events.t)
-    ]
-    _write_lines(path, lines)
+    write_table(path, "x,y,t", [*events.xy.T, events.t])
 
 
 def read_space_time_csv(path) -> np.ndarray:
-    rows = _read_rows(path, "x,y,t")
-    vals = [_floats(path, i, f, 3) for i, f in rows]
-    return np.array(vals, dtype=float) if vals else np.empty((0, 3))
+    return _read_table(path, "x,y,t")[0]
 
 
 def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -119,14 +112,20 @@ def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise ParameterError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParameterError(f"{path}: expected a GeoJSON FeatureCollection")
     feats = doc.get("features", [])
+    if not isinstance(feats, list):
+        raise ParameterError(f"{path}: 'features' must be a list")
     pts, times = [], []
     for i, feat in enumerate(feats):
-        geom = feat.get("geometry") or {}
+        if not isinstance(feat, dict):
+            raise ParameterError(f"{path}: feature {i}: not a JSON object")
+        geom, props = feat.get("geometry") or {}, feat.get("properties") or {}
+        if not (isinstance(geom, dict) and isinstance(props, dict)):
+            raise ParameterError(f"{path}: feature {i}: geometry and properties must be objects")
         if geom.get("type") != "Point":
             raise ParameterError(f"{path}: feature {i}: only Point geometry is supported")
         coords = geom.get("coordinates")
@@ -134,13 +133,12 @@ def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
             raise ParameterError(f"{path}: feature {i}: malformed coordinates")
         try:
             pts.append((float(coords[0]), float(coords[1])))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParameterError(f"{path}: feature {i}: malformed coordinates") from None
-        props = feat.get("properties") or {}
         if "t" in props:
             try:
                 times.append(float(props["t"]))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ParameterError(
                     f"{path}: feature {i}: property 't' is not a number"
                 ) from None
@@ -153,31 +151,29 @@ def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
 def write_grid_csv(path, spec, values, name: str = "value") -> None:
     """Cell-indexed values, x-major; integer arrays stay integers."""
     arr = np.asarray(values)
-    integral = np.issubdtype(arr.dtype, np.integer)
-    lines = [f"cell_x,cell_y,{name}"]
-    for ixv in range(spec.nx):
-        for iyv in range(spec.ny):
-            v = arr[ixv, iyv]
-            sv = str(int(v)) if integral else _fmt(v)
-            lines.append(f"{ixv},{iyv},{sv}")
-    _write_lines(path, lines)
+    if arr.shape != (spec.nx, spec.ny):
+        raise ParameterError(f"values shape {arr.shape} does not match grid ({spec.nx}, {spec.ny})")
+    if not np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(float)
+    ix, iy = np.indices(arr.shape)
+    write_table(path, f"cell_x,cell_y,{name}", [ix.ravel(), iy.ravel(), arr.ravel()])
 
 
 def read_count_values(path, spec, name: str = "value") -> np.ndarray:
     """Integer grid values from cell_x,cell_y,<name> rows; missing cells
     are zero."""
-    rows = _read_rows(path, f"cell_x,cell_y,{name}")
+    table, linenos = _read_table(path, f"cell_x,cell_y,{name}")
     counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)
-    for i, f in rows:
-        vals = _floats(path, i, f, 3)
-        ixv, iyv, v = vals
-        if ixv != int(ixv) or iyv != int(iyv) or v != int(v):
+    for i, row in zip(linenos, table.tolist()):
+        if not all(v.is_integer() for v in row):  # also rejects nan and inf
             raise ParameterError(f"{path}:{i}: cell indices and counts must be integers")
-        ixv, iyv, v = int(ixv), int(iyv), int(v)
+        ixv, iyv, v = map(int, row)
         if not (0 <= ixv < spec.nx and 0 <= iyv < spec.ny):
             raise ParameterError(f"{path}:{i}: cell ({ixv}, {iyv}) outside the grid")
         if v < 0:
             raise ParameterError(f"{path}:{i}: counts must be non-negative")
+        if v >= 2**63:
+            raise ParameterError(f"{path}:{i}: count {v} does not fit in 64 bits")
         counts[ixv, iyv] = v
     return counts
 
@@ -185,36 +181,13 @@ def read_count_values(path, spec, name: str = "value") -> np.ndarray:
 def write_curve_csv(path, radii, observed, lower=None, upper=None) -> None:
     """r,observed plus optional envelope columns."""
     has_env = lower is not None and upper is not None
-    cols = [observed, lower, upper] if has_env else [observed]
-    if any(len(c) != len(radii) for c in cols):
-        raise ParameterError("curve columns must match the radii in length")
+    cols = [radii, observed, lower, upper] if has_env else [radii, observed]
     header = "r,observed,lower,upper" if has_env else "r,observed"
-    lines = [header]
-    for j, r in enumerate(radii):
-        row = [_fmt(r), _fmt(observed[j])]
-        if has_env:
-            row += [_fmt(lower[j]), _fmt(upper[j])]
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    write_table(path, header, [np.asarray(c, dtype=float) for c in cols])
 
 
 def write_scan_csv(path, results: list[ScanResult]) -> None:
-    lines = ["cx,cy,radius,t_start,t_end,observed,expected,llr,p_value"]
-    for res in results:
-        c = res.cylinder
-        lines.append(
-            ",".join(
-                [
-                    _fmt(c.cx),
-                    _fmt(c.cy),
-                    _fmt(c.radius),
-                    _fmt(c.t_start),
-                    _fmt(c.t_end),
-                    str(res.observed),
-                    _fmt(res.expected),
-                    _fmt(res.llr),
-                    _fmt(res.p_value),
-                ]
-            )
-        )
-    _write_lines(path, lines)
+    rows = [(r.cylinder.cx, r.cylinder.cy, r.cylinder.radius, r.cylinder.t_start,
+             r.cylinder.t_end, r.observed, r.expected, r.llr, r.p_value) for r in results]
+    write_table(path, "cx,cy,radius,t_start,t_end,observed,expected,llr,p_value",
+                list(zip(*rows)) or [()] * 9)

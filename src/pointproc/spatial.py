@@ -17,8 +17,8 @@ from scipy.special import chdtrc
 from scipy.spatial import cKDTree
 
 from .core import (
-    CountGrid,
     DegenerateDataError,
+    Grid,
     GridSpec,
     InsufficientDataError,
     ParameterError,
@@ -30,7 +30,6 @@ from .core import (
 )
 
 __all__ = [
-    "DensitySurface",
     "EnvelopeResult",
     "NNI_MAX_HEX",
     "QuadratResult",
@@ -62,28 +61,7 @@ def simulate_csr(rate: float, region: Region, rng: RngStream) -> SpatialPattern:
     return SpatialPattern(np.column_stack([xs, ys]), region)
 
 
-class DensitySurface:
-    """Per-cell density values on a grid."""
-
-    def __init__(self, spec: GridSpec, values):
-        arr = np.array(values, dtype=float)
-        if arr.shape != (spec.nx, spec.ny):
-            raise ParameterError(
-                f"values shape {arr.shape} does not match grid ({spec.nx}, {spec.ny})"
-            )
-        arr.setflags(write=False)
-        self.spec = spec
-        self.values = arr
-
-    def __repr__(self):
-        return f"DensitySurface({self.spec.nx}x{self.spec.ny})"
-
-    def integral(self) -> float:
-        """Total mass: cell area times the sum of the values."""
-        return float(self.values.sum() * self.spec.cell_area)
-
-
-def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> DensitySurface:
+def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Grid:
     """Disc-count density: points within `bandwidth` of each cell centre,
     divided by the disc area pi * bandwidth**2.
 
@@ -101,14 +79,14 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> De
         tree = cKDTree(pattern.points)
         counts = tree.query_ball_point(centres, bandwidth, return_length=True)
     vals = counts / (math.pi * bandwidth**2)
-    return DensitySurface(spec, np.asarray(vals, dtype=float).reshape(spec.nx, spec.ny))
+    return Grid(spec, vals.reshape(spec.nx, spec.ny))
 
 
 @dataclass(frozen=True)
 class QuadratResult:
     """Chi-square test of equal cell counts."""
 
-    grid: CountGrid
+    grid: Grid
     statistic: float
     dof: int
     p_value: float
@@ -123,7 +101,7 @@ def quadrat_counts(pattern: SpatialPattern, spec: GridSpec) -> QuadratResult:
     if spec.ncells < 2:
         raise DegenerateDataError("quadrat test needs at least two cells")
     grid = aggregate_to_grid(pattern, spec)
-    counts = grid.counts
+    counts = grid.values
     cbar = len(pattern) / spec.ncells
     if cbar == 0.0:
         raise DegenerateDataError("quadrat test needs at least one point")
@@ -142,7 +120,7 @@ def dispersion_by_block(
     indicate randomness at that scale, above 1 clustering, below 1
     regularity.
     """
-    base = aggregate_to_grid(pattern, spec).counts
+    base = aggregate_to_grid(pattern, spec).values
     out = []
     for b in block_sizes:
         b = int(b)

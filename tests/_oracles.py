@@ -114,7 +114,7 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
     if baseline is None:
         mass = np.full((ncells, n_slices), spec.cell_area * slice_len)
     else:
-        mass = np.column_stack([g.counts.ravel().astype(float) for g in baseline])
+        mass = np.column_stack([g.values.ravel().astype(float) for g in baseline])
     mass_total = mass.sum()
 
     discs, reps = _candidate_discs(spec, np.asarray(radii, dtype=float))

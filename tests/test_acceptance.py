@@ -14,8 +14,8 @@ from scipy import stats
 
 import _oracles as brute
 from pointproc import (
-    CountGrid,
     ExponentialKernel,
+    Grid,
     GridSpec,
     HawkesModel,
     IntensityFn,
@@ -270,8 +270,8 @@ def test_c09_rss_hand_cases(note):
     spec = GridSpec(UNIT, 2, 2)
     grid = aggregate_to_grid(simulate_csr(80.0, UNIT, RngStream(90)), spec)
     ident = rss(grid, grid)
-    a = CountGrid(spec, [[3, 0], [0, 0]])
-    b = CountGrid(spec, [[0, 0], [0, 3]])
+    a = Grid(spec, [[3, 0], [0, 0]])
+    b = Grid(spec, [[0, 0], [0, 3]])
     offset = rss(a, b)
     ok = ident == 0.0 and offset == 18.0
     note(9, "rss-hand-cases", ok, f"identity={ident}, offset-cluster={offset}")
@@ -284,13 +284,13 @@ def test_c10_gi_star_calibration(note):
 
     counts = np.full((10, 10), 2, dtype=int)
     counts[4, 4] = 60
-    z = gi_star(CountGrid(spec, counts), 0.1).z
+    z = gi_star(Grid(spec, counts), 0.1).values
     hot_ok = z[4, 4] == z.max() and z[4, 4] > 0
 
     flags = total = 0
     for i in range(200):
         pat = simulate_csr(200.0, UNIT, RngStream(20000 + i))
-        zg = gi_star(aggregate_to_grid(pat, spec), 0.1).z
+        zg = gi_star(aggregate_to_grid(pat, spec), 0.1).values
         flags += np.sum(np.abs(zg) >= 1.96)
         total += zg.size
     fp = flags / total

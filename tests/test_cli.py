@@ -352,6 +352,52 @@ class TestDetect:
         assert (out / "scan.csv").exists()
 
 
+def feature_collection(features) -> bytes:
+    return json.dumps({"type": "FeatureCollection", "features": features}).encode()
+
+
+POINT = {"type": "Feature", "properties": {},
+         "geometry": {"type": "Point", "coordinates": [0.5, 0.5]}}
+
+# name -> (file name, bytes, what reads it)
+BAD_INPUTS = {
+    "csv-not-utf8": ("pts.csv", b"x,y\n0.5,0.5\n0.25,\xff\n", "in"),
+    "geojson-not-utf8": ("pts.geojson", feature_collection([POINT]) + b"\xff", "in"),
+    "features-not-a-list": ("pts.geojson", feature_collection(5), "in"),
+    "feature-not-an-object": ("pts.geojson", feature_collection([POINT, 5]), "in"),
+    "geometry-not-an-object": ("pts.geojson", feature_collection([{**POINT, "geometry": "Point"}]),
+                               "in"),
+    "properties-not-an-object": ("pts.geojson", feature_collection([{**POINT, "properties": 5}]),
+                                 "in"),
+    "coordinate-overflows": ("pts.geojson", feature_collection(
+        [{**POINT, "geometry": {"type": "Point", "coordinates": [10**400, 0.5]}}]), "in"),
+    "baseline-nan": ("base.csv", b"cell_x,cell_y,value\n0,0,nan\n", "baseline"),
+    "baseline-inf": ("base.csv", b"cell_x,cell_y,value\n0,0,1\n1,1,inf\n", "baseline"),
+    "baseline-too-large": ("base.csv", b"cell_x,cell_y,value\n0,0,1e19\n", "baseline"),
+    "baseline-not-utf8": ("base.csv", b"cell_x,cell_y,value\n0,0,\xfe\n", "baseline"),
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("name", BAD_INPUTS)
+    def test_error_without_traceback(self, tmp_path, capsys, name):
+        filename, content, role = BAD_INPUTS[name]
+        bad = tmp_path / filename
+        bad.write_bytes(content)
+        if role == "baseline":
+            argv = ["detect", "scan", "--in", write_space_time(tmp_path), "--region", "0,1,0,1",
+                    "--horizon", 1.0, "--nx", 2, "--ny", 2, "--slices", 1, "--radii", 0.5,
+                    "--durations", 1.0, "--nsim", 99, "--baseline", bad]
+        else:
+            argv = ["analyze", "nni", "--in", bad, "--region", "0,1,0,1"]
+        out = tmp_path / "run"
+        assert run("--out", out, *argv) == 1  # an escaping exception fails here
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestSeedResolution:
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"

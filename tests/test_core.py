@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pointproc import (
-    CountGrid,
     EventTimes,
+    Grid,
     GridSpec,
     ParameterError,
     Region,
     RngStream,
     SpaceTimeEvents,
     SpatialPattern,
+    core,
     exponential_draw,
     inter_arrival_times,
 )
@@ -225,24 +226,73 @@ class TestSpaceTimeEvents:
 class TestCountGrid:
     def test_basic(self):
         spec = GridSpec(Region(0, 1, 0, 1), 2, 2)
-        grid = CountGrid(spec, [[1, 2], [3, 4]])
-        assert grid.total == 10
-
-    def test_rejects_negative(self):
-        spec = GridSpec(Region(0, 1, 0, 1), 2, 1)
-        with pytest.raises(ParameterError):
-            CountGrid(spec, [[1], [-1]])
-
-    def test_rejects_non_integer(self):
-        spec = GridSpec(Region(0, 1, 0, 1), 2, 1)
-        with pytest.raises(ParameterError):
-            CountGrid(spec, [[1.5], [2.0]])
-
-    def test_accepts_integral_floats(self):
-        spec = GridSpec(Region(0, 1, 0, 1), 2, 1)
-        assert CountGrid(spec, [[1.0], [2.0]]).total == 3
+        grid = Grid(spec, [[1, 2], [3, 4]])
+        assert grid.values.sum() == 10
 
     def test_shape_mismatch(self):
         spec = GridSpec(Region(0, 1, 0, 1), 2, 2)
         with pytest.raises(ParameterError):
-            CountGrid(spec, [[1, 2, 3], [4, 5, 6]])
+            Grid(spec, [[1, 2, 3], [4, 5, 6]])
+
+
+class TestGrid:
+    SPEC = GridSpec(Region(0, 1, 0, 1), 2, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            Grid(self.SPEC, [[1.0], [bad]])
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([[1], [2]], np.int64),
+        (np.array([[1], [2]], dtype=np.int32), np.int64),
+        (np.array([[1], [2]], dtype=np.uint8), np.int64),
+        ([[1.0], [2.0]], np.float64),
+        ([[1.5], [-2.0]], np.float64),
+        (np.array([[0.5], [2.0]], dtype=np.float32), np.float64),
+        (np.array([[True], [False]]), np.float64),
+    ])
+    def test_integers_stay_int64_anything_else_float64(self, values, dtype):
+        grid = Grid(self.SPEC, values)
+        assert grid.values.dtype == dtype
+        assert np.array_equal(grid.values, np.asarray(values))
+
+    def test_values_are_a_frozen_copy(self):
+        src = np.array([[1], [2]])
+        grid = Grid(self.SPEC, src)
+        src[0, 0] = 9
+        assert grid.values[0, 0] == 1
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 5
+
+
+class TestIndexedMap:
+    @pytest.mark.parametrize("cpus, threads, count, workers", [
+        (2, 100_000, 100_000, 6),  # min(32, cpus + 4)
+        (None, 8, 100, 5),  # cpu_count unknown counts as one
+        (64, 100, 1000, 32),
+        (2, 100, 3, 3),  # never more workers than calls
+        (1, 4, 10, 4),  # the stdlib default still allows a real pool on one CPU
+        (2, 1, 10, None),  # one thread: no pool
+        (2, 4, 1, None),  # one call: no pool
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, cpus, threads, count, workers):
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: cpus)
+        assert core.indexed_map(lambda i: i * i, count, threads) == [i * i for i in range(count)]
+        assert seen == ([] if workers is None else [workers])

@@ -5,9 +5,9 @@ import pytest
 
 import _oracles as brute
 from pointproc import (
-    CountGrid,
     Cylinder,
     DegenerateDataError,
+    Grid,
     GridSpec,
     ParameterError,
     Region,
@@ -30,18 +30,18 @@ class TestAggregateToGrid:
         spec = GridSpec(UNIT, 2, 2)
         pat = SpatialPattern([[0.1, 0.1], [0.6, 0.1], [0.6, 0.9], [0.9, 0.8]], UNIT)
         grid = aggregate_to_grid(pat, spec)
-        assert grid.total == 4
-        assert np.array_equal(grid.counts, [[1, 0], [1, 2]])
+        assert grid.values.sum() == 4
+        assert np.array_equal(grid.values, [[1, 0], [1, 2]])
 
     def test_empty_pattern(self):
         grid = aggregate_to_grid(SpatialPattern([], UNIT), GridSpec(UNIT, 3, 3))
-        assert grid.total == 0
+        assert grid.values.sum() == 0
 
     def test_boundary_points(self):
         spec = GridSpec(UNIT, 2, 2)
         pat = SpatialPattern([[0.5, 0.5], [1.0, 1.0]], UNIT)
         grid = aggregate_to_grid(pat, spec)
-        assert grid.counts[1, 1] == 2  # half-open cells, closed final edges
+        assert grid.values[1, 1] == 2  # half-open cells, closed final edges
 
     def test_out_of_bounds_reports_indices(self):
         spec = GridSpec(Region(0, 0.5, 0, 0.5), 2, 2)
@@ -63,19 +63,19 @@ class TestRss:
 
     def test_hand_value(self):
         spec = GridSpec(UNIT, 2, 2)
-        a = CountGrid(spec, [[5, 0], [0, 0]])
-        b = CountGrid(spec, [[2, 0], [0, 3]])
+        a = Grid(spec, [[5, 0], [0, 0]])
+        b = Grid(spec, [[2, 0], [0, 3]])
         assert rss(a, b) == 18.0  # 3^2 + 3^2
 
     def test_symmetry(self):
         spec = GridSpec(UNIT, 2, 2)
-        a = CountGrid(spec, [[1, 2], [3, 4]])
-        b = CountGrid(spec, [[4, 3], [2, 1]])
+        a = Grid(spec, [[1, 2], [3, 4]])
+        b = Grid(spec, [[4, 3], [2, 1]])
         assert rss(a, b) == rss(b, a)
 
     def test_spec_mismatch(self):
-        a = CountGrid(GridSpec(UNIT, 2, 2), np.zeros((2, 2), dtype=int))
-        b = CountGrid(GridSpec(UNIT, 2, 3), np.zeros((2, 3), dtype=int))
+        a = Grid(GridSpec(UNIT, 2, 2), np.zeros((2, 2), dtype=int))
+        b = Grid(GridSpec(UNIT, 2, 3), np.zeros((2, 3), dtype=int))
         with pytest.raises(ParameterError, match="same grid"):
             rss(a, b)
 
@@ -85,56 +85,56 @@ class TestGiStar:
         spec = GridSpec(UNIT, 6, 5)
         for seed in range(5):
             grid = aggregate_to_grid(simulate_csr(250, UNIT, RngStream(seed)), spec)
-            z = gi_star(grid, 0.25).z.ravel()
-            ref = brute.gi_star(grid.counts.ravel(), spec.centre_points(), 0.25)
+            z = gi_star(grid, 0.25).values.ravel()
+            ref = brute.gi_star(grid.values.ravel(), spec.centre_points(), 0.25)
             assert np.allclose(z, ref, rtol=1e-12, atol=1e-12)
 
     def test_hot_cell_has_positive_max_z(self):
         spec = GridSpec(UNIT, 5, 5)
         counts = np.full((5, 5), 2, dtype=int)
         counts[2, 2] = 40
-        zg = gi_star(CountGrid(spec, counts), 0.21)
-        assert zg.z[2, 2] == zg.z.max()
-        assert zg.z[2, 2] > 0
-        assert zg.hot_cells()[2, 2]
+        zg = gi_star(Grid(spec, counts), 0.21)
+        assert zg.values[2, 2] == zg.values.max()
+        assert zg.values[2, 2] > 0
+        assert (zg.values >= 1.96)[2, 2]
 
     def test_cold_region_negative(self):
         spec = GridSpec(UNIT, 5, 5)
         counts = np.full((5, 5), 20, dtype=int)
         counts[0, 0] = counts[0, 1] = counts[1, 0] = counts[1, 1] = 0
-        zg = gi_star(CountGrid(spec, counts), 0.21)
-        assert zg.z[0, 0] < 0
+        zg = gi_star(Grid(spec, counts), 0.21)
+        assert zg.values[0, 0] < 0
 
     def test_uniform_counts_degenerate(self):
         spec = GridSpec(UNIT, 4, 4)
         with pytest.raises(DegenerateDataError, match="equal"):
-            gi_star(CountGrid(spec, np.full((4, 4), 3, dtype=int)), 0.3)
+            gi_star(Grid(spec, np.full((4, 4), 3, dtype=int)), 0.3)
 
     def test_radius_covering_grid_degenerate(self):
         spec = GridSpec(UNIT, 3, 3)
         counts = np.arange(9).reshape(3, 3)
         with pytest.raises(DegenerateDataError, match="whole grid"):
-            gi_star(CountGrid(spec, counts), 5.0)
+            gi_star(Grid(spec, counts), 5.0)
 
     def test_partial_full_coverage_gets_zero(self):
         # middle cell of a 1x5 strip sees everything at radius 3; corners do not
         region = Region(0, 5, 0, 1)
         spec = GridSpec(region, 5, 1)
         counts = np.array([[5], [1], [2], [0], [4]])
-        zg = gi_star(CountGrid(spec, counts), 3.0)
-        assert zg.z[2, 0] == 0.0
-        assert zg.z[0, 0] != 0.0
+        zg = gi_star(Grid(spec, counts), 3.0)
+        assert zg.values[2, 0] == 0.0
+        assert zg.values[0, 0] != 0.0
 
     def test_weights_are_symmetric_in_sign(self):
         # flipping counts around the mean flips z
         spec = GridSpec(UNIT, 4, 4)
         c = np.arange(16).reshape(4, 4)
-        z1 = gi_star(CountGrid(spec, c), 0.3).z
-        z2 = gi_star(CountGrid(spec, (15 - c)), 0.3).z
+        z1 = gi_star(Grid(spec, c), 0.3).values
+        z2 = gi_star(Grid(spec, (15 - c)), 0.3).values
         assert np.allclose(z1, -z2, atol=1e-12)
 
     def test_bad_radius(self):
-        grid = CountGrid(GridSpec(UNIT, 2, 2), [[1, 2], [3, 4]])
+        grid = Grid(GridSpec(UNIT, 2, 2), [[1, 2], [3, 4]])
         with pytest.raises(ParameterError):
             gi_star(grid, 0.0)
 
@@ -245,10 +245,10 @@ class TestSpaceTimeScan:
     def test_baseline_rescaling_invariance(self):
         ev = make_events(7)
         base1 = [
-            CountGrid(self.SPEC, np.full((5, 5), 4, dtype=int)) for _ in range(5)
+            Grid(self.SPEC, np.full((5, 5), 4, dtype=int)) for _ in range(5)
         ]
         base5 = [
-            CountGrid(self.SPEC, np.full((5, 5), 20, dtype=int)) for _ in range(5)
+            Grid(self.SPEC, np.full((5, 5), 20, dtype=int)) for _ in range(5)
         ]
         r1 = self.scan(ev, baseline=base1)
         r5 = self.scan(ev, baseline=base5)
@@ -259,7 +259,7 @@ class TestSpaceTimeScan:
     def test_uniform_baseline_equals_default(self):
         # same null up to float rounding (area*length vs normalised counts)
         ev = make_events(8)
-        uniform = [CountGrid(self.SPEC, np.ones((5, 5), dtype=int)) for _ in range(5)]
+        uniform = [Grid(self.SPEC, np.ones((5, 5), dtype=int)) for _ in range(5)]
         a = {r.cylinder: r for r in self.scan(ev)}
         b = {r.cylinder: r for r in self.scan(ev, baseline=uniform)}
         assert a.keys() == b.keys()
@@ -278,7 +278,7 @@ class TestSpaceTimeScan:
         ev = SpaceTimeEvents(data, UNIT, 1.0)
         mass = np.zeros((5, 5), dtype=int)
         mass[0, 0] = 100
-        matched = [CountGrid(self.SPEC, mass) for _ in range(5)]
+        matched = [Grid(self.SPEC, mass) for _ in range(5)]
         hot = self.scan(ev)
         calm = self.scan(ev, baseline=matched)
         assert hot[0].p_value == 0.01
@@ -321,16 +321,30 @@ class TestSpaceTimeScan:
 
     def test_baseline_validation(self):
         ev = make_events(0)
-        short = [CountGrid(self.SPEC, np.ones((5, 5), dtype=int))] * 4
+        short = [Grid(self.SPEC, np.ones((5, 5), dtype=int))] * 4
         with pytest.raises(ParameterError, match="per slice"):
             self.scan(ev, baseline=short)
         other_spec = GridSpec(UNIT, 4, 4)
-        wrong = [CountGrid(other_spec, np.ones((4, 4), dtype=int))] * 5
+        wrong = [Grid(other_spec, np.ones((4, 4), dtype=int))] * 5
         with pytest.raises(ParameterError, match="match"):
             self.scan(ev, baseline=wrong)
-        zero = [CountGrid(self.SPEC, np.zeros((5, 5), dtype=int))] * 5
+        zero = [Grid(self.SPEC, np.zeros((5, 5), dtype=int))] * 5
         with pytest.raises(DegenerateDataError, match="zero total"):
             self.scan(ev, baseline=zero)
+
+    def test_negative_baseline_rejected(self):
+        mass = np.ones((5, 5))
+        mass[2, 3] = -0.5
+        grids = [Grid(self.SPEC, np.ones((5, 5)))] * 4 + [Grid(self.SPEC, mass)]
+        with pytest.raises(ParameterError, match="baseline grid 4 has a negative value"):
+            self.scan(make_events(0), baseline=grids)
+
+    def test_fractional_baseline_is_mass(self):
+        # 0.5 per cell is the integer baseline 4 scaled by 2**-3: exactly the same null
+        ev = make_events(7)
+        whole = self.scan(ev, baseline=[Grid(self.SPEC, np.full((5, 5), 4))] * 5)
+        half = self.scan(ev, baseline=[Grid(self.SPEC, np.full((5, 5), 0.5))] * 5)
+        assert scan_rows(whole) == scan_rows(half)
 
 
 def scan_rows(results):
@@ -356,7 +370,7 @@ class TestScanMatchesDenseReference:
     def test_uniform_baseline(self, uniform_grids):
         baseline = None
         if uniform_grids:
-            baseline = [CountGrid(self.SPEC, np.ones((5, 5), dtype=int)) for _ in range(5)]
+            baseline = [Grid(self.SPEC, np.ones((5, 5), dtype=int)) for _ in range(5)]
         self.check(make_events(0), 1, baseline=baseline)
 
     def test_baseline_with_zero_mass_cells(self):
@@ -365,9 +379,13 @@ class TestScanMatchesDenseReference:
         for _ in range(5):
             m = g.integers(0, 6, size=(5, 5))
             m[:, 0] = 0  # events in these cells have no expectation: LLR inf
-            grids.append(CountGrid(self.SPEC, m))
+            grids.append(Grid(self.SPEC, m))
         want, _ = self.check(make_events(1), 2, baseline=grids)
         assert math.isinf(want[0][3])
+
+    def test_fractional_baseline(self):
+        g = np.random.default_rng(10)
+        self.check(make_events(2), 3, baseline=[Grid(self.SPEC, g.random((5, 5))) for _ in range(5)])
 
     def test_tied_llrs(self):
         want, max_llrs = self.check(make_events(0, n=10), 0)

@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pointproc import (
     EventTimes,
@@ -17,6 +21,7 @@ from pointproc import (
 )
 from pointproc.detect import Cylinder, ScanResult
 from pointproc.io import (
+    _read_table,
     read_count_values,
     read_event_times,
     read_geojson_points,
@@ -28,6 +33,7 @@ from pointproc.io import (
     write_points_csv,
     write_scan_csv,
     write_space_time_csv,
+    write_table,
 )
 
 UNIT = Region(0, 1, 0, 1)
@@ -331,3 +337,70 @@ class TestGeoJson:
         xy, t = read_geojson_points(self.write(tmp_path, fc))
         assert xy.shape == (0, 2)
         assert t is None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestCodec:
+    """write_table and _read_table, the one CSV writer and reader."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), INT64), max_size=12))
+    @example([(-0.0, 0), (5e-324, -1), (math.inf, 2**63 - 1), (-math.inf, 7), (math.nan, 3)])
+    def test_floats_as_17g_integers_without_point(self, rows):
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "t.csv"
+            floats = np.array([r[0] for r in rows], dtype=float)
+            ints = np.array([r[1] for r in rows], dtype=np.int64)
+            write_table(p, "f,i", [floats, ints])
+            data = p.read_bytes()
+        assert data == "".join(
+            f"{line}\n" for line in ["f,i", *(f"{format(f, '.17g')},{i}" for f, i in rows)]
+        ).encode()
+        assert all("." not in line.split(",")[1] for line in data.decode().splitlines()[1:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(FINITE, FINITE), max_size=12))
+    @example([(-0.0, 5e-324), (2.2250738585072014e-308, -1.7976931348623157e308)])
+    def test_finite_round_trip_bit_exact(self, rows):
+        cols = np.array(rows, dtype=float).reshape(-1, 2)
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "t.csv"
+            write_table(p, "a,b", cols.T)
+            table, linenos = _read_table(p, "a,b")
+        assert table.shape == cols.shape
+        assert table.tobytes() == cols.tobytes()
+        assert linenos == list(range(2, len(rows) + 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(FINITE, FINITE), max_size=6),
+        blanks=st.lists(st.tuples(st.integers(0, 20), st.sampled_from(["", "  ", "\t"])),
+                        max_size=6),
+        bad=st.one_of(st.none(), st.tuples(
+            st.integers(0, 20), st.sampled_from(["1", "1,2,3", "nope,1", "1,x1", "1,"]))),
+    )
+    def test_blank_lines_and_bad_rows(self, rows, blanks, bad):
+        lines = ["a,b"] + [f"{x!r},{y!r}" for x, y in rows]
+        for pos, text in blanks + ([bad] if bad else []):  # anywhere after the header
+            at = 1 + pos % len(lines)
+            lines.insert(at, text)
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "t.csv"
+            p.write_text("\n".join(lines) + "\n")
+            if bad is None:
+                table, linenos = _read_table(p, "a,b")
+                assert table.tolist() == [list(r) for r in rows]
+                assert [lines[n - 1] for n in linenos] == [l for l in lines[1:] if l.strip()]
+                return
+            with pytest.raises(ParameterError) as info:
+                _read_table(p, "a,b")
+        fields = bad[1].split(",")
+        if len(fields) != 2:
+            want = f"t.csv:{at + 1}: expected 2 fields, got {len(fields)}"
+        else:
+            col = 1 if fields[0] == "nope" else 2
+            want = f"t.csv:{at + 1}: column {col}: not a number: {fields[col - 1]!r}"
+        assert str(info.value).endswith(want)

@@ -81,7 +81,7 @@ class TestKdeSurface:
     def test_empty_pattern_zero_surface(self):
         surf = kde_surface(SpatialPattern([], UNIT), GridSpec(UNIT, 4, 4), 0.1)
         assert np.all(surf.values == 0.0)
-        assert surf.integral() == 0.0
+        assert surf.values.sum() * surf.spec.cell_area == 0.0
 
     def test_single_point_exact_disc_mass(self):
         spec = GridSpec(UNIT, 5, 5)
@@ -116,13 +116,13 @@ class TestQuadrat:
         assert res.statistic == pytest.approx(1.0)
         assert res.dof == 1
         assert res.p_value == pytest.approx(float(stats.chi2.sf(1.0, 1)))
-        assert np.array_equal(res.grid.counts, [[3], [1]])
+        assert np.array_equal(res.grid.values, [[3], [1]])
 
     def test_statistic_matches_formula(self):
         pat = random_pattern(3, n=120)
         spec = GridSpec(UNIT, 4, 4)
         res = quadrat_counts(pat, spec)
-        c = res.grid.counts.astype(float)
+        c = res.grid.values.astype(float)
         cbar = c.mean()
         assert res.statistic == pytest.approx(((c - cbar) ** 2).sum() / cbar)
 
@@ -154,7 +154,7 @@ class TestDispersion:
         pat = random_pattern(7, n=160)
         spec = GridSpec(UNIT, 4, 4)
         out = dict(dispersion_by_block(pat, spec, [1, 2]))
-        counts = quadrat_counts(pat, spec).grid.counts
+        counts = quadrat_counts(pat, spec).grid.values
         merged2 = counts.reshape(2, 2, 2, 2).sum(axis=(1, 3))
         assert out[2] == pytest.approx(merged2.var(ddof=1) / merged2.mean())
 
