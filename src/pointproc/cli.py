@@ -518,9 +518,7 @@ def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
         baseline=baseline,
         threads=cfg.threads,
     )
-    if p.get("top") is not None:
-        results = results[: p["top"]]
-    io.write_scan_csv(session.path("scan.csv"), results)
+    io.write_scan_csv(session.path("scan.csv"), results, top=p.get("top"))
 
 
 _DISPATCH = {

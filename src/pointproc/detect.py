@@ -116,46 +116,36 @@ class ScanResult:
 
 
 class ScanResults(Sequence):
-    """Read-only scan results in rank order, as columns.
+    """Read-only scan results in rank order, as the columns of scan.csv.
 
-    Holds one row per cylinder (disc index * nwindows + window index) and
-    the rank order over them.  A `ScanResult` is built only when indexed
-    or iterated; a slice returns a list of them.
+    `columns` holds cx, cy, radius, t_start, t_end, observed, expected,
+    llr and p_value, one read-only array each, row k being the k-th
+    ranked cylinder.  A `ScanResult` is built only when indexed or
+    iterated; a slice returns a list of them.
     """
 
-    def __init__(self, order, discs, windows, observed, expected, llr, p_value):
-        self._order = order
-        self._discs = discs  # (cx, cy, radius) per disc
-        self._windows = windows  # (t_start, t_end) per window
-        self._columns = (observed, expected, llr, p_value)
-        for arr in (order, *self._columns):
-            arr.setflags(write=False)
+    def __init__(self, columns):
+        self._columns = tuple(columns)
+        for c in self._columns:
+            c.setflags(write=False)
+
+    @property
+    def columns(self) -> tuple:
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._build(k) for k in self._order[index]]
-        return self._build(self._order[index])
-
-    def __iter__(self):
-        for k in self._order:
-            yield self._build(k)
+            return [self[k] for k in range(*index.indices(len(self)))]
+        *cylinder, observed, expected, llr, p_value = (c[index] for c in self._columns)
+        return ScanResult(
+            Cylinder(*cylinder), int(observed), float(expected), float(llr), float(p_value)
+        )
 
     def __repr__(self):
         return f"ScanResults({len(self)} cylinders)"
-
-    def _build(self, k) -> ScanResult:
-        i, j = divmod(int(k), len(self._windows))
-        observed, expected, llr, p_value = self._columns
-        return ScanResult(
-            Cylinder(*self._discs[i], *self._windows[j]),
-            int(observed[k]),
-            float(expected[k]),
-            float(llr[k]),
-            float(p_value[k]),
-        )
 
 
 def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
@@ -240,9 +230,9 @@ def space_time_scan(
     (1 + #{max_sim >= llr}) / (nsim + 1).
 
     Results are sorted by decreasing LLR (ties: centre x, y, radius,
-    start) and returned as a read-only `ScanResults` sequence, whose
-    objects are built on access.  Each replicate uses substream i+1 of
-    `rng`, so the output is independent of `threads`.
+    start) and returned as a read-only `ScanResults` sequence, which
+    holds them as the columns of scan.csv.  Each replicate uses
+    substream i+1 of `rng`, so the output is independent of `threads`.
     """
     n_slices = int(n_slices)
     nsim = int(nsim)
@@ -329,20 +319,11 @@ def space_time_scan(
     # (1 + #{max_sim >= llr}) / (nsim + 1), for every cylinder at once
     p_value = (1 + nsim - np.searchsorted(max_llrs, llr, side="left")) / (nsim + 1)
 
-    reps_arr = np.array(reps)
     n_win = len(windows)
-    order = np.lexsort(
-        (
-            np.tile(starts, len(reps)),
-            np.repeat(reps_arr[:, 2], n_win),
-            np.repeat(reps_arr[:, 1], n_win),
-            np.repeat(reps_arr[:, 0], n_win),
-            -llr,
-        )
-    )
-    spans = [
-        (s0 * slice_len, min((s0 + w) * slice_len, events.horizon)) for s0, w in windows
-    ]
-    return ScanResults(
-        order, reps, spans, np.rint(obs).astype(np.int64).ravel(), expected.ravel(), llr, p_value
-    )
+    cx, cy, radius = np.repeat(np.array(reps), n_win, axis=0).T
+    t_start = np.tile(starts * slice_len, len(reps))
+    t_end = np.tile(np.minimum(ends * slice_len, events.horizon), len(reps))
+    observed = np.rint(obs).astype(np.int64).ravel()
+    order = np.lexsort((t_start, radius, cy, cx, -llr))
+    columns = (cx, cy, radius, t_start, t_end, observed, expected.ravel(), llr, p_value)
+    return ScanResults(tuple(c[order] for c in columns))

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import EventTimes, ParameterError, SpatialPattern, SpaceTimeEvents
-from .detect import ScanResult
 
 __all__ = [
     "read_count_values",
@@ -186,8 +185,7 @@ def write_curve_csv(path, radii, observed, lower=None, upper=None) -> None:
     write_table(path, header, [np.asarray(c, dtype=float) for c in cols])
 
 
-def write_scan_csv(path, results: list[ScanResult]) -> None:
-    rows = [(r.cylinder.cx, r.cylinder.cy, r.cylinder.radius, r.cylinder.t_start,
-             r.cylinder.t_end, r.observed, r.expected, r.llr, r.p_value) for r in results]
+def write_scan_csv(path, results, top=None) -> None:
+    """A `ScanResults` table in rank order, or its best `top` rows."""
     write_table(path, "cx,cy,radius,t_start,t_end,observed,expected,llr,p_value",
-                list(zip(*rows)) or [()] * 9)
+                [c[:top] for c in results.columns])

@@ -78,7 +78,10 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Gr
     else:
         tree = cKDTree(pattern.points)
         counts = tree.query_ball_point(centres, bandwidth, return_length=True)
-    vals = counts / (math.pi * bandwidth**2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = counts / (math.pi * bandwidth**2)
+    if not np.all(np.isfinite(vals)):  # count / area overflows, or the area is 0
+        raise ParameterError(f"bandwidth {bandwidth} is too small: the density overflows")
     return Grid(spec, vals.reshape(spec.nx, spec.ny))
 
 

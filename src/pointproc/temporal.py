@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from .core import (
     EnvelopeError,
@@ -43,6 +42,8 @@ __all__ = [
 
 # dominance checks tolerate this much relative rounding noise
 _DOMINANCE_RTOL = 1e-12
+# envelope segments per period of IntensityFn.sinusoid
+_SINUSOID_SEGMENTS = 16
 
 
 def poisson_count_pmf(rate: float, a: float, b: float, n: int) -> float:
@@ -181,7 +182,6 @@ class IntensityFn:
         amplitude: float,
         period: float,
         horizon: float,
-        segments_per_period: int = 16,
     ) -> "IntensityFn":
         """base + amplitude * sin(2 pi t / period), with an exact
         per-segment supremum as the envelope."""
@@ -193,7 +193,7 @@ class IntensityFn:
             raise ParameterError("base and amplitude must be finite")
         w = 2.0 * math.pi / period
         fn = lambda t: base + amplitude * math.sin(w * t)
-        seg_len = period / int(segments_per_period)
+        seg_len = period / _SINUSOID_SEGMENTS
         n_seg = max(1, math.ceil(horizon / seg_len - 1e-12))
         edges = np.minimum(np.arange(n_seg + 1) * seg_len, horizon)
         segs = []
@@ -269,6 +269,8 @@ def nhpp_mean(intensity: IntensityFn, t1: float, t2: float) -> float:
     Integrated segment-by-segment with adaptive quadrature; the total
     absolute tolerance is 1e-9 * (t2 - t1) * max envelope bound.
     """
+    from scipy import integrate  # on use: ~0.1 s to import, and no CLI command integrates
+
     t1, t2 = float(t1), float(t2)
     if not (0.0 <= t1 < t2):
         raise ParameterError(f"need 0 <= t1 < t2, got ({t1}, {t2})")

@@ -634,6 +634,14 @@ class TestTopLevel:
         assert ver.returncode == 0
         assert ver.stdout.startswith("pointproc ")
 
+    def test_cli_import_skips_scipy_integrate(self):
+        # only nhpp_mean integrates, and no CLI command calls it
+        code = "import sys, pointproc.cli; print('scipy.integrate' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=child_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_console_script_declared(self):
         if sys.version_info >= (3, 11):
             import tomllib

@@ -12,6 +12,7 @@ from pointproc import (
     ParameterError,
     Region,
     RngStream,
+    ScanResult,
     SpaceTimeEvents,
     SpatialPattern,
     aggregate_to_grid,
@@ -199,6 +200,14 @@ class TestSpaceTimeScan:
     def test_p_value_bounds(self):
         res = self.scan(make_events(4))
         assert all(1 / 100 <= r.p_value <= 1.0 for r in res)
+
+    def test_windows_end_at_the_horizon(self):
+        # 35 * (0.7 / 35) rounds above 0.7: the last window end is clamped
+        res = space_time_scan(make_events(5, horizon=0.7), self.SPEC, 35, [0.3], [0.5], 99,
+                              RngStream(1))
+        t_end = res.columns[4]
+        assert t_end.max() == 0.7
+        assert [r.cylinder.t_end for r in res] == t_end.tolist()
 
     def test_observed_matches_direct_count(self):
         ev = make_events(5)
@@ -436,6 +445,29 @@ class TestScanResults:
             res[0] = res[1]
         with pytest.raises(AttributeError):
             res.append(res[0])
+        with pytest.raises(AttributeError):
+            res.columns = res.columns
+        assert type(res.columns) is tuple
+        for c in res.columns:
+            with pytest.raises(ValueError, match="read-only"):
+                c[0] = c[1]
+
+    def test_columns_in_rank_order(self, res):
+        cx, cy, radius, t_start, t_end, observed, expected, llr, p_value = res.columns
+        assert all(len(c) == len(res) for c in res.columns)
+        assert observed.dtype == np.int64
+        # decreasing LLR; ties broken by centre x, y, radius and start
+        keys = list(zip(-llr, cx, cy, radius, t_start))
+        assert keys == sorted(keys)
+        assert np.all(p_value[:-1] <= p_value[1:])
+
+    def test_rows_read_from_columns(self, res):
+        rows = list(zip(*(c.tolist() for c in res.columns)))
+        assert list(res) == [
+            ScanResult(Cylinder(*row[:5]), *row[5:]) for row in rows
+        ]
+        assert all(res[k] == ScanResult(Cylinder(*rows[k][:5]), *rows[k][5:])
+                   for k in range(len(res)))
 
 
 class TestCylinder:

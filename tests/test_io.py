@@ -19,7 +19,7 @@ from pointproc import (
     simulate_csr,
     simulate_hpp,
 )
-from pointproc.detect import Cylinder, ScanResult
+from pointproc.detect import ScanResults, space_time_scan
 from pointproc.io import (
     _read_table,
     read_count_values,
@@ -244,11 +244,21 @@ class TestCurveCsv:
 
 
 class TestScanCsv:
+    HEADER = "cx,cy,radius,t_start,t_end,observed,expected,llr,p_value"
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        g = np.random.default_rng(4)
+        events = SpaceTimeEvents(g.random((40, 3)), UNIT, 1.0)
+        return space_time_scan(events, GridSpec(UNIT, 4, 4), 4, [0.2, 0.4], [0.3], 99,
+                               RngStream(2))
+
     def test_columns_and_values(self, tmp_path):
-        res = [
-            ScanResult(Cylinder(0.5, 0.5, 0.1, 0.0, 0.5), 12, 4.0, 5.25, 0.01),
-            ScanResult(Cylinder(0.1, 0.9, 0.2, 0.5, 1.0), 3, 2.0, 0.25, 0.44),
-        ]
+        res = ScanResults((
+            np.array([0.5, 0.1]), np.array([0.5, 0.9]), np.array([0.1, 0.2]),
+            np.array([0.0, 0.5]), np.array([0.5, 1.0]), np.array([12, 3]),
+            np.array([4.0, 2.0]), np.array([5.25, 0.25]), np.array([0.01, 0.44]),
+        ))
         p = tmp_path / "scan.csv"
         write_scan_csv(p, res)
         lines = p.read_text().splitlines()
@@ -257,6 +267,21 @@ class TestScanCsv:
         assert first[5] == "12"
         assert float(first[7]) == 5.25
         assert len(lines) == 3
+
+    def test_matches_row_by_row_writer(self, scan, tmp_path):
+        # the writer that built a ScanResult per row, kept as the reference
+        rows = [(r.cylinder.cx, r.cylinder.cy, r.cylinder.radius, r.cylinder.t_start,
+                 r.cylinder.t_end, r.observed, r.expected, r.llr, r.p_value) for r in scan[:]]
+        write_table(tmp_path / "ref.csv", self.HEADER, list(zip(*rows)))
+        write_scan_csv(tmp_path / "scan.csv", scan)
+        assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("top", [1, 7, 10**6])
+    def test_top_is_a_prefix(self, scan, tmp_path, top):
+        write_scan_csv(tmp_path / "all.csv", scan)
+        write_scan_csv(tmp_path / "top.csv", scan, top=top)
+        full = (tmp_path / "all.csv").read_text().splitlines(keepends=True)
+        assert (tmp_path / "top.csv").read_text() == "".join(full[: 1 + top])
 
 
 class TestGeoJson:

@@ -107,6 +107,27 @@ class TestKdeSurface:
         with pytest.raises(ParameterError):
             kde_surface(random_pattern(0), GridSpec(UNIT, 3, 3), 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "points, bw, fails",
+        [
+            ([[0.5, 0.5]], 1e-100, False),  # 1 / (pi bw^2) is finite
+            ([[0.5, 0.5]], 1e-155, True),  # 1 / (pi bw^2) overflows
+            ([[0.5, 0.5]], 1e-170, True),  # pi bw^2 underflows to 0: 1 / 0
+            ([[0.2, 0.2]], 1e-160, False),  # no point within bw: 0 / tiny area
+            ([[0.2, 0.2]], 1e-170, True),  # 0 / 0
+            ([], 1e-300, True),
+        ],
+    )
+    def test_tiny_bandwidth(self, points, bw, fails):
+        pat = SpatialPattern(points, UNIT)
+        spec = GridSpec(UNIT, 5, 5)
+        if fails:
+            with pytest.raises(ParameterError, match=f"bandwidth {bw} is too small"):
+                kde_surface(pat, spec, bw)
+        else:
+            assert np.all(np.isfinite(kde_surface(pat, spec, bw).values))
+
 
 class TestQuadrat:
     def test_hand_statistic(self):
