@@ -70,9 +70,11 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
         raise DegenerateDataError("GI* is undefined when every cell count is equal")
     centres = spec.centre_points()
     tree = cKDTree(centres)
-    hoods = tree.query_ball_point(centres, radius)
-    W = np.array([len(h) for h in hoods], dtype=float)
-    S = np.array([x[h].sum() for h in hoods])
+    # the ndarray output keeps each cell's distance-0 self pair, which the
+    # sparse-matrix outputs would drop; integer counts make S exact in any order
+    pairs = tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
+    W = np.bincount(pairs["i"], minlength=n).astype(float)
+    S = np.bincount(pairs["i"], weights=x[pairs["j"]], minlength=n)
     if np.all(W >= n):
         raise DegenerateDataError(
             "every neighbourhood covers the whole grid; GI* is identically zero"

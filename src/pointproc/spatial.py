@@ -3,8 +3,10 @@
 All statistics are edge-uncorrected unless stated otherwise; the Monte
 Carlo envelope applies the identical estimator to CSR replicates, so
 rank comparisons against the envelope are unaffected by edge bias.
-Distance queries go through a k-d tree; counts of neighbours within a
-radius use the closed ball (distance <= r).
+Distance queries go through a k-d tree, and every ball is closed.  G
+and F compare distances (d <= r); K, like the KDE's disc counts, counts
+a pair when dx*dx + dy*dy <= r*r, which can differ from d <= r at an
+exact tie.
 """
 
 from __future__ import annotations
@@ -203,6 +205,17 @@ def nni(pattern: SpatialPattern) -> float:
     return d_obs / d_exp
 
 
+def _pair_counts(centres: cKDTree, tree: cKDTree, radii: np.ndarray) -> np.ndarray:
+    """Pairs (c, p), c a centre and p a tree point, with dx*dx + dy*dy <= r*r."""
+    counts = centres.count_neighbors(tree, radii)
+    # count_neighbors compares with pow(r, 2), one ulp off r*r for about one
+    # radius in a thousand; those radii are counted per point, by the r*r rule
+    for j, r in enumerate(radii):
+        if math.pow(r, 2) != r * r:
+            counts[j] = tree.query_ball_point(centres.data, r, return_length=True).sum()
+    return counts
+
+
 def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.ndarray:
     """Ripley's K: mean count of other points within r, over lambda-hat.
 
@@ -216,21 +229,24 @@ def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.nd
         raise InsufficientDataError("K needs at least two points")
     lam = pattern.intensity
     pts = pattern.points
+    n = len(pts)
     tree = cKDTree(pts)
-    if correction == "border":
-        r = pattern.region
-        depth = np.minimum.reduce(
-            [pts[:, 0] - r.xmin, r.xmax - pts[:, 0], pts[:, 1] - r.ymin, r.ymax - pts[:, 1]]
-        )
-    out = np.empty(radii.size)
-    for j, rad in enumerate(radii):
-        neighbours = tree.query_ball_point(pts, rad, return_length=True) - 1
-        if correction == "border":
-            keep = depth > rad
-            out[j] = neighbours[keep].mean() / lam if np.any(keep) else math.nan
-        else:
-            out[j] = neighbours.mean() / lam
-    return out
+    if correction == "none":
+        return (_pair_counts(tree, tree, radii) - n) / n / lam
+    r = pattern.region
+    depth = np.minimum.reduce(
+        [pts[:, 0] - r.xmin, r.xmax - pts[:, 0], pts[:, 1] - r.ymin, r.ymax - pts[:, 1]]
+    )
+    # a point is kept at radii[j] exactly when j < upto (depth > radii[j]); the
+    # points sharing one upto form a band, counted in one pass over its radii
+    upto = np.searchsorted(radii, depth, "left")
+    total = np.zeros(radii.size, dtype=np.int64)
+    for u in np.unique(upto[upto > 0]):
+        band = pts[upto == u]
+        total[:u] += _pair_counts(cKDTree(band), tree, radii[:u]) - len(band)
+    kept = n - np.bincount(upto, minlength=radii.size + 1).cumsum()[:-1]
+    with np.errstate(invalid="ignore"):  # no kept point: 0 / 0 is NaN
+        return total / kept / lam
 
 
 @dataclass(frozen=True)

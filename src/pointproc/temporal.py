@@ -93,16 +93,29 @@ class IntensityFn:
 
     The envelope is a contiguous sequence of ``(t_start, t_end, bound)``
     segments starting at 0; it must satisfy bound >= rate everywhere on
-    its segment.  Construction spot-checks dominance on a 1000-point
-    grid per segment (plus the endpoints) and rejects envelopes that
-    fail, but a sampling check cannot catch every violation: the
-    simulator re-checks at each candidate point and raises
-    EnvelopeError if the envelope lied.
+    its segment.  Constructing from a user callable spot-checks
+    dominance on a 1000-point grid per segment (plus the endpoints) and
+    rejects envelopes that fail, but a sampling check cannot catch every
+    violation: the simulator re-checks at each candidate point and
+    raises EnvelopeError if the envelope lied.  The built-in shapes
+    (`constant`, `piecewise`, `sinusoid`) skip the sampling, because
+    their envelopes are exact by construction.
     """
 
     _CHECK_POINTS = 1000
 
     def __init__(self, fn: Callable[[float], float], envelope: Sequence[tuple]):
+        self._set(fn, envelope)
+        self._check_dominance()
+
+    @classmethod
+    def _exact(cls, fn: Callable[[float], float], envelope: Sequence[tuple]) -> "IntensityFn":
+        """A built-in shape, whose envelope dominates by construction."""
+        self = cls.__new__(cls)
+        self._set(fn, envelope)
+        return self
+
+    def _set(self, fn: Callable[[float], float], envelope: Sequence[tuple]):
         segs = [(float(a), float(b), float(u)) for a, b, u in envelope]
         if not segs:
             raise ParameterError("envelope must have at least one segment")
@@ -119,7 +132,6 @@ class IntensityFn:
         self.starts = np.array([s[0] for s in segs])
         self.ends = np.array([s[1] for s in segs])
         self.bounds = np.array([s[2] for s in segs])
-        self._check_dominance()
 
     def _check_dominance(self):
         for a, b, u in zip(self.starts, self.ends, self.bounds):
@@ -159,7 +171,7 @@ class IntensityFn:
         rate = float(rate)
         if not (math.isfinite(rate) and rate >= 0.0):
             raise ParameterError(f"rate must be >= 0, got {rate}")
-        return cls(lambda t: rate, [(0.0, float(horizon), rate)])
+        return cls._exact(lambda t: rate, [(0.0, float(horizon), rate)])
 
     @classmethod
     def piecewise(cls, segments: Sequence[tuple]) -> "IntensityFn":
@@ -173,7 +185,7 @@ class IntensityFn:
             i = int(np.searchsorted(starts, t, side="right")) - 1
             return float(rates[max(0, min(i, len(segs) - 1))])
 
-        return cls(step, segs)
+        return cls._exact(step, segs)
 
     @classmethod
     def sinusoid(
@@ -198,18 +210,15 @@ class IntensityFn:
         edges = np.minimum(np.arange(n_seg + 1) * seg_len, horizon)
         segs = []
         for a, b in zip(edges[:-1], edges[1:]):
-            if amplitude >= 0.0:
-                extreme = _sin_sup(w * a, w * b)
-            else:
-                extreme = _sin_inf(w * a, w * b)
-            bound = base + amplitude * extreme
-            if bound < 0.0:  # the bound is the exact supremum on [a, b]
+            # the exact infimum and supremum of the rate on [a, b]
+            lo, hi = sorted(base + amplitude * f(w * a, w * b) for f in (_sin_inf, _sin_sup))
+            if lo < 0.0:
                 raise ParameterError(
                     f"intensity is negative on [{a}, {b}]: "
                     f"base={base}, amplitude={amplitude}"
                 )
-            segs.append((float(a), float(b), bound))
-        return cls(fn, segs)
+            segs.append((float(a), float(b), hi))
+        return cls._exact(fn, segs)
 
 
 def _sin_sup(a: float, b: float) -> float:

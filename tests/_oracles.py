@@ -3,10 +3,14 @@
 These deliberately avoid the library's k-d tree: every statistic is
 recomputed from a dense pairwise-distance matrix using the same
 Euclidean arithmetic (sqrt of the sum of squares), which the production
-code must match exactly.
+code must match exactly.  The one exception is `ripleys_k_tree`, the
+per-radius k-d tree loop, which pins the tree's tie rule.
 """
 
+import math
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def pairwise(points: np.ndarray) -> np.ndarray:
@@ -62,6 +66,34 @@ def ripleys_k(points: np.ndarray, region, radii, correction="none") -> np.ndarra
             out[j] = counts[keep].mean() / lam if keep.any() else np.nan
         else:
             out[j] = counts.mean() / lam
+    return out
+
+
+def ripleys_k_tree(pattern, radii, correction="none") -> np.ndarray:
+    """K from one `query_ball_point` pass per radius.
+
+    The tree counts a pair within r when dx*dx + dy*dy <= r*r; the dense
+    reference above compares sqrt(dx*dx + dy*dy) <= r, which can round
+    the other way at an exact tie.  Lattice points and radii that equal
+    pair distances need this reference.
+    """
+    radii = np.asarray(radii, dtype=float)
+    lam = pattern.intensity
+    pts = pattern.points
+    tree = cKDTree(pts)
+    if correction == "border":
+        r = pattern.region
+        depth = np.minimum.reduce(
+            [pts[:, 0] - r.xmin, r.xmax - pts[:, 0], pts[:, 1] - r.ymin, r.ymax - pts[:, 1]]
+        )
+    out = np.empty(radii.size)
+    for j, rad in enumerate(radii):
+        neighbours = tree.query_ball_point(pts, rad, return_length=True) - 1
+        if correction == "border":
+            keep = depth > rad
+            out[j] = neighbours[keep].mean() / lam if np.any(keep) else math.nan
+        else:
+            out[j] = neighbours.mean() / lam
     return out
 
 

@@ -134,6 +134,15 @@ class TestGiStar:
         z2 = gi_star(Grid(spec, (15 - c)), 0.3).values
         assert np.allclose(z1, -z2, atol=1e-12)
 
+    def test_neighbourhood_includes_the_cell(self):
+        # below the cell spacing each neighbourhood is the cell alone (W = 1),
+        # so z is the standardised count; without the self pair W would be 0
+        spec = GridSpec(UNIT, 4, 5)
+        counts = np.arange(20).reshape(4, 5) % 7
+        x = counts.ravel().astype(float)
+        z = gi_star(Grid(spec, counts), 0.1).values.ravel()
+        assert np.array_equal(z, (x - x.mean()) / x.std())
+
     def test_bad_radius(self):
         grid = Grid(GridSpec(UNIT, 2, 2), [[1, 2], [3, 4]])
         with pytest.raises(ParameterError):

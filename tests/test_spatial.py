@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,64 @@ class TestRipleysK:
     def test_bad_correction(self):
         with pytest.raises(ParameterError):
             ripleys_k(random_pattern(0), [0.1], correction="ripley")
+
+
+def _lattice_case():
+    g = np.random.default_rng(4)
+    pts = g.integers(0, 33, (60, 2)) / 32
+    return SpatialPattern(pts, UNIT), np.arange(1, 13) / 32
+
+
+def _pair_distance_case():
+    # every pair distance is a radius; at two of them pow(r, 2) != r * r,
+    # and a pair's dx*dx + dy*dy falls between the two
+    pat = random_pattern(5, n=40)
+    return pat, np.unique(brute.pairwise(pat.points)[np.triu_indices(40, 1)])
+
+
+# Cases where points tie with a radius: the tree counts a pair when
+# dx*dx + dy*dy <= r*r, and the dense reference's sqrt can round the other way.
+K_TREE_CASES = {
+    "lattice": _lattice_case,
+    "pair_distance": _pair_distance_case,
+    "duplicates": lambda: (
+        SpatialPattern([[0.3, 0.3], [0.3, 0.3], [0.3, 0.3], [0.6, 0.7], [0.6, 0.7]], UNIT),
+        [1e-9, 0.1, 0.5, 0.6],
+    ),
+    "past_diagonal": lambda: (random_pattern(6, n=30), [0.2, 1.5, 2.0]),
+    "two_points": lambda: (SpatialPattern([[0.25, 0.5], [0.75, 0.5]], UNIT), [0.25, 0.5, 0.6]),
+    "one_kept": lambda: (
+        SpatialPattern([[0.5, 0.5], [0.5, 0.95], [0.1, 0.5], [0.55, 0.5]], UNIT),
+        [0.04, 0.05, 0.3, 0.45, 0.5],
+    ),
+}
+
+
+class TestRipleysKTreeReference:
+    @pytest.mark.parametrize("case", sorted(K_TREE_CASES))
+    @pytest.mark.parametrize("corr", ["none", "border"])
+    def test_matches_per_radius_tree_loop(self, case, corr):
+        pat, radii = K_TREE_CASES[case]()
+        got = ripleys_k(pat, radii, correction=corr)
+        assert np.array_equal(got, brute.ripleys_k_tree(pat, radii, corr), equal_nan=True)
+
+    def test_border_past_diagonal_is_all_nan(self):
+        pat, radii = K_TREE_CASES["past_diagonal"]()
+        assert np.all(np.isnan(ripleys_k(pat, radii[1:], correction="border")))
+
+    @pytest.mark.parametrize("corr", ["none", "border"])
+    def test_all_pairs_in_constant_memory(self, corr):
+        # every one of the ~2 million pairs is within 1.5.  tracemalloc sees
+        # numpy's buffers (not scipy's own), so a pair list that numpy indexes
+        # or masks would show as tens of MiB
+        pat = random_pattern(7, n=2000)
+        tracemalloc.start()
+        try:
+            ripleys_k(pat, [0.5, 1.0, 1.5], correction=corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCsrEnvelope:

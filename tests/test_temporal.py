@@ -166,6 +166,32 @@ class TestIntensityFn:
         with pytest.raises(ParameterError, match="negative"):
             IntensityFn.sinusoid(1.0, 2.0, 10.0, 10.0)
 
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sampled dominance check ran")
+
+        monkeypatch.setattr(IntensityFn, "_check_dominance", refuse)
+
+    def test_builtin_shapes_skip_sampled_check(self, no_sampling):
+        IntensityFn.constant(2.0, 10.0)
+        IntensityFn.piecewise([(0, 1, 2.0), (1, 3, 5.0)])
+        IntensityFn.sinusoid(3.0, 2.0, 24.0, 96.0)
+        with pytest.raises(AssertionError, match="sampled"):
+            IntensityFn(lambda t: 1.0, [(0, 1, 2.0)])
+
+    def test_piecewise_short_segment_far_from_zero(self):
+        # the sampled check's left limit of (1e6, 1e6 + 1e-6) rounds to its
+        # end, where the next segment's rate 5 applies
+        f = IntensityFn.piecewise([(0, 1e6, 1.0), (1e6, 1e6 + 1e-6, 1.0), (1e6 + 1e-6, 2e6, 5.0)])
+        assert f.max_bound == 5.0
+
+    def test_rejects_negative_sinusoid_trough(self, no_sampling):
+        # every segment's supremum is positive: only the exact infimum of
+        # the trough segment catches the negative rate
+        with pytest.raises(ParameterError, match="negative"):
+            IntensityFn.sinusoid(1.0, 1.01, 16.0, 16.0)
+
     def test_evaluation_outside_span(self):
         f = IntensityFn.constant(1.0, 5.0)
         with pytest.raises(ParameterError):
