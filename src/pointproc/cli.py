@@ -16,10 +16,10 @@ files written by the run are removed and the exit status is non-zero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,68 +71,30 @@ _USER_ERRORS = (
 
 # ---------------------------------------------------------------- parsing
 
-def _region_arg(s: str) -> list[float]:
-    parts = s.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("region must be xmin,xmax,ymin,ymax")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"region has a non-numeric bound: {s!r}")
-
-
-def _floats_arg(s: str) -> list[float]:
-    try:
-        vals = [float(p) for p in s.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {s!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return vals
-
-
-def _ints_arg(s: str) -> list[int]:
-    try:
-        vals = [int(p) for p in s.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {s!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return vals
-
-
-def _segments_arg(s: str) -> list[list[float]]:
-    """start:end:rate triples, comma separated."""
-    segs = []
-    for part in s.split(","):
-        bits = part.split(":")
-        if len(bits) != 3:
+def _list_arg(item, count=None):
+    """An argparse type: comma-separated items, blanks skipped, each parsed
+    by `item`; at least one, or exactly `count` when given."""
+    def parse(s: str) -> list:
+        parts = [p.strip() for p in s.split(",") if p.strip()]
+        if not parts or count not in (None, len(parts)):
             raise argparse.ArgumentTypeError(
-                f"segment must be start:end:rate, got {part!r}"
-            )
+                f"expected {count or 'one or more'} comma-separated values, got {s!r}")
         try:
-            segs.append([float(b) for b in bits])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"non-numeric segment field in {part!r}")
-    if not segs:
-        raise argparse.ArgumentTypeError("expected at least one segment")
-    return segs
+            return [item(p) for p in parts]
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"{e} (in {s!r})") from None
+    return parse
 
 
-def _paths_arg(s: str) -> list[str]:
-    vals = [p.strip() for p in s.split(",") if p.strip()]
-    if not vals:
-        raise argparse.ArgumentTypeError("expected at least one path")
-    return vals
+def _segment(s: str) -> list[float]:
+    bits = s.split(":")
+    if len(bits) != 3:
+        raise ValueError(f"segment must be start:end:rate, got {s!r}")
+    return [float(b) for b in bits]
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    # SUPPRESS keeps post-subcommand flags from clobbering top-level ones
-    c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    c.add_argument("--out", default=argparse.SUPPRESS)
-    c.add_argument("--threads", type=int, default=argparse.SUPPRESS)
-    return c
+_region_arg = _list_arg(float, 4)
+_floats_arg = _list_arg(float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,99 +102,78 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pointproc",
         description="Simulate point processes and analyze point patterns.",
     )
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (env POINTPROC_SEED)")
-    p.add_argument("--out", default=None, help="output directory (default .)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    # SUPPRESS keeps post-subcommand flags from clobbering top-level ones
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, type_, help_ in (("--seed", int, "RNG seed (env POINTPROC_SEED)"),
+                               ("--out", str, "output directory (default .)"),
+                               ("--threads", int, "worker threads")):
+        p.add_argument(flag, type=type_, default=None, help=help_)
+        common.add_argument(flag, type=type_, default=argparse.SUPPRESS)
     p.add_argument("--manifest", default=None, help="replay a recorded run")
     p.add_argument("--version", action="version", version=f"pointproc {__version__}")
-    common = [_common_parent()]
     sub = p.add_subparsers(dest="command")
+    simsub, anasub, detsub = (
+        sub.add_parser(name, help=help_).add_subparsers(dest="subcommand", required=True)
+        for name, help_ in (("simulate", "generate synthetic data"),
+                            ("analyze", "summaries of a point pattern"),
+                            ("detect", "hotspot and cluster detection")))
 
-    sim = sub.add_parser("simulate", help="generate synthetic data")
-    simsub = sim.add_subparsers(dest="subcommand", required=True)
+    def need(q, type_, *flags):
+        for flag in flags:
+            q.add_argument(flag, type=type_, required=True)
 
-    hpp = simsub.add_parser("hpp", parents=common, help="homogeneous Poisson events")
-    hpp.add_argument("--rate", type=float, required=True)
-    hpp.add_argument("--horizon", type=float, required=True)
+    def command(subs, name, help_, columns=None):
+        """A subcommand; one that reads a pattern takes --in and --region."""
+        q = subs.add_parser(name, parents=[common], help=help_)
+        if columns:
+            q.add_argument("--in", dest="input", required=True, help=f"{columns} CSV or GeoJSON")
+            need(q, _region_arg, "--region")
+        return q
 
-    nhpp = simsub.add_parser("nhpp", parents=common, help="non-homogeneous Poisson events")
-    nhpp.add_argument(
-        "--intensity", choices=("constant", "piecewise", "sinusoid"), required=True
-    )
-    nhpp.add_argument("--horizon", type=float, required=True)
+    def curve(name, help_):
+        q = command(anasub, name, help_, "x,y")
+        need(q, _floats_arg, "--radii")
+        q.add_argument("--envelope", type=int, default=None, metavar="NSIM")
+        return q
+
+    need(command(simsub, "hpp", "homogeneous Poisson events"), float, "--rate", "--horizon")
+    nhpp = command(simsub, "nhpp", "non-homogeneous Poisson events")
+    nhpp.add_argument("--intensity", choices=("constant", "piecewise", "sinusoid"), required=True)
+    need(nhpp, float, "--horizon")
     nhpp.add_argument("--rate", type=float, help="constant: the rate")
-    nhpp.add_argument("--segments", type=_segments_arg, help="piecewise: start:end:rate,...")
+    nhpp.add_argument("--segments", type=_list_arg(_segment), help="piecewise: start:end:rate,...")
     nhpp.add_argument("--base", type=float, help="sinusoid: baseline rate")
     nhpp.add_argument("--amplitude", type=float, help="sinusoid: swing")
     nhpp.add_argument("--period", type=float, help="sinusoid: period")
+    need(command(simsub, "hawkes", "self-exciting events"),
+         float, "--mu", "--alpha", "--beta", "--horizon")
+    csr = command(simsub, "csr", "uniform random points")
+    need(csr, float, "--rate")
+    need(csr, _region_arg, "--region")
 
-    hawkes = simsub.add_parser("hawkes", parents=common, help="self-exciting events")
-    hawkes.add_argument("--mu", type=float, required=True)
-    hawkes.add_argument("--alpha", type=float, required=True)
-    hawkes.add_argument("--beta", type=float, required=True)
-    hawkes.add_argument("--horizon", type=float, required=True)
-
-    csr = simsub.add_parser("csr", parents=common, help="uniform random points")
-    csr.add_argument("--rate", type=float, required=True)
-    csr.add_argument("--region", type=_region_arg, required=True)
-
-    ana = sub.add_parser("analyze", help="summaries of a point pattern")
-    anasub = ana.add_subparsers(dest="subcommand", required=True)
-
-    def pattern_parser(name, help_, subs=anasub, columns="x,y"):
-        q = subs.add_parser(name, parents=common, help=help_)
-        q.add_argument("--in", dest="input", required=True, help=f"{columns} CSV or GeoJSON")
-        q.add_argument("--region", type=_region_arg, required=True)
-        return q
-
-    kde = pattern_parser("kde", "disc-count density surface")
-    kde.add_argument("--nx", type=int, required=True)
-    kde.add_argument("--ny", type=int, required=True)
-    kde.add_argument("--bandwidth", type=float, required=True)
-
-    g = pattern_parser("g", "nearest-neighbour distance CDF")
-    g.add_argument("--radii", type=_floats_arg, required=True)
-    g.add_argument("--envelope", type=int, default=None, metavar="NSIM")
-
-    f = pattern_parser("f", "empty-space distance CDF")
-    f.add_argument("--radii", type=_floats_arg, required=True)
-    f.add_argument("--probe-nx", type=int, required=True)
-    f.add_argument("--probe-ny", type=int, required=True)
-    f.add_argument("--envelope", type=int, default=None, metavar="NSIM")
-
-    k = pattern_parser("k", "Ripley's K")
-    k.add_argument("--radii", type=_floats_arg, required=True)
+    kde = command(anasub, "kde", "disc-count density surface", "x,y")
+    need(kde, int, "--nx", "--ny")
+    need(kde, float, "--bandwidth")
+    curve("g", "nearest-neighbour distance CDF")
+    need(curve("f", "empty-space distance CDF"), int, "--probe-nx", "--probe-ny")
+    k = curve("k", "Ripley's K")
     k.add_argument("--correction", choices=("none", "border"), default="none")
-    k.add_argument("--envelope", type=int, default=None, metavar="NSIM")
+    command(anasub, "nni", "nearest-neighbour index", "x,y")
+    need(command(anasub, "quadrat", "cell counts and chi-square CSR test", "x,y"),
+         int, "--nx", "--ny")
+    disp = command(anasub, "dispersion", "variance/mean by block size", "x,y")
+    need(disp, int, "--nx", "--ny")
+    need(disp, _list_arg(int), "--blocks")
 
-    pattern_parser("nni", "nearest-neighbour index")
-
-    quad = pattern_parser("quadrat", "cell counts and chi-square CSR test")
-    quad.add_argument("--nx", type=int, required=True)
-    quad.add_argument("--ny", type=int, required=True)
-
-    disp = pattern_parser("dispersion", "variance/mean by block size")
-    disp.add_argument("--nx", type=int, required=True)
-    disp.add_argument("--ny", type=int, required=True)
-    disp.add_argument("--blocks", type=_ints_arg, required=True)
-
-    det = sub.add_parser("detect", help="hotspot and cluster detection")
-    detsub = det.add_subparsers(dest="subcommand", required=True)
-
-    gis = pattern_parser("gistar", "Getis-Ord GI* z-scores", detsub)
-    gis.add_argument("--nx", type=int, required=True)
-    gis.add_argument("--ny", type=int, required=True)
-    gis.add_argument("--radius", type=float, required=True)
-
-    scan = pattern_parser("scan", "space-time scan statistic", detsub, "x,y,t")
-    scan.add_argument("--horizon", type=float, required=True)
-    scan.add_argument("--nx", type=int, required=True)
-    scan.add_argument("--ny", type=int, required=True)
-    scan.add_argument("--slices", type=int, required=True)
-    scan.add_argument("--radii", type=_floats_arg, required=True)
-    scan.add_argument("--durations", type=_floats_arg, required=True)
+    gis = command(detsub, "gistar", "Getis-Ord GI* z-scores", "x,y")
+    need(gis, int, "--nx", "--ny")
+    need(gis, float, "--radius")
+    scan = command(detsub, "scan", "space-time scan statistic", "x,y,t")
+    need(scan, float, "--horizon")
+    need(scan, int, "--nx", "--ny", "--slices")
+    need(scan, _floats_arg, "--radii", "--durations")
     scan.add_argument("--nsim", type=int, default=999)
-    scan.add_argument("--baseline", type=_paths_arg, default=None,
+    scan.add_argument("--baseline", type=_list_arg(str), default=None,
                       help="per-slice count grids, comma separated")
     scan.add_argument("--top", type=int, default=None, help="keep only the best N")
     return p
@@ -242,32 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # namespace entries that steer a run rather than shape its outputs
 _RUN_KEYS = ("command", "subcommand", "seed", "out", "threads", "manifest")
-
-
-@dataclass
-class RunConfig:
-    """A fully resolved invocation; serializes to the manifest."""
-
-    command: str
-    subcommand: str
-    seed: int
-    threads: int
-    params: dict
-    derived: dict = field(default_factory=dict)
-
-    def manifest(self) -> dict:
-        # threads deliberately absent: outputs are thread-invariant
-        doc = {
-            "tool": "pointproc",
-            "version": __version__,
-            "command": self.command,
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "params": self.params,
-        }
-        if self.derived:
-            doc["derived"] = self.derived
-        return doc
 
 
 def _resolve_seed(value) -> int:
@@ -284,16 +199,6 @@ def _resolve_seed(value) -> int:
 
 def _params(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _RUN_KEYS}
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        subcommand=args.subcommand,
-        seed=_resolve_seed(args.seed),
-        threads=max(1, args.threads or 1),
-        params=_params(args),
-    )
 
 
 def _flag(key: str, value) -> str:
@@ -340,26 +245,6 @@ def _replay_args(parser: argparse.ArgumentParser, outer) -> argparse.Namespace:
     return args
 
 
-class _Session:
-    """Tracks files written by one run so failures can clean up."""
-
-    def __init__(self, outdir: Path):
-        self.outdir = outdir
-        self.written: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        p = self.outdir / name
-        self.written.append(p)
-        return p
-
-    def rollback(self) -> None:
-        for p in self.written:
-            try:
-                p.unlink()
-            except FileNotFoundError:
-                pass
-
-
 # ------------------------------------------------------------- commands
 
 def _build_intensity(p) -> IntensityFn:
@@ -384,23 +269,25 @@ def _build_intensity(p) -> IntensityFn:
     return IntensityFn.sinusoid(p["base"], p["amplitude"], p["period"], horizon)
 
 
-def _cmd_simulate(cfg: RunConfig, session: _Session) -> None:
-    p = cfg.params
-    rng = RngStream(cfg.seed)
-    if cfg.subcommand == "csr":
+def _cmd_simulate(subcommand, p, seed, threads, out) -> dict | None:
+    """Writes the events or points; a Hawkes run returns its derived regime."""
+    rng = RngStream(seed)
+    if subcommand == "csr":
         pattern = simulate_csr(p["rate"], Region(*p["region"]), rng)
-        io.write_points_csv(session.path("points.csv"), pattern)
-        return
-    if cfg.subcommand == "hpp":
+        io.write_points_csv(out("points.csv"), pattern)
+        return None
+    derived = None
+    if subcommand == "hpp":
         events = simulate_hpp(p["rate"], p["horizon"], rng)
-    elif cfg.subcommand == "nhpp":
+    elif subcommand == "nhpp":
         events = simulate_nhpp(_build_intensity(p), p["horizon"], rng)
     else:
         model = HawkesModel(p["mu"], ExponentialKernel(p["alpha"], p["beta"]))
         b = branching_factor(model)
-        cfg.derived = {"n_star": b.value, "regime": b.regime}
+        derived = {"n_star": b.value, "regime": b.regime}
         events = simulate_hawkes(model, p["horizon"], rng)
-    io.write_event_times(session.path("events.csv"), events)
+    io.write_event_times(out("events.csv"), events)
+    return derived
 
 
 def _read_input(p, with_times: bool) -> np.ndarray:
@@ -421,9 +308,7 @@ def _load_pattern(p) -> SpatialPattern:
     return SpatialPattern(_read_input(p, with_times=False), region)
 
 
-def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
-    p = cfg.params
-    kind = cfg.subcommand
+def _cmd_analyze(kind, p, seed, threads, out) -> None:
     pattern = _load_pattern(p)
     region = pattern.region
 
@@ -435,8 +320,7 @@ def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
                 "most of each disc falls outside the region",
                 file=sys.stderr,
             )
-        surface = kde_surface(pattern, spec, p["bandwidth"])
-        io.write_grid_csv(session.path("kde.csv"), spec, surface.values)
+        io.write_grid_csv(out("kde.csv"), kde_surface(pattern, spec, p["bandwidth"]))
         return
 
     if kind in ("g", "f", "k"):
@@ -451,14 +335,12 @@ def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
                 kind,
                 radii,
                 p["envelope"],
-                RngStream(cfg.seed),
+                RngStream(seed),
                 correction=correction,
                 probe_spec=probe,
-                threads=cfg.threads,
+                threads=threads,
             )
-            io.write_curve_csv(
-                session.path(f"{kind}.csv"), env.radii, env.observed, env.lower, env.upper
-            )
+            io.write_curve_csv(out(f"{kind}.csv"), env.radii, env.observed, env.lower, env.upper)
         else:
             if kind == "g":
                 curve = g_function(pattern, radii)
@@ -466,11 +348,11 @@ def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
                 curve = f_function(pattern, probe, radii)
             else:
                 curve = ripleys_k(pattern, radii, correction=correction)
-            io.write_curve_csv(session.path(f"{kind}.csv"), radii, curve)
+            io.write_curve_csv(out(f"{kind}.csv"), radii, curve)
         return
 
     if kind == "nni":
-        io.write_table(session.path("nni.csv"), "statistic,value", [
+        io.write_table(out("nni.csv"), "statistic,value", [
             ["nni", "mean_min_distance", "intensity"],
             [nni(pattern), mean_min_distance(pattern), pattern.intensity],
         ])
@@ -479,24 +361,22 @@ def _cmd_analyze(cfg: RunConfig, session: _Session) -> None:
     spec = GridSpec(region, p["nx"], p["ny"])
     if kind == "quadrat":
         res = quadrat_counts(pattern, spec)
-        io.write_grid_csv(session.path("quadrat.csv"), spec, res.grid.values)
-        io.write_table(session.path("quadrat_test.csv"), "statistic,value", [
+        io.write_grid_csv(out("quadrat.csv"), res.grid)
+        io.write_table(out("quadrat_test.csv"), "statistic,value", [
             ["chi_square", "dof", "p_value"],
             [res.statistic, res.dof, res.p_value],
         ])
         return
 
     rows = dispersion_by_block(pattern, spec, p["blocks"])
-    io.write_table(session.path("dispersion.csv"), "block_size,index", list(zip(*rows)))
+    io.write_table(out("dispersion.csv"), "block_size,index", list(zip(*rows)))
 
 
-def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
-    p = cfg.params
-    if cfg.subcommand == "gistar":
+def _cmd_detect(subcommand, p, seed, threads, out) -> None:
+    if subcommand == "gistar":
         pattern = _load_pattern(p)
-        spec = GridSpec(pattern.region, p["nx"], p["ny"])
-        zgrid = gi_star(aggregate_to_grid(pattern, spec), p["radius"])
-        io.write_grid_csv(session.path("gistar.csv"), spec, zgrid.values, "z")
+        counts = aggregate_to_grid(pattern, GridSpec(pattern.region, p["nx"], p["ny"]))
+        io.write_grid_csv(out("gistar.csv"), gi_star(counts, p["radius"]), "z")
         return
 
     if p.get("top") is not None and p["top"] < 1:
@@ -514,11 +394,11 @@ def _cmd_detect(cfg: RunConfig, session: _Session) -> None:
         p["radii"],
         p["durations"],
         p["nsim"],
-        RngStream(cfg.seed),
+        RngStream(seed),
         baseline=baseline,
-        threads=cfg.threads,
+        threads=threads,
     )
-    io.write_scan_csv(session.path("scan.csv"), results, top=p.get("top"))
+    io.write_scan_csv(out("scan.csv"), results, top=p.get("top"))
 
 
 _DISPATCH = {
@@ -543,25 +423,36 @@ def main(argv=None) -> int:
     try:
         if args.manifest is not None:
             args = _replay_args(parser, args)
-        cfg = _config_from_args(args)
+        seed = _resolve_seed(args.seed)
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
+    # threads deliberately absent: outputs are thread-invariant
+    manifest = {"tool": "pointproc", "version": __version__, "command": args.command,
+                "subcommand": args.subcommand, "seed": seed, "params": _params(args)}
     outdir = Path(args.out) if args.out is not None else Path(".")
-    session = _Session(outdir)
+    written: list[Path] = []
+
+    def out(name: str) -> Path:
+        written.append(outdir / name)
+        return written[-1]
+
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        _DISPATCH[cfg.command](cfg, session)
-        session.path("manifest.json").write_text(
-            json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n"
-        )
+        derived = _DISPATCH[args.command](args.subcommand, manifest["params"], seed,
+                                          max(1, args.threads or 1), out)
+        if derived:
+            manifest["derived"] = derived
+        out("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except (*_USER_ERRORS, OSError) as e:
-        session.rollback()
+        for path in written:
+            with contextlib.suppress(OSError):  # missing, or a directory the run never wrote
+                path.unlink()
         print(f"error: {e}", file=sys.stderr)
         return 1
-    for p in session.written:
-        print(f"wrote {p}")
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

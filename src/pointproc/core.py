@@ -173,6 +173,13 @@ class Region:
         )
 
 
+def _check_array_size(what: str, *shape: int) -> None:
+    """Raise unless a float64 array of this shape can exist at all: a
+    bound on addressable bytes, not a memory cap."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(f"{what} {' x '.join(map(str, shape))} is too large for an array")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular nx-by-ny partition of a region.
@@ -190,6 +197,7 @@ class GridSpec:
         object.__setattr__(self, "ny", int(self.ny))
         if self.nx < 1 or self.ny < 1:
             raise ParameterError("grid must have at least one cell per axis")
+        _check_array_size("grid", self.nx, self.ny)
 
     @property
     def ncells(self) -> int:

@@ -25,6 +25,7 @@ from .core import (
     ParameterError,
     RngStream,
     SpaceTimeEvents,
+    _check_array_size,
     aggregate_to_grid,
     indexed_map,
 )
@@ -70,15 +71,21 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
         raise DegenerateDataError("GI* is undefined when every cell count is equal")
     centres = spec.centre_points()
     tree = cKDTree(centres)
+
+    def covered(points) -> bool:
+        return bool(np.all(tree.query_ball_point(points, radius, return_length=True) >= n))
+
+    # full coverage raises before the O(ncells^2) pair list; the four corner
+    # cells must be covered first, so most grids skip the per-cell count
+    if covered(centres[[0, spec.ny - 1, n - spec.ny, n - 1]]) and covered(centres):
+        raise DegenerateDataError(
+            "every neighbourhood covers the whole grid; GI* is identically zero"
+        )
     # the ndarray output keeps each cell's distance-0 self pair, which the
     # sparse-matrix outputs would drop; integer counts make S exact in any order
     pairs = tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
     W = np.bincount(pairs["i"], minlength=n).astype(float)
     S = np.bincount(pairs["i"], weights=x[pairs["j"]], minlength=n)
-    if np.all(W >= n):
-        raise DegenerateDataError(
-            "every neighbourhood covers the whole grid; GI* is identically zero"
-        )
     xbar = x.mean()
     var_term = (n * W - W * W) / (n - 1.0)
     full = W >= n
@@ -242,6 +249,7 @@ def space_time_scan(
         raise ParameterError("scan needs at least one event")
     if n_slices < 1:
         raise ParameterError("n_slices must be at least 1")
+    _check_array_size("cells x slices", spec.ncells, n_slices)
     if nsim < 99:
         raise ParameterError(f"nsim must be at least 99, got {nsim}")
     radii_arr = np.asarray(radii, dtype=float).reshape(-1)

@@ -147,21 +147,16 @@ def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
     return points, (np.array(times, dtype=float) if times else None)
 
 
-def write_grid_csv(path, spec, values, name: str = "value") -> None:
-    """Cell-indexed values, x-major; integer arrays stay integers."""
-    arr = np.asarray(values)
-    if arr.shape != (spec.nx, spec.ny):
-        raise ParameterError(f"values shape {arr.shape} does not match grid ({spec.nx}, {spec.ny})")
-    if not np.issubdtype(arr.dtype, np.integer):
-        arr = arr.astype(float)
-    ix, iy = np.indices(arr.shape)
-    write_table(path, f"cell_x,cell_y,{name}", [ix.ravel(), iy.ravel(), arr.ravel()])
+def write_grid_csv(path, grid, name: str = "value") -> None:
+    """A `Grid`'s cell values, x-major; integer grids stay integers."""
+    ix, iy = np.indices(grid.values.shape)
+    write_table(path, f"cell_x,cell_y,{name}", [ix.ravel(), iy.ravel(), grid.values.ravel()])
 
 
-def read_count_values(path, spec, name: str = "value") -> np.ndarray:
-    """Integer grid values from cell_x,cell_y,<name> rows; missing cells
+def read_count_values(path, spec) -> np.ndarray:
+    """Integer grid values from cell_x,cell_y,value rows; missing cells
     are zero."""
-    table, linenos = _read_table(path, f"cell_x,cell_y,{name}")
+    table, linenos = _read_table(path, "cell_x,cell_y,value")
     counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)
     for i, row in zip(linenos, table.tolist()):
         if not all(v.is_integer() for v in row):  # also rejects nan and inf

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import shutil
@@ -398,6 +400,30 @@ class TestBadInputFiles:
         assert list(out.iterdir()) == []
 
 
+# argv past the input flags -> an array dimension numpy cannot shape
+OVERSIZED = {
+    "quadrat-nx": ["analyze", "quadrat", "--nx", "1000000000000000000000", "--ny", 1],
+    "kde-nx": ["analyze", "kde", "--nx", "99999999999999999999", "--ny", 1, "--bandwidth", 0.1],
+    "f-probe-nx": ["analyze", "f", "--radii", 0.1, "--probe-nx", "100000000000000000000",
+                   "--probe-ny", 1],
+    "scan-slices": ["detect", "scan", "--horizon", 1, "--nx", 2, "--ny", 2,
+                    "--slices", "100000000000000000000", "--radii", 0.2, "--durations", 0.3,
+                    "--nsim", 99],
+}
+
+
+class TestOversizedDimensions:
+    @pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+    def test_error_without_traceback(self, tmp_path, capsys, argv):
+        src = write_space_time(tmp_path) if argv[1] == "scan" else write_pattern(tmp_path)
+        out = tmp_path / "run"
+        assert run("--out", out, *argv[:2], "--in", src, "--region", "0,1,0,1", *argv[2:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestSeedResolution:
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -473,6 +499,71 @@ ODD_VALUES = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+@pytest.fixture(scope="module")
+def small_argv(tmp_path_factory):
+    """A valid, quick argv per subcommand: (flag, value) pairs after the
+    command words."""
+    d = tmp_path_factory.mktemp("argv")
+    pattern = [("--in", write_pattern(d, n=40)), ("--region", "0,1,0,1")]
+    bases = []
+    for s in range(2):
+        b = d / f"base{s}.csv"
+        b.write_text("cell_x,cell_y,value\n0,0,1\n1,1,2\n")
+        bases.append(str(b))
+    return {
+        ("simulate", "hpp"): [("--rate", 2), ("--horizon", 5)],
+        ("simulate", "nhpp"): [("--intensity", "piecewise"), ("--horizon", 4),
+                               ("--segments", "0:2:1,2:4:3")],
+        ("simulate", "hawkes"): [("--mu", 1), ("--alpha", 0.5), ("--beta", 1), ("--horizon", 5)],
+        ("simulate", "csr"): [("--rate", 20), ("--region", "0,1,0,1")],
+        ("analyze", "kde"): [*pattern, ("--nx", 3), ("--ny", 3), ("--bandwidth", 0.2)],
+        ("analyze", "g"): [*pattern, ("--radii", "0.05,0.1"), ("--envelope", 19)],
+        ("analyze", "f"): [*pattern, ("--radii", "0.05,0.1"), ("--probe-nx", 4),
+                           ("--probe-ny", 4), ("--envelope", 19)],
+        ("analyze", "k"): [*pattern, ("--radii", "0.05,0.1"), ("--correction", "border"),
+                           ("--envelope", 19)],
+        ("analyze", "nni"): pattern,
+        ("analyze", "quadrat"): [*pattern, ("--nx", 3), ("--ny", 3)],
+        ("analyze", "dispersion"): [*pattern, ("--nx", 4), ("--ny", 4), ("--blocks", "1,2")],
+        ("detect", "gistar"): [*pattern, ("--nx", 4), ("--ny", 4), ("--radius", 0.3)],
+        ("detect", "scan"): [("--in", write_space_time(d, n=40)), ("--region", "0,1,0,1"),
+                             ("--horizon", 1), ("--nx", 2), ("--ny", 2), ("--slices", 2),
+                             ("--radii", 0.3), ("--durations", 0.5), ("--nsim", 99),
+                             ("--top", 3), ("--baseline", ",".join(bases))],
+    }
+
+
+# letters-only text spells no finite number, and a negative one is never a
+# large request, so no draw starts a huge run
+BAD_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "Infinity", ""]),
+    st.text(string.ascii_letters, max_size=8),
+    st.integers(max_value=-1),
+    st.floats(max_value=0.0, exclude_max=True),
+)
+
+
+class TestArgv:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_replaced_argv_value_never_escapes(self, small_argv, data):
+        command = data.draw(st.sampled_from(sorted(small_argv)))
+        pairs = list(small_argv[command])
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        if data.draw(st.booleans()):
+            del pairs[i]
+        else:
+            pairs[i] = (pairs[i][0], data.draw(BAD_VALUES))
+        with tempfile.TemporaryDirectory() as d:
+            out, err = Path(d) / "run", io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_code("--out", out, *command, *(f"{f}={v}" for f, v in pairs))
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestManifestReplay:
@@ -616,6 +707,14 @@ class TestTopLevel:
         assert run("--out", out, "simulate", "hpp", "--rate", 1.0, "--horizon", 5.0) == 1
         assert "error:" in capsys.readouterr().err
         assert out.read_text() == "keep\n"
+
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "manifest.json").mkdir(parents=True)
+        assert run("--out", out, "simulate", "hpp", "--rate", 1.0, "--horizon", 5.0) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]  # events.csv rolled back
+        assert (out / "manifest.json").is_dir()
 
     def test_entry_point_subprocess(self, tmp_path):
         env = child_env()

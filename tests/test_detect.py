@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import _oracles as brute
 from pointproc import (
@@ -21,6 +23,7 @@ from pointproc import (
     simulate_csr,
     space_time_scan,
 )
+from pointproc import detect
 from pointproc.detect import _poisson_llr
 
 UNIT = Region(0, 1, 0, 1)
@@ -116,6 +119,24 @@ class TestGiStar:
         counts = np.arange(9).reshape(3, 3)
         with pytest.raises(DegenerateDataError, match="whole grid"):
             gi_star(Grid(spec, counts), 5.0)
+
+    def test_full_coverage_raises_before_the_pair_list(self, monkeypatch):
+        # 3,600 cells at radius 2 would first list all 13 million neighbour pairs;
+        # tracemalloc sees numpy's buffers but not scipy's, hence the stub too
+        class NoPairList(cKDTree):
+            def sparse_distance_matrix(self, *args, **kwargs):
+                raise AssertionError("pair list built before the coverage check")
+
+        monkeypatch.setattr(detect, "cKDTree", NoPairList)
+        grid = Grid(GridSpec(UNIT, 60, 60), np.arange(3600).reshape(60, 60) % 7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateDataError, match="whole grid"):
+                gi_star(grid, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_partial_full_coverage_gets_zero(self):
         # middle cell of a 1x5 strip sees everything at radius 3; corners do not

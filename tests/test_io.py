@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pointproc import (
     EventTimes,
+    Grid,
     GridSpec,
     ParameterError,
     Region,
@@ -160,19 +161,19 @@ class TestGridCsv:
         spec = GridSpec(UNIT, 3, 2)
         counts = np.array([[3, 0], [1, 7], [2, 5]])
         p = tmp_path / "grid.csv"
-        write_grid_csv(p, spec, counts, "count")
-        assert np.array_equal(read_count_values(p, spec, "count"), counts)
+        write_grid_csv(p, Grid(spec, counts))
+        assert np.array_equal(read_count_values(p, spec), counts)
 
     def test_integers_written_without_point(self, tmp_path):
         spec = GridSpec(UNIT, 2, 1)
         p = tmp_path / "grid.csv"
-        write_grid_csv(p, spec, np.array([[4], [0]]), "count")
+        write_grid_csv(p, Grid(spec, np.array([[4], [0]])), "count")
         assert p.read_text().splitlines() == ["cell_x,cell_y,count", "0,0,4", "1,0,0"]
 
     def test_float_values(self, tmp_path):
         spec = GridSpec(UNIT, 2, 1)
         p = tmp_path / "grid.csv"
-        write_grid_csv(p, spec, np.array([[0.1], [1 / 3]]), "z")
+        write_grid_csv(p, Grid(spec, np.array([[0.1], [1 / 3]])), "z")
         lines = p.read_text().splitlines()
         assert lines[0] == "cell_x,cell_y,z"
         assert float(lines[1].split(",")[2]) == 0.1
@@ -181,36 +182,36 @@ class TestGridCsv:
     def test_x_major_order(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        write_grid_csv(p, spec, np.arange(4).reshape(2, 2), "count")
+        write_grid_csv(p, Grid(spec, np.arange(4).reshape(2, 2)), "count")
         cells = [tuple(l.split(",")[:2]) for l in p.read_text().splitlines()[1:]]
         assert cells == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
 
     def test_missing_cells_read_as_zero(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,count\n1,1,9\n")
-        assert np.array_equal(read_count_values(p, spec, "count"), [[0, 0], [0, 9]])
+        p.write_text("cell_x,cell_y,value\n1,1,9\n")
+        assert np.array_equal(read_count_values(p, spec), [[0, 0], [0, 9]])
 
     def test_out_of_range_cell(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,count\n5,0,1\n")
+        p.write_text("cell_x,cell_y,value\n5,0,1\n")
         with pytest.raises(ParameterError, match="outside"):
-            read_count_values(p, spec, "count")
+            read_count_values(p, spec)
 
     def test_non_integer_count(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,count\n0,0,1.5\n")
+        p.write_text("cell_x,cell_y,value\n0,0,1.5\n")
         with pytest.raises(ParameterError, match="integers"):
-            read_count_values(p, spec, "count")
+            read_count_values(p, spec)
 
     def test_negative_count(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,count\n0,0,-2\n")
+        p.write_text("cell_x,cell_y,value\n0,0,-2\n")
         with pytest.raises(ParameterError, match="non-negative"):
-            read_count_values(p, spec, "count")
+            read_count_values(p, spec)
 
 
 class TestCurveCsv:
