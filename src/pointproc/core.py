@@ -51,6 +51,10 @@ class DegenerateDataError(ValueError):
     """The data admits no meaningful value for the requested statistic."""
 
 
+# uniforms drawn per numpy call by RngStream.uniform_draws
+_UNIFORM_BLOCK = 1024
+
+
 class RngStream:
     """Deterministic random stream: same seed, same draw sequence.
 
@@ -73,6 +77,28 @@ class RngStream:
             u = self._gen.random()
         return u
 
+    def uniform_draws(self):
+        """Yield the values that successive `uniform` calls would return.
+
+        They are drawn in blocks of _UNIFORM_BLOCK (PCG64 gives the same
+        doubles either way).  Closing the generator rewinds the stream
+        past the draws it did not yield, so the stream ends where the
+        scalar calls would have left it; close it explicitly, for
+        example with `contextlib.closing`.  The rewind would drop a
+        buffered 32-bit half, but no RngStream draw leaves one.
+        """
+        used = size = 0
+        try:
+            while True:
+                block = self._gen.random(_UNIFORM_BLOCK).tolist()
+                size = len(block)
+                for used, u in enumerate(block, 1):
+                    if u != 0.0:  # random() covers [0, 1); keep the interval open
+                        yield u
+        finally:
+            if used != size:
+                self._gen.bit_generator.advance(used - size)
+
     def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
         return self._gen.uniform(low, high, int(n))
 
@@ -86,11 +112,17 @@ class RngStream:
         return RngStream((self.seed + int(index)) & 0xFFFFFFFFFFFFFFFF)
 
 
-def exponential_draw(rng: RngStream, rate: float) -> float:
-    """One Exp(rate) variate via inversion, -log(u)/rate."""
+def _check_rate(rate: float) -> float:
+    """The rate as a float, once it is known to be positive and finite."""
     rate = float(rate)
     if not math.isfinite(rate) or rate <= 0.0:
         raise ParameterError(f"rate must be positive and finite, got {rate}")
+    return rate
+
+
+def exponential_draw(rng: RngStream, rate: float) -> float:
+    """One Exp(rate) variate via inversion, -log(u)/rate."""
+    rate = _check_rate(rate)
     return -math.log(rng.uniform()) / rate
 
 

@@ -39,9 +39,15 @@ def write_table(path, header: str, columns) -> None:
     cols = [np.asarray(c) for c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ParameterError(f"table columns differ in length: {[len(c) for c in cols]}")
-    template = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in cols)
-    rows = map(template.format, *(c.tolist() for c in cols))
-    Path(path).write_text("\n".join([header, *rows]) + "\n")
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    n = len(cols[0])
+    flat = [None] * (n * len(cols))  # row-major: the columns interleaved
+    for j, c in enumerate(cols):
+        flat[j::len(cols)] = c.tolist()
+    rows = (line * n) % tuple(flat)
+    with open(path, "w") as f:  # two writes: no copy of rows with the header in front
+        f.write(f"{header}\n")
+        f.write(rows)
 
 
 def _read_table(path, header: str) -> tuple[np.ndarray, list[int]]:
@@ -56,8 +62,19 @@ def _read_table(path, header: str) -> tuple[np.ndarray, list[int]]:
     if lines[0].strip() != header:
         raise ParameterError(f"{path}:1: expected header {header!r}, got {lines[0].strip()!r}")
     k = header.count(",") + 1
+    body = lines[1:]
+    # fast path: one float() pass over every field when each line has k of
+    # them; a blank line or a bad field falls through to the row parser,
+    # which says where it is
+    if body and all(line.count(",") == k - 1 for line in body):
+        try:
+            values = list(map(float, ",".join(body).split(",")))
+        except ValueError:
+            values = []
+        if len(values) == k * len(body):
+            return np.array(values, dtype=float).reshape(-1, k), list(range(2, len(body) + 2))
     rows, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]

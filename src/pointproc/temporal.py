@@ -9,6 +9,7 @@ after every accepted event and every rejected time advance.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .core import (
     EventTimes,
     ParameterError,
     RngStream,
-    exponential_draw,
+    _check_rate,
 )
 
 __all__ = [
@@ -80,11 +81,12 @@ def simulate_hpp(rate: float, horizon: float, rng: RngStream) -> EventTimes:
         raise ParameterError(f"horizon must be positive, got {horizon}")
     times = []
     t = 0.0
-    while True:
-        t += exponential_draw(rng, rate)
-        if t > horizon:
-            break
-        times.append(t)
+    with contextlib.closing(rng.uniform_draws()) as draws:
+        for u in draws:
+            t += -math.log(u) / rate
+            if t > horizon:
+                break
+            times.append(t)
     return EventTimes(times, horizon)
 
 
@@ -251,24 +253,27 @@ def simulate_nhpp(intensity: IntensityFn, horizon: float, rng: RngStream) -> Eve
             f"envelope span {intensity.horizon} does not cover horizon {horizon}"
         )
     times: list[float] = []
-    for a, b, u in intensity.segments():
-        if a >= horizon:
-            break
-        end = min(b, horizon)
-        if u == 0.0:
-            continue
-        s = a
-        while True:
-            s += exponential_draw(rng, u)
-            if s > end:
+    with contextlib.closing(rng.uniform_draws()) as draws:
+        draw = draws.__next__
+        for a, b, u in intensity.segments():
+            if a >= horizon:
                 break
-            lam = intensity(s)
-            if lam > u * (1.0 + _DOMINANCE_RTOL):
-                raise EnvelopeError(
-                    f"envelope bound {u} exceeded by intensity {lam} at t={s}"
-                )
-            if rng.uniform() <= lam / u:
-                times.append(s)
+            end = min(b, horizon)
+            if u == 0.0:
+                continue
+            _check_rate(u)  # the bounds array is writable
+            s = a
+            while True:
+                s += -math.log(draw()) / u
+                if s > end:
+                    break
+                lam = intensity(s)
+                if lam > u * (1.0 + _DOMINANCE_RTOL):
+                    raise EnvelopeError(
+                        f"envelope bound {u} exceeded by intensity {lam} at t={s}"
+                    )
+                if draw() <= lam / u:
+                    times.append(s)
     return EventTimes(times, horizon)
 
 
@@ -447,15 +452,19 @@ def simulate_hawkes(model: HawkesModel, horizon: float, rng: RngStream) -> Event
     times: list[float] = []
     excitation = 0.0  # sum of kernel terms at the current time, post-jump
     s = 0.0
-    while True:
-        bound = model.mu + excitation
-        w = exponential_draw(rng, bound)
-        excitation *= math.exp(-beta * w)
-        s += w
-        if s > horizon:
-            break
-        lam = model.mu + excitation  # left limit: candidate not yet an event
-        if rng.uniform() * bound <= lam:
-            times.append(s)
-            excitation += alpha
+    with contextlib.closing(rng.uniform_draws()) as draws:
+        draw = draws.__next__
+        while True:
+            bound = model.mu + excitation
+            if not math.isfinite(bound) or bound <= 0.0:  # the excitation can overflow
+                _check_rate(bound)  # raises
+            w = -math.log(draw()) / bound
+            excitation *= math.exp(-beta * w)
+            s += w
+            if s > horizon:
+                break
+            lam = model.mu + excitation  # left limit: candidate not yet an event
+            if draw() * bound <= lam:
+                times.append(s)
+                excitation += alpha
     return EventTimes(times, horizon)

@@ -5,9 +5,13 @@ recomputed from a dense pairwise-distance matrix using the same
 Euclidean arithmetic (sqrt of the sum of squares), which the production
 code must match exactly.  The one exception is `ripleys_k_tree`, the
 per-radius k-d tree loop, which pins the tree's tie rule.
+
+`read_table_rows` is the CSV reader's row-by-row parser, the reference
+for its fast path.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -190,3 +194,36 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
         p = float((1 + np.count_nonzero(max_llrs >= lr)) / (nsim + 1))
         rows.append((cyl, int(round(float(obs[i, j]))), float(expected[i, j]), lr, p))
     return rows, max_llrs
+
+
+def read_table_rows(path, header: str):
+    """`pointproc.io._read_table` parsing one line, then one field, at a
+    time: the rows as an (n, k) array and their line numbers, or the
+    ParameterError that names the first bad line."""
+    from pointproc import ParameterError
+
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise ParameterError(f"{path}: not a text file: {e}") from None
+    if not lines:
+        raise ParameterError(f"{path}: empty file, expected header {header!r}")
+    if lines[0].strip() != header:
+        raise ParameterError(f"{path}:1: expected header {header!r}, got {lines[0].strip()!r}")
+    k = header.count(",") + 1
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != k:
+            raise ParameterError(f"{path}:{lineno}: expected {k} fields, got {len(fields)}")
+        row = []
+        for col, f in enumerate(fields, start=1):
+            try:
+                row.append(float(f))
+            except ValueError:
+                raise ParameterError(f"{path}:{lineno}: column {col}: not a number: {f!r}") from None
+        rows.append(row)
+        linenos.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, k), linenos

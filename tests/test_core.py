@@ -57,6 +57,71 @@ class TestRngStream:
         assert a.uniform() == b.uniform()
 
 
+class SequenceGen:
+    """A generator stub that replays fixed values, one by one or in blocks;
+    it is its own bit generator, so `advance` moves its position."""
+
+    def __init__(self, values):
+        self.values, self.pos = list(values), 0
+        self.bit_generator = self
+
+    def random(self, size=None):
+        if size is None:
+            self.pos += 1
+            return self.values[self.pos - 1]
+        self.pos += size
+        return np.array(self.values[self.pos - size:self.pos])
+
+    def advance(self, delta):
+        self.pos += delta
+
+
+def stream_state(rng):
+    return rng._gen.bit_generator.state
+
+
+BLOCK = core._UNIFORM_BLOCK
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("m", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    def test_same_values_and_position_as_scalar_calls(self, m):
+        rng, ref = RngStream(5), RngStream(5)
+        draws = rng.uniform_draws()
+        got = [next(draws) for _ in range(m)]
+        draws.close()
+        assert got == [ref.uniform() for _ in range(m)]
+        assert stream_state(rng) == stream_state(ref)
+        assert rng.uniform() == ref.uniform()
+
+    def test_unstarted_generator_draws_nothing(self):
+        rng = RngStream(5)
+        rng.uniform_draws().close()
+        assert stream_state(rng) == stream_state(RngStream(5))
+
+    def test_dropped_generator_rewinds(self):
+        rng, ref = RngStream(9), RngStream(9)
+        draws = rng.uniform_draws()
+        next(draws), next(draws)
+        del draws
+        ref.uniform(), ref.uniform()
+        assert stream_state(rng) == stream_state(ref)
+
+    @pytest.mark.parametrize("m", [1, 2, BLOCK - 3, BLOCK - 2, BLOCK, 2 * BLOCK - 4])
+    def test_skips_zeros_like_uniform(self, m):
+        # zeros at a block's start and end, in a run, and across a block boundary
+        zeros = {0, 5, 6, 7, BLOCK - 1, BLOCK, 2 * BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK}
+        values = [0.0 if i in zeros else (i + 1) / (4 * BLOCK) for i in range(4 * BLOCK)]
+        rng, ref = RngStream(0), RngStream(0)
+        rng._gen, ref._gen = SequenceGen(values), SequenceGen(values)
+        draws = rng.uniform_draws()
+        got = [next(draws) for _ in range(m)]
+        draws.close()
+        assert got == [ref.uniform() for _ in range(m)]
+        assert 0.0 not in got
+        assert rng._gen.pos == ref._gen.pos
+
+
 class TestExponentialDraw:
     def test_positive(self):
         rng = RngStream(0)

@@ -20,6 +20,7 @@ from pointproc import (
     simulate_csr,
     simulate_hpp,
 )
+import _oracles as brute
 from pointproc.detect import ScanResults, space_time_scan
 from pointproc.io import (
     _read_table,
@@ -430,3 +431,51 @@ class TestCodec:
             col = 1 if fields[0] == "nope" else 2
             want = f"t.csv:{at + 1}: column {col}: not a number: {fields[col - 1]!r}"
         assert str(info.value).endswith(want)
+
+    # fields the fast path and the row parser must agree on: what float()
+    # accepts with and without padding, and what it rejects
+    VALID = st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["1_0", " inf", "Infinity", "-Infinity", "nan", "-nan", "-0.0", "+1",
+                         " 2.5 ", "\t3", "1e999", "\u00a04", "\u0661\u0662", "5\u2003"]),
+    )
+    FIELD = st.one_of(VALID, st.sampled_from(
+        ["1__0", "_1", "x", "1e", "0x10", "--1", "", " ", "1 2", "\x1c6", "inf inity"]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        data=st.data(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        final_newline=st.booleans(),
+    )
+    @example(k=2, data=None, newline="\n", final_newline=True)  # an empty body
+    def test_fast_path_matches_row_parser(self, k, data, newline, final_newline):
+        header = ",".join("abc"[:k])
+        line = st.one_of(
+            st.lists(self.FIELD, min_size=k, max_size=k).map(",".join),  # k fields
+            st.lists(self.FIELD, min_size=1, max_size=k + 2).map(",".join),  # any count
+            st.sampled_from(["", "  ", "\t"]),  # blank lines
+        )
+        valid = st.lists(self.VALID, min_size=k, max_size=k).map(",".join)
+        if data is None:
+            lines = []
+        else:  # half the texts are valid throughout, so the fast path answers
+            lines = data.draw(st.lists(data.draw(st.sampled_from([line, valid])), max_size=8))
+        text = newline.join([header, *lines]) + (newline if final_newline else "")
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "t.csv"
+            p.write_bytes(text.encode())
+            results = []
+            for read in (_read_table, brute.read_table_rows):
+                try:
+                    results.append(read(p, header))
+                except ParameterError as e:
+                    results.append(str(e))
+        got, want = results
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0].shape == want[0].shape
+            assert got[0].view(np.int64).tolist() == want[0].view(np.int64).tolist()
+            assert got[1] == want[1]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from pointproc import (
     PowerLawKernel,
     RngStream,
     branching_factor,
+    exponential_draw,
     expected_cluster_size,
     hawkes_intensity,
     inter_arrival_times,
@@ -28,16 +30,24 @@ from pointproc import (
 )
 
 
-class CountingRng(RngStream):
-    """RngStream that counts uniform() calls."""
+def stream_state(rng):
+    return rng._gen.bit_generator.state
 
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = 0
 
-    def uniform(self):
-        self.calls += 1
-        return super().uniform()
+class FiniteRng(RngStream):
+    """A stream whose simulators get at most 1000 draws, so that a loop
+    stuck at a bad rate stops with StopIteration instead of hanging."""
+
+    def uniform_draws(self):
+        yield from itertools.islice(super().uniform_draws(), 1000)
+
+
+def state_after_uniforms(seed, n):
+    """Where a fresh stream stands after n scalar uniform() calls."""
+    rng = RngStream(seed)
+    for _ in range(n):
+        rng.uniform()
+    return stream_state(rng)
 
 
 class TestPoissonCountPmf:
@@ -99,9 +109,16 @@ class TestSimulateHpp:
         assert np.all(np.diff(ev.times) > 0)
 
     def test_consumes_one_draw_per_arrival_plus_discard(self):
-        rng = CountingRng(8)
+        rng = RngStream(8)
         ev = simulate_hpp(3.0, 10.0, rng)
-        assert rng.calls == len(ev) + 1  # the arrival past the horizon is drawn, discarded
+        # the arrival past the horizon is drawn, discarded
+        assert stream_state(rng) == state_after_uniforms(8, len(ev) + 1)
+
+    @pytest.mark.parametrize("rate", [0.1, 102.3, 300.0])  # no arrival, about one block, several
+    def test_stream_position_across_blocks(self, rate):
+        rng = RngStream(11)
+        ev = simulate_hpp(rate, 10.0, rng)
+        assert stream_state(rng) == state_after_uniforms(11, len(ev) + 1)
 
     def test_count_mean(self):
         total = sum(len(simulate_hpp(2.0, 10.0, RngStream(s))) for s in range(300))
@@ -250,6 +267,68 @@ class TestSimulateNhpp:
             simulate_nhpp(f, 50.0, RngStream(0))
 
 
+def scalar_thinning(intensity, horizon, rng):
+    """NHPP thinning with one uniform() call per variate: the reference
+    for the values and the draws of simulate_nhpp."""
+    times = []
+    for a, b, u in intensity.segments():
+        if a >= horizon:
+            break
+        if u == 0.0:
+            continue
+        s = a
+        while True:
+            s += exponential_draw(rng, u)
+            if s > min(b, horizon):
+                break
+            lam = intensity(s)
+            if lam > u * (1.0 + 1e-12):
+                raise EnvelopeError(f"bound {u} exceeded at t={s}")
+            if rng.uniform() <= lam / u:
+                times.append(s)
+    return times
+
+
+class TestNhppStreamPosition:
+    """simulate_nhpp leaves its stream where per-variate uniform() calls
+    would, whether it returns or raises."""
+
+    @pytest.mark.parametrize("intensity,horizon", [
+        (IntensityFn.sinusoid(3.0, 2.0, 24.0, 96.0), 96.0),
+        (IntensityFn.sinusoid(300.0, 250.0, 2.0, 20.0), 17.5),  # several blocks of draws
+        (IntensityFn.piecewise([(0, 10, 4.0), (10, 20, 0.0), (20, 30, 0.5)]), 30.0),
+        (IntensityFn.piecewise([(0, 10, 0.0), (10, 20, 2.0)]), 15.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_matches_scalar_draws(self, intensity, horizon, seed):
+        rng, ref = RngStream(seed), RngStream(seed)
+        ev = simulate_nhpp(intensity, horizon, rng)
+        assert ev.times.tolist() == scalar_thinning(intensity, horizon, ref)
+        assert stream_state(rng) == stream_state(ref)
+
+    def test_lying_envelope_leaves_scalar_position(self):
+        state = {"checked": False}
+
+        def two_faced(t):
+            return 1.0 if not state["checked"] or t < 20.0 else 10.0
+
+        f = IntensityFn(two_faced, [(0.0, 50.0, 1.0)])
+        state["checked"] = True
+        rng, ref = RngStream(0), RngStream(0)
+        with pytest.raises(EnvelopeError):
+            simulate_nhpp(f, 50.0, rng)
+        with pytest.raises(EnvelopeError):
+            scalar_thinning(f, 50.0, ref)
+        assert stream_state(rng) == stream_state(ref)
+        assert stream_state(rng) != state_after_uniforms(0, 0)  # it drew before raising
+
+    def test_bound_checked_per_segment(self):
+        f = IntensityFn.piecewise([(0, 10, 4.0), (10, 20, 1.0)])
+        f.bounds[1] = math.inf  # the array is writable
+        with pytest.raises(ParameterError, match="rate must be positive and finite, got inf"):
+            simulate_nhpp(f, 20.0, FiniteRng(3))
+
+
 class TestNhppMean:
     def test_constant(self):
         f = IntensityFn.constant(3.0, 10.0)
@@ -394,6 +473,22 @@ def brute_force_ogata(mu, alpha, beta, horizon, rng):
             times.append(s)
 
 
+def scalar_ogata(mu, alpha, beta, horizon, rng):
+    """The O(1) excitation recursion with one uniform() call per variate:
+    the reference for the values and the draws of simulate_hawkes."""
+    times, excitation, s = [], 0.0, 0.0
+    while True:
+        bound = mu + excitation
+        w = exponential_draw(rng, bound)
+        excitation *= math.exp(-beta * w)
+        s += w
+        if s > horizon:
+            return times
+        if rng.uniform() * bound <= mu + excitation:
+            times.append(s)
+            excitation += alpha
+
+
 class TestSimulateHawkes:
     def test_deterministic(self):
         model = HawkesModel(1.0, ExponentialKernel(0.5, 1.0))
@@ -410,6 +505,22 @@ class TestSimulateHawkes:
             ref = brute_force_ogata(1.2, 0.8, 1.5, 50.0, RngStream(seed))
             assert len(ev) == len(ref)
             assert np.allclose(ev.times, ref, rtol=1e-9)
+
+    @pytest.mark.parametrize("horizon", [0.5, 50.0, 500.0])  # part of a block to several
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_leaves_stream_where_scalar_draws_would(self, seed, horizon):
+        model = HawkesModel(1.2, ExponentialKernel(0.8, 1.5))
+        rng, ref = RngStream(seed), RngStream(seed)
+        ev = simulate_hawkes(model, horizon, rng)
+        assert ev.times.tolist() == scalar_ogata(1.2, 0.8, 1.5, horizon, ref)
+        assert stream_state(rng) == stream_state(ref)
+
+    def test_overflowing_excitation_raises(self):
+        # each accepted event adds 1e308, so the second one overflows the bound to inf
+        model = HawkesModel(1.0, ExponentialKernel(1e308, 1.0))
+        with pytest.warns(RuntimeWarning, match="supercritical"):
+            with pytest.raises(ParameterError, match="rate must be positive and finite, got inf"):
+                simulate_hawkes(model, 10.0, FiniteRng(0))
 
     def test_zero_alpha_reduces_to_poisson(self):
         model = HawkesModel(2.0, ExponentialKernel(0.0, 1.0))
