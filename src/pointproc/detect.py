@@ -40,6 +40,9 @@ __all__ = [
     "space_time_scan",
 ]
 
+# Candidate (centre, cell) pairs held at once while building scan discs.
+_DISC_BLOCK_PAIRS = 2**18
+
 
 def rss(a: Grid, b: Grid) -> float:
     """Residual sum of squares between two grids."""
@@ -176,24 +179,53 @@ def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
 def _candidate_discs(spec: GridSpec, radii: np.ndarray):
     """Distinct cell sets reachable as (centre, radius) discs.
 
-    Discs containing identical cell sets are evaluated once; the first
-    (centre, radius) producing a set is kept as its representative.
+    Returns the discs as the rows of a CSR matrix of ones over the cells,
+    and their (cx, cy, radius) representatives as an (ndiscs, 3) array.
+    A cell is in a disc when the np.hypot of its offset from the centre is
+    at most the radius; the k-d tree only proposes candidate cells, with a
+    margin, so it may propose too many but never too few.  The tree is
+    queried for one block of centres at a time, which bounds the candidate
+    pairs held at once even when a radius spans the region.  Discs
+    containing identical cell sets are evaluated once; the first (centre,
+    radius) producing a set, centre-major with the radii in the order
+    given, is kept as its representative.
     """
     centres = spec.centre_points()
     ncells = centres.shape[0]
-    seen: dict[bytes, int] = {}
-    members: list[np.ndarray] = []
+    # The tree compares squared distances, which underflow for tiny cells;
+    # a power-of-two rescale is exact and keeps them in the normal range.
+    scale = math.ldexp(1.0, -math.frexp(max(spec.cell_width, spec.cell_height))[1])
+    tree = cKDTree(centres * scale)
+    reach = radii.max() * scale * (1 + 1e-9)
+    block = max(1, _DISC_BLOCK_PAIRS // ncells)
+    radius_list = radii.tolist()
+    seen: set[bytes] = set()
+    rows: list[bytes] = []
     reps: list[tuple[float, float, float]] = []
-    for c in range(ncells):
-        d = np.hypot(centres[:, 0] - centres[c, 0], centres[:, 1] - centres[c, 1])
-        for r in radii:
-            mask = d <= r
-            key = mask.tobytes()
-            if key not in seen:
-                seen[key] = len(members)
-                members.append(mask)
-                reps.append((centres[c, 0], centres[c, 1], float(r)))
-    return np.array(members, dtype=float), reps
+    for b0 in range(0, ncells, block):
+        blk = centres[b0 : b0 + block]
+        pairs = cKDTree(blk * scale).sparse_distance_matrix(tree, reach, output_type="ndarray")
+        key = np.sort(pairs["i"].astype(np.int64) * ncells + pairs["j"])
+        centre, cell = np.divmod(key, ncells)
+        cell = cell.astype(np.int32)
+        d = np.hypot(centres[cell, 0] - blk[centre, 0], centres[cell, 1] - blk[centre, 1])
+        bounds = np.searchsorted(centre, np.arange(len(blk) + 1)).tolist()
+        for (x, y), lo, hi in zip(blk.tolist(), bounds, bounds[1:]):
+            cells, dist = cell[lo:hi], d[lo:hi]
+            for r in radius_list:
+                row = cells[dist <= r].tobytes()
+                if row not in seen:
+                    seen.add(row)
+                    rows.append(row)
+                    reps.append((x, y, r))
+    indices = np.frombuffer(bytearray().join(rows), dtype=np.int32)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indptr //= indices.itemsize
+    members = sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(len(rows), ncells)
+    )
+    return members, np.array(reps)
 
 
 def _candidate_windows(n_slices: int, slice_len: float, durations: np.ndarray):
@@ -291,10 +323,11 @@ def space_time_scan(
     if mass_total <= 0.0:
         raise DegenerateDataError("baseline has zero total mass")
 
-    discs, reps = _candidate_discs(spec, radii_arr)
+    members, reps = _candidate_discs(spec, radii_arr)
     windows = _candidate_windows(n_slices, slice_len, dur_arr)
     starts = np.array([s0 for s0, _ in windows])
     ends = starts + np.array([w for _, w in windows])
+    n_win = len(windows)
 
     def window_sums(per_slice: np.ndarray) -> np.ndarray:
         """(ndiscs, nslices) -> (ndiscs, nwindows) sums over each window."""
@@ -302,10 +335,11 @@ def space_time_scan(
         np.cumsum(per_slice, axis=1, out=cum[:, 1:])
         return cum[:, ends] - cum[:, starts]
 
-    # The observed pass stays on the dense product: sparse sums of the float
-    # mass round differently, and `expected` is part of the output.
-    obs = window_sums(discs @ counts)
-    expected = total * window_sums(discs @ mass) / mass_total
+    # Integer counts make the sparse observed pass exact in any order.
+    obs = window_sums(members @ counts)
+    # `expected` stays on the dense BLAS product: scan.csv records its last
+    # bits, and sparse or blocked sums of the float mass round differently.
+    expected = total * window_sums(members.toarray() @ mass) / mass_total
     llr = _poisson_llr(obs, expected, total).ravel()
 
     # Null distribution of the maximum LLR.  The LLR is 0 for n <= mu and
@@ -315,22 +349,27 @@ def space_time_scan(
     mu, group = np.unique(expected.ravel(), return_inverse=True)
     by_group = np.argsort(group, kind="stable")
     group_starts = np.searchsorted(group[by_group], np.arange(mu.size))
-    members = sparse.csr_matrix(discs)
-    del discs
+    # Each cylinder's window sum, in group order, is hi - lo in the flattened
+    # (ndiscs, nslices + 1) product of the discs with the slice cumsums.
+    disc, win = np.divmod(by_group, n_win)
+    row = disc * (n_slices + 1)
+    lo, hi = row + starts[win], row + ends[win]
     pvals = (mass / mass_total).ravel()
 
     def replicate(i: int) -> float:
         sub = rng.substream(i + 1)
         sim = sub.multinomial(int(total), pvals).reshape(ncells, n_slices)
-        sim_obs = window_sums(members @ sim.astype(float)).ravel()[by_group]
+        cum = np.zeros((ncells, n_slices + 1))
+        np.cumsum(sim, axis=1, out=cum[:, 1:])
+        sums = (members @ cum).ravel()
+        sim_obs = np.take(sums, hi) - np.take(sums, lo)
         return float(_poisson_llr(np.maximum.reduceat(sim_obs, group_starts), mu, total).max())
 
     max_llrs = np.sort(indexed_map(replicate, nsim, threads))
     # (1 + #{max_sim >= llr}) / (nsim + 1), for every cylinder at once
     p_value = (1 + nsim - np.searchsorted(max_llrs, llr, side="left")) / (nsim + 1)
 
-    n_win = len(windows)
-    cx, cy, radius = np.repeat(np.array(reps), n_win, axis=0).T
+    cx, cy, radius = np.repeat(reps, n_win, axis=0).T
     t_start = np.tile(starts * slice_len, len(reps))
     t_end = np.tile(np.minimum(ends * slice_len, events.horizon), len(reps))
     observed = np.rint(obs).astype(np.int64).ravel()

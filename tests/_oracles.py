@@ -7,7 +7,8 @@ code must match exactly.  The one exception is `ripleys_k_tree`, the
 per-radius k-d tree loop, which pins the tree's tie rule.
 
 `read_table_rows` is the CSV reader's row-by-row parser, the reference
-for its fast path.
+for its fast path, and `dense_discs` the dense-mask disc builder, the
+reference for the scan's sparse one.
 """
 
 import math
@@ -124,21 +125,40 @@ def gi_star(counts: np.ndarray, centres: np.ndarray, radius: float) -> np.ndarra
     return np.where(W >= n, 0.0, z)
 
 
+def dense_discs(spec, radii):
+    """Distinct cell sets reachable as (centre, radius) discs, as dense masks.
+
+    One float mask row per distinct disc, from every cell distance of
+    every centre; the first (centre, radius) producing a set is kept as
+    its representative.
+    """
+    centres = spec.centre_points()
+    ncells = centres.shape[0]
+    seen: dict[bytes, int] = {}
+    members: list[np.ndarray] = []
+    reps: list[tuple[float, float, float]] = []
+    for c in range(ncells):
+        d = np.hypot(centres[:, 0] - centres[c, 0], centres[:, 1] - centres[c, 1])
+        for r in radii:
+            mask = d <= r
+            key = mask.tobytes()
+            if key not in seen:
+                seen[key] = len(members)
+                members.append(mask)
+                reps.append((centres[c, 0], centres[c, 1], float(r)))
+    return np.array(members, dtype=float), reps
+
+
 def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baseline=None):
     """Dense reference scan: (rows, replicate maxima).
 
     Rows are (cylinder, observed, expected, llr, p_value) in rank order.
     Every replicate takes the full LLR over all cylinders from a dense
     disc-mask product, and each p-value counts the replicate maxima one
-    cylinder at a time.  Candidate discs, windows and the LLR formula come
-    from the library; inputs are assumed valid.
+    cylinder at a time.  Candidate windows and the LLR formula come from
+    the library; inputs are assumed valid.
     """
-    from pointproc.detect import (
-        Cylinder,
-        _candidate_discs,
-        _candidate_windows,
-        _poisson_llr,
-    )
+    from pointproc.detect import Cylinder, _candidate_windows, _poisson_llr
 
     ncells = spec.ncells
     slice_len = events.horizon / n_slices
@@ -153,7 +173,7 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
         mass = np.column_stack([g.values.ravel().astype(float) for g in baseline])
     mass_total = mass.sum()
 
-    discs, reps = _candidate_discs(spec, np.asarray(radii, dtype=float))
+    discs, reps = dense_discs(spec, np.asarray(radii, dtype=float))
     windows = _candidate_windows(n_slices, slice_len, np.asarray(durations, dtype=float))
 
     def window_sums(per_slice):

@@ -194,6 +194,54 @@ class TestPoissonLlr:
         assert np.all(np.diff(vals) > 0)
 
 
+def exact_distances(spec):
+    """Every distinct np.hypot distance from cell 0: radii on the boundary."""
+    c = spec.centre_points()
+    d = np.unique(np.hypot(c[:, 0] - c[0, 0], c[:, 1] - c[0, 1]))
+    return d[d > 0]
+
+
+COLLIDED = GridSpec(Region(1e16, 1e16 + 64, 0, 1), 64, 2)  # x centres collide in pairs
+
+
+class TestCandidateDiscs:
+    """The sparse disc builder against the dense-mask reference: the same
+    cells and the same representatives, in the same order."""
+
+    @pytest.mark.parametrize("spec,radii", [
+        (GridSpec(UNIT, 30, 30), [0.05, 0.1, 0.15]),
+        (GridSpec(UNIT, 17, 23), [0.15, 0.05, 0.3, 0.05]),
+        (GridSpec(UNIT, 1, 1), [0.2]),
+        (GridSpec(UNIT, 6, 4), [100.0]),
+        (GridSpec(Region(0, 1e-100, 0, 1e-100), 8, 8), [1e-101, 3e-101, 7e-101]),
+        (COLLIDED, [0.5, 1.0, 2.5]),
+        (GridSpec(UNIT, 10, 13), None),
+        # squared distances would underflow without the tree's rescale
+        (GridSpec(Region(0, 1e-158, 0, 7e-159), 7, 5), None),
+    ], ids=["bench", "17x23", "1x1", "radius-100", "1e-100-wide", "collided", "on-boundary",
+            "1e-158-wide"])
+    def test_matches_dense_masks(self, spec, radii):
+        radii = exact_distances(spec) if radii is None else np.asarray(radii, dtype=float)
+        members, reps = detect._candidate_discs(spec, radii)
+        want, want_reps = brute.dense_discs(spec, radii)
+        assert np.array_equal(members.toarray(), want)
+        assert np.array_equal(reps, np.array(want_reps))
+
+    def test_whole_region_radius_holds_one_block_of_pairs(self):
+        # radius 2 makes all 13 million (centre, cell) pairs candidates; one
+        # list of them would take about 1 GB of numpy buffers (tracemalloc
+        # does not see the tree's own)
+        tracemalloc.start()
+        try:
+            members, reps = detect._candidate_discs(GridSpec(UNIT, 60, 60), np.array([2.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members.shape == (1, 3600) and members.nnz == 3600
+        assert reps.shape == (1, 3) and reps[0, 2] == 2.0
+        assert peak < 32 * 2**20
+
+
 def make_events(seed, n=60, horizon=1.0):
     g = np.random.default_rng(seed)
     data = np.column_stack([g.random(n), g.random(n), horizon * g.random(n)])
@@ -431,6 +479,31 @@ class TestScanMatchesDenseReference:
         pos = np.array([r[3] for r in want if r[3] > 0])
         assert np.unique(pos).size < pos.size  # ties among cylinders
         assert np.isin(pos, max_llrs).any()  # ties with replicate maxima
+
+
+class TestScanMatchesDenseReferenceAtScale:
+    """Grids where the sparse and the dense BLAS products of the float mass
+    round differently (the 5x5 grids above agree on both), and where
+    centres collide, so disc keys tie in the rank order."""
+
+    def test_expected_follows_the_dense_product(self):
+        spec = GridSpec(UNIT, 20, 20)
+        g = np.random.default_rng(11)
+        baseline = [Grid(spec, g.random((20, 20))) for _ in range(4)]
+        args = (spec, 4, [0.1, 0.2], [0.25, 0.5], 99)
+        want, _ = brute.space_time_scan(make_events(4, n=200), *args, RngStream(5), baseline)
+        got = space_time_scan(make_events(4, n=200), *args, RngStream(5), baseline=baseline)
+        assert scan_rows(got) == want
+
+    def test_collided_centres_keep_the_lexsort_order(self):
+        g = np.random.default_rng(12)
+        data = np.column_stack([1e16 + 64 * g.random(80), g.random(80), g.random(80)])
+        events = SpaceTimeEvents(data, COLLIDED.region, 1.0)
+        args = (COLLIDED, 5, [0.5, 1.0, 2.5], [0.2, 0.4], 99)
+        want, _ = brute.space_time_scan(events, *args, RngStream(6))
+        got = space_time_scan(events, *args, RngStream(6))
+        assert scan_rows(got) == want
+        assert len({(r[0].cx, r[0].cy) for r in want}) < COLLIDED.ncells
 
 
 class TestScanResults:
