@@ -4,111 +4,18 @@ Temporal side: homogeneous and non-homogeneous Poisson processes and
 self-exciting Hawkes processes, all on a finite horizon.  Spatial side:
 complete spatial randomness, density surfaces, distance statistics with
 Monte Carlo envelopes, and hotspot/cluster detection on grids.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports their sorted union.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    DegenerateDataError,
-    EnvelopeError,
-    EventTimes,
-    Grid,
-    GridSpec,
-    InsufficientDataError,
-    ParameterError,
-    Region,
-    RngStream,
-    SpaceTimeEvents,
-    SpatialPattern,
-    exponential_draw,
-    inter_arrival_times,
-)
-from .detect import (
-    Cylinder,
-    ScanResult,
-    ScanResults,
-    aggregate_to_grid,
-    gi_star,
-    rss,
-    space_time_scan,
-)
-from .spatial import (
-    NNI_MAX_HEX,
-    EnvelopeResult,
-    QuadratResult,
-    csr_envelope,
-    dispersion_by_block,
-    f_function,
-    g_function,
-    kde_surface,
-    mean_min_distance,
-    nni,
-    quadrat_counts,
-    ripleys_k,
-    simulate_csr,
-)
-from .temporal import (
-    Branching,
-    ExponentialKernel,
-    HawkesModel,
-    IntensityFn,
-    PowerLawKernel,
-    branching_factor,
-    expected_cluster_size,
-    hawkes_intensity,
-    nhpp_mean,
-    poisson_count_pmf,
-    simulate_hawkes,
-    simulate_hpp,
-    simulate_nhpp,
-)
+from . import core, detect, spatial, temporal
+from .core import *  # noqa: F401,F403
+from .detect import *  # noqa: F401,F403
+from .spatial import *  # noqa: F401,F403
+from .temporal import *  # noqa: F401,F403
 
-__all__ = [
-    "Branching",
-    "Cylinder",
-    "DegenerateDataError",
-    "EnvelopeError",
-    "EnvelopeResult",
-    "EventTimes",
-    "ExponentialKernel",
-    "Grid",
-    "GridSpec",
-    "HawkesModel",
-    "InsufficientDataError",
-    "IntensityFn",
-    "NNI_MAX_HEX",
-    "ParameterError",
-    "PowerLawKernel",
-    "QuadratResult",
-    "Region",
-    "RngStream",
-    "ScanResult",
-    "ScanResults",
-    "SpaceTimeEvents",
-    "SpatialPattern",
-    "aggregate_to_grid",
-    "branching_factor",
-    "csr_envelope",
-    "dispersion_by_block",
-    "expected_cluster_size",
-    "exponential_draw",
-    "f_function",
-    "g_function",
-    "gi_star",
-    "hawkes_intensity",
-    "inter_arrival_times",
-    "kde_surface",
-    "mean_min_distance",
-    "nhpp_mean",
-    "nni",
-    "poisson_count_pmf",
-    "quadrat_counts",
-    "ripleys_k",
-    "rss",
-    "simulate_csr",
-    "simulate_hawkes",
-    "simulate_hpp",
-    "simulate_nhpp",
-    "space_time_scan",
-    "__version__",
-]
+__all__ = sorted({*core.__all__, *detect.__all__, *spatial.__all__, *temporal.__all__})
+__all__.append("__version__")

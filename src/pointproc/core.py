@@ -112,17 +112,25 @@ class RngStream:
         return RngStream((self.seed + int(index)) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _check_rate(rate: float) -> float:
-    """The rate as a float, once it is known to be positive and finite."""
-    rate = float(rate)
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise ParameterError(f"rate must be positive and finite, got {rate}")
-    return rate
+def _positive(value: float, name: str = "rate") -> float:
+    """The value as a float, once it is known to be positive and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _non_negative(value: float, name: str) -> float:
+    """The value as a float, once it is known to be >= 0 and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{name} must be >= 0 and finite, got {value}")
+    return value
 
 
 def exponential_draw(rng: RngStream, rate: float) -> float:
     """One Exp(rate) variate via inversion, -log(u)/rate."""
-    rate = _check_rate(rate)
+    rate = _positive(rate)
     return -math.log(rng.uniform()) / rate
 
 
@@ -136,9 +144,7 @@ class EventTimes:
 
     def __init__(self, times, horizon: float):
         arr = np.array(times, dtype=float).reshape(-1)
-        horizon = float(horizon)
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ParameterError(f"horizon must be positive and finite, got {horizon}")
+        horizon = _positive(horizon, "horizon")
         if arr.size:
             if not np.all(np.isfinite(arr)):
                 raise ParameterError("event times must be finite")
@@ -329,9 +335,7 @@ class SpaceTimeEvents:
             arr = np.empty((0, 3))
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ParameterError(f"events must be (n, 3) as (x, y, t), got shape {arr.shape}")
-        horizon = float(horizon)
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise ParameterError(f"horizon must be positive and finite, got {horizon}")
+        horizon = _positive(horizon, "horizon")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("event coordinates must be finite")
         if arr.shape[0]:

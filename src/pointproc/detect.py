@@ -26,6 +26,7 @@ from .core import (
     RngStream,
     SpaceTimeEvents,
     _check_array_size,
+    _positive,
     aggregate_to_grid,
     indexed_map,
 )
@@ -40,7 +41,7 @@ __all__ = [
     "space_time_scan",
 ]
 
-# Candidate (centre, cell) pairs held at once while building scan discs.
+# Candidate (centre, cell) pairs held at once by _centre_pairs.
 _DISC_BLOCK_PAIRS = 2**18
 
 
@@ -61,9 +62,7 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
     standard deviation.  A neighbourhood that covers the whole grid has
     both numerator and variance identically zero; its z is 0.
     """
-    radius = float(neighbourhood_radius)
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ParameterError(f"neighbourhood radius must be positive, got {radius}")
+    radius = _positive(neighbourhood_radius, "neighbourhood radius")
     spec = grid.spec
     n = spec.ncells
     if n < 2:
@@ -72,23 +71,24 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
     s = x.std()  # population sd, matching the n-1 variance factor above
     if s == 0.0:
         raise DegenerateDataError("GI* is undefined when every cell count is equal")
-    centres = spec.centre_points()
-    tree = cKDTree(centres)
+    pairs = _centre_pairs(spec, radius)
+    tree, reach = next(pairs)
 
     def covered(points) -> bool:
-        return bool(np.all(tree.query_ball_point(points, radius, return_length=True) >= n))
+        return bool(np.all(tree.query_ball_point(points, reach, return_length=True) >= n))
 
-    # full coverage raises before the O(ncells^2) pair list; the four corner
-    # cells must be covered first, so most grids skip the per-cell count
-    if covered(centres[[0, spec.ny - 1, n - spec.ny, n - 1]]) and covered(centres):
+    # full coverage raises before any pair is listed; the four corner cells
+    # must be covered first, so most grids skip the per-cell count
+    if covered(tree.data[[0, spec.ny - 1, n - spec.ny, n - 1]]) and covered(tree.data):
         raise DegenerateDataError(
             "every neighbourhood covers the whole grid; GI* is identically zero"
         )
-    # the ndarray output keeps each cell's distance-0 self pair, which the
-    # sparse-matrix outputs would drop; integer counts make S exact in any order
-    pairs = tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
-    W = np.bincount(pairs["i"], minlength=n).astype(float)
-    S = np.bincount(pairs["i"], weights=x[pairs["j"]], minlength=n)
+    # integer counts make S exact in any order
+    W, S = np.zeros(n), np.zeros(n)
+    for blk, centre, cell in pairs:
+        size = blk.stop - blk.start
+        W[blk] = np.bincount(centre, minlength=size)
+        S[blk] = np.bincount(centre, weights=x[cell], minlength=size)
     xbar = x.mean()
     var_term = (n * W - W * W) / (n - 1.0)
     full = W >= n
@@ -108,10 +108,9 @@ class Cylinder:
     t_end: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "radius", "t_start", "t_end"):
+        for name in ("cx", "cy", "t_start", "t_end"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ParameterError(f"radius must be positive, got {self.radius}")
+        object.__setattr__(self, "radius", _positive(self.radius, "radius"))
         if not self.t_end > self.t_start:
             raise ParameterError("cylinder must have t_end > t_start")
 
@@ -176,41 +175,63 @@ def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
     return np.where(n > mu, inside + outside, 0.0)
 
 
+def _centre_pairs(spec: GridSpec, radius: float):
+    """Pairs of cell centres within `radius` of each other, a block at a time.
+
+    First yields the k-d tree of the centres and the radius, both in the
+    tree's units; then, for one block of centres at a time, a slice of
+    the cells and the block's (centre, cell) pairs as two index arrays,
+    in no particular order, with the centre counted from the slice start.
+    A pair is kept when dx*dx + dy*dy <= radius*radius.  Those squared
+    distances underflow for tiny cells, so the tree holds the centres
+    rescaled by a power of two, which is exact and keeps them in the
+    normal range.  A block holds at most about _DISC_BLOCK_PAIRS pairs,
+    even when the radius spans the region.
+    """
+    centres = spec.centre_points()
+    ncells = centres.shape[0]
+    scale = math.ldexp(1.0, -math.frexp(max(spec.cell_width, spec.cell_height))[1])
+    tree = cKDTree(centres * scale)
+    reach = radius * scale
+    yield tree, reach
+    # the cells within the radius of a centre lie in a box of at most this many
+    box = min(spec.nx, 2 * radius / spec.cell_width + 3) * min(
+        spec.ny, 2 * radius / spec.cell_height + 3)
+    block = max(1, int(_DISC_BLOCK_PAIRS // box))
+    for b0 in range(0, ncells, block):
+        blk = slice(b0, min(b0 + block, ncells))
+        query = tree if block >= ncells else cKDTree(tree.data[blk])
+        pairs = query.sparse_distance_matrix(tree, reach, output_type="ndarray")
+        yield blk, pairs["i"], pairs["j"]
+
+
 def _candidate_discs(spec: GridSpec, radii: np.ndarray):
     """Distinct cell sets reachable as (centre, radius) discs.
 
     Returns the discs as the rows of a CSR matrix of ones over the cells,
     and their (cx, cy, radius) representatives as an (ndiscs, 3) array.
     A cell is in a disc when the np.hypot of its offset from the centre is
-    at most the radius; the k-d tree only proposes candidate cells, with a
-    margin, so it may propose too many but never too few.  The tree is
-    queried for one block of centres at a time, which bounds the candidate
-    pairs held at once even when a radius spans the region.  Discs
-    containing identical cell sets are evaluated once; the first (centre,
-    radius) producing a set, centre-major with the radii in the order
-    given, is kept as its representative.
+    at most the radius; the centre pairs, taken with a margin, only
+    propose candidate cells, so they may propose too many but never too
+    few.  Discs containing identical cell sets are evaluated once; the
+    first (centre, radius) producing a set, centre-major with the radii in
+    the order given, is kept as its representative.
     """
     centres = spec.centre_points()
     ncells = centres.shape[0]
-    # The tree compares squared distances, which underflow for tiny cells;
-    # a power-of-two rescale is exact and keeps them in the normal range.
-    scale = math.ldexp(1.0, -math.frexp(max(spec.cell_width, spec.cell_height))[1])
-    tree = cKDTree(centres * scale)
-    reach = radii.max() * scale * (1 + 1e-9)
-    block = max(1, _DISC_BLOCK_PAIRS // ncells)
+    pairs = _centre_pairs(spec, radii.max() * (1 + 1e-9))
+    next(pairs)  # the tree; the discs need only the pairs
     radius_list = radii.tolist()
     seen: set[bytes] = set()
     rows: list[bytes] = []
     reps: list[tuple[float, float, float]] = []
-    for b0 in range(0, ncells, block):
-        blk = centres[b0 : b0 + block]
-        pairs = cKDTree(blk * scale).sparse_distance_matrix(tree, reach, output_type="ndarray")
-        key = np.sort(pairs["i"].astype(np.int64) * ncells + pairs["j"])
-        centre, cell = np.divmod(key, ncells)
+    for blk, i, j in pairs:
+        xy = centres[blk]
+        centre, cell = np.divmod(np.sort(i.astype(np.int64) * ncells + j), ncells)
         cell = cell.astype(np.int32)
-        d = np.hypot(centres[cell, 0] - blk[centre, 0], centres[cell, 1] - blk[centre, 1])
-        bounds = np.searchsorted(centre, np.arange(len(blk) + 1)).tolist()
-        for (x, y), lo, hi in zip(blk.tolist(), bounds, bounds[1:]):
+        d = np.hypot(centres[cell, 0] - xy[centre, 0], centres[cell, 1] - xy[centre, 1])
+        bounds = np.searchsorted(centre, np.arange(len(xy) + 1)).tolist()
+        for (x, y), lo, hi in zip(xy.tolist(), bounds, bounds[1:]):
             cells, dist = cell[lo:hi], d[lo:hi]
             for r in radius_list:
                 row = cells[dist <= r].tobytes()

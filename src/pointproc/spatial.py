@@ -27,6 +27,7 @@ from .core import (
     Region,
     RngStream,
     SpatialPattern,
+    _positive,
     aggregate_to_grid,
     indexed_map,
 )
@@ -54,9 +55,7 @@ NNI_MAX_HEX = 2.0 * math.sqrt(2.0 / math.sqrt(3.0))
 
 def simulate_csr(rate: float, region: Region, rng: RngStream) -> SpatialPattern:
     """Complete spatial randomness: Poisson count, uniform placement."""
-    rate = float(rate)
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ParameterError(f"rate must be positive, got {rate}")
+    rate = _positive(rate)
     n = rng.poisson(rate * region.area)
     xs = rng.uniforms(region.xmin, region.xmax, n)
     ys = rng.uniforms(region.ymin, region.ymax, n)
@@ -71,9 +70,7 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Gr
     surface under-estimates there; its integral over the region is below
     n by exactly the mass the discs lose.
     """
-    bandwidth = float(bandwidth)
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+    bandwidth = _positive(bandwidth, "bandwidth")
     centres = spec.centre_points()
     if len(pattern) == 0:
         counts = np.zeros(spec.ncells)

@@ -22,7 +22,8 @@ from .core import (
     EventTimes,
     ParameterError,
     RngStream,
-    _check_rate,
+    _non_negative,
+    _positive,
 )
 
 __all__ = [
@@ -52,10 +53,8 @@ def poisson_count_pmf(rate: float, a: float, b: float, n: int) -> float:
 
     Evaluated in log space, so large means and counts do not overflow.
     """
-    rate = float(rate)
+    rate = _positive(rate)
     a, b = float(a), float(b)
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ParameterError(f"rate must be positive, got {rate}")
     if not (0.0 <= a < b) or not math.isfinite(b):
         raise ParameterError(f"interval must satisfy 0 <= a < b, got ({a}, {b})")
     if n != int(n) or n < 0:
@@ -73,12 +72,8 @@ def simulate_hpp(rate: float, horizon: float, rng: RngStream) -> EventTimes:
     The first arrival past the horizon is drawn and discarded, so the
     consumed random variates are a deterministic function of the path.
     """
-    rate = float(rate)
-    horizon = float(horizon)
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ParameterError(f"rate must be positive, got {rate}")
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ParameterError(f"horizon must be positive, got {horizon}")
+    rate = _positive(rate)
+    horizon = _positive(horizon, "horizon")
     times = []
     t = 0.0
     with contextlib.closing(rng.uniform_draws()) as draws:
@@ -170,10 +165,8 @@ class IntensityFn:
 
     @classmethod
     def constant(cls, rate: float, horizon: float) -> "IntensityFn":
-        rate = float(rate)
-        if not (math.isfinite(rate) and rate >= 0.0):
-            raise ParameterError(f"rate must be >= 0, got {rate}")
-        return cls._exact(lambda t: rate, [(0.0, float(horizon), rate)])
+        rate = _non_negative(rate, "rate")
+        return cls._exact(lambda t: rate, [(0.0, _positive(horizon, "horizon"), rate)])
 
     @classmethod
     def piecewise(cls, segments: Sequence[tuple]) -> "IntensityFn":
@@ -199,10 +192,8 @@ class IntensityFn:
     ) -> "IntensityFn":
         """base + amplitude * sin(2 pi t / period), with an exact
         per-segment supremum as the envelope."""
-        base, amplitude, period = float(base), float(amplitude), float(period)
-        horizon = float(horizon)
-        if not (math.isfinite(period) and period > 0.0):
-            raise ParameterError(f"period must be positive, got {period}")
+        base, amplitude = float(base), float(amplitude)
+        period, horizon = _positive(period, "period"), _positive(horizon, "horizon")
         if not (math.isfinite(base) and math.isfinite(amplitude)):
             raise ParameterError("base and amplitude must be finite")
         w = 2.0 * math.pi / period
@@ -245,9 +236,7 @@ def simulate_nhpp(intensity: IntensityFn, horizon: float, rng: RngStream) -> Eve
     at s survives when u <= rate(s) / bound.  Segments with a zero
     bound generate nothing and are skipped outright.
     """
-    horizon = float(horizon)
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ParameterError(f"horizon must be positive, got {horizon}")
+    horizon = _positive(horizon, "horizon")
     if intensity.horizon < horizon * (1.0 - 1e-12):
         raise ParameterError(
             f"envelope span {intensity.horizon} does not cover horizon {horizon}"
@@ -261,7 +250,7 @@ def simulate_nhpp(intensity: IntensityFn, horizon: float, rng: RngStream) -> Eve
             end = min(b, horizon)
             if u == 0.0:
                 continue
-            _check_rate(u)  # the bounds array is writable
+            _positive(u)  # the bounds array is writable
             s = a
             while True:
                 s += -math.log(draw()) / u
@@ -310,12 +299,8 @@ class ExponentialKernel:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ParameterError(f"beta must be > 0, got {self.beta}")
+        object.__setattr__(self, "alpha", _non_negative(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _positive(self.beta, "beta"))
 
     def evaluate(self, x):
         return self.alpha * np.exp(-self.beta * np.asarray(x, dtype=float))
@@ -333,14 +318,9 @@ class PowerLawKernel:
     eta: float
 
     def __post_init__(self):
-        for name in ("alpha", "delta", "eta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ParameterError(f"delta must be > 0, got {self.delta}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ParameterError(f"eta must be > 0, got {self.eta}")
+        object.__setattr__(self, "alpha", _non_negative(self.alpha, "alpha"))
+        for name in ("delta", "eta"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
     def evaluate(self, x):
         return self.alpha / (np.asarray(x, dtype=float) + self.delta) ** (self.eta + 1.0)
@@ -360,9 +340,7 @@ class HawkesModel:
     kernel: Kernel
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ParameterError(f"mu must be >= 0, got {self.mu}")
+        object.__setattr__(self, "mu", _non_negative(self.mu, "mu"))
         if not isinstance(self.kernel, (ExponentialKernel, PowerLawKernel)):
             raise ParameterError(f"unsupported kernel type {type(self.kernel).__name__}")
 
@@ -430,11 +408,8 @@ def simulate_hawkes(model: HawkesModel, horizon: float, rng: RngStream) -> Event
     dominates the intensity until the next event because the
     exponential kernel only decays between events.
     """
-    horizon = float(horizon)
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ParameterError(f"horizon must be positive, got {horizon}")
-    if model.mu <= 0.0:
-        raise ParameterError(f"mu must be > 0 to simulate, got {model.mu}")
+    horizon = _positive(horizon, "horizon")
+    _positive(model.mu, "mu")
     if not isinstance(model.kernel, ExponentialKernel):
         raise ParameterError(
             "simulation requires the exponential kernel; "
@@ -457,7 +432,7 @@ def simulate_hawkes(model: HawkesModel, horizon: float, rng: RngStream) -> Event
         while True:
             bound = model.mu + excitation
             if not math.isfinite(bound) or bound <= 0.0:  # the excitation can overflow
-                _check_rate(bound)  # raises
+                _positive(bound)  # raises
             w = -math.log(draw()) / bound
             excitation *= math.exp(-beta * w)
             s += w

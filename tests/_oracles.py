@@ -3,8 +3,9 @@
 These deliberately avoid the library's k-d tree: every statistic is
 recomputed from a dense pairwise-distance matrix using the same
 Euclidean arithmetic (sqrt of the sum of squares), which the production
-code must match exactly.  The one exception is `ripleys_k_tree`, the
-per-radius k-d tree loop, which pins the tree's tie rule.
+code must match exactly.  Two exceptions pin the k-d tree's tie rule:
+`ripleys_k_tree`, the per-radius tree loop, and `gi_star_squared`, which
+applies the tree's dx*dx + dy*dy <= r*r to every pair.
 
 `read_table_rows` is the CSV reader's row-by-row parser, the reference
 for its fast path, and `dense_discs` the dense-mask disc builder, the
@@ -111,10 +112,23 @@ def kde_values(points: np.ndarray, centres: np.ndarray, bandwidth: float) -> np.
 
 
 def gi_star(counts: np.ndarray, centres: np.ndarray, radius: float) -> np.ndarray:
-    """Dense-weights GI* reference on flattened counts."""
+    """Dense-weights GI* reference on flattened counts: a pair when d <= r."""
+    return _gi_star_weights(counts, cross(centres, centres) <= radius)
+
+
+def gi_star_squared(counts: np.ndarray, centres: np.ndarray, radii) -> list[np.ndarray]:
+    """GI* at each radius with the k-d tree's rule: a pair when
+    dx*dx + dy*dy <= r*r."""
+    dx = centres[:, None, 0] - centres[None, :, 0]
+    dy = centres[:, None, 1] - centres[None, :, 1]
+    d2 = dx * dx + dy * dy
+    return [_gi_star_weights(counts, d2 <= r * r) for r in radii]
+
+
+def _gi_star_weights(counts: np.ndarray, within: np.ndarray) -> np.ndarray:
     x = counts.astype(float)
     n = x.size
-    w = (cross(centres, centres) <= radius).astype(float)
+    w = within.astype(float)
     W = w.sum(axis=1)
     S = w @ x
     xbar = x.mean()

@@ -100,6 +100,18 @@ class TestSimulate:
                    "--intensity", "sinusoid", "--horizon", 48.0,
                    "--base", 3.0, "--amplitude", 2.0, "--period", 24.0) == 0
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-3"])
+    @pytest.mark.parametrize("shape", [
+        ["--intensity", "sinusoid", "--base", 3.0, "--amplitude", 2.0, "--period", 24.0],
+        ["--intensity", "constant", "--rate", 2.0],
+    ], ids=["sinusoid", "constant"])
+    def test_nhpp_bad_horizon_names_it(self, tmp_path, capsys, shape, horizon):
+        out = tmp_path / "run"
+        assert run("--out", out, "simulate", "nhpp", "--horizon", horizon, *shape) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon must be positive and finite")
+        assert "Traceback" not in err
+
     def test_nhpp_missing_params_fails_cleanly(self, tmp_path):
         out = tmp_path / "run"
         assert run("--out", out, "simulate", "nhpp",

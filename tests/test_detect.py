@@ -169,6 +169,43 @@ class TestGiStar:
         with pytest.raises(ParameterError):
             gi_star(grid, 0.0)
 
+    @pytest.mark.parametrize("nx,ny", [(10, 10), (17, 23)])
+    def test_matches_the_tree_rule_at_every_squared_distance(self, nx, ny):
+        # radius sqrt(d2) for every distinct squared centre distance d2 puts
+        # pairs on the boundary of the tree's dx*dx + dy*dy <= r*r rule
+        spec = GridSpec(UNIT, nx, ny)
+        counts = np.arange(spec.ncells).reshape(nx, ny) * 7 % 11
+        grid, centres = Grid(spec, counts), spec.centre_points()
+        dx = centres[:, None, 0] - centres[None, :, 0]
+        dy = centres[:, None, 1] - centres[None, :, 1]
+        radii = np.sqrt(np.unique(dx * dx + dy * dy)[1:])
+        for r, ref in zip(radii, brute.gi_star_squared(counts.ravel(), centres, radii)):
+            try:
+                z = gi_star(grid, r).values.ravel()
+            except DegenerateDataError:  # every neighbourhood is the whole grid
+                z = np.zeros(spec.ncells)
+            assert np.array_equal(z, ref), r
+
+    def test_large_radius_holds_one_block_of_pairs(self):
+        # radius 0.9 leaves corner cells uncovered, so GI* is defined; its
+        # 12 million neighbour pairs are listed one block at a time
+        grid = Grid(GridSpec(UNIT, 60, 60), np.arange(3600).reshape(60, 60) % 7)
+        tracemalloc.start()
+        try:
+            z = gi_star(grid, 0.9).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(z)) and np.any(z != 0.0)
+        assert peak < 32 * 2**20
+
+    def test_tiny_region_matches_the_unit_grid(self):
+        # squared distances of 1e-171 cells underflow to 0 without the rescale
+        counts = np.arange(100).reshape(10, 10) % 7
+        tiny = GridSpec(Region(0, 1e-170, 0, 1e-170), 10, 10)
+        z = gi_star(Grid(tiny, counts), 1.5e-171).values
+        assert np.array_equal(z, gi_star(Grid(GridSpec(UNIT, 10, 10), counts), 0.15).values)
+
 
 class TestPoissonLlr:
     def test_hand_value(self):
