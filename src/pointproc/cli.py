@@ -257,12 +257,7 @@ def _build_intensity(p) -> IntensityFn:
     if kind == "piecewise":
         if not p.get("segments"):
             raise ParameterError("piecewise intensity needs --segments")
-        segs = p["segments"]
-        if segs[-1][1] < horizon:
-            raise ParameterError(
-                f"segments end at {segs[-1][1]} but horizon is {horizon}"
-            )
-        return IntensityFn.piecewise(segs)
+        return IntensityFn.piecewise(p["segments"])
     for name in ("base", "amplitude", "period"):
         if p[name] is None:
             raise ParameterError(f"sinusoid intensity needs --{name}")

@@ -73,13 +73,10 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
         raise DegenerateDataError("GI* is undefined when every cell count is equal")
     pairs = _centre_pairs(spec, radius)
     tree, reach = next(pairs)
-
-    def covered(points) -> bool:
-        return bool(np.all(tree.query_ball_point(points, reach, return_length=True) >= n))
-
-    # full coverage raises before any pair is listed; the four corner cells
-    # must be covered first, so most grids skip the per-cell count
-    if covered(tree.data[[0, spec.ny - 1, n - spec.ny, n - 1]]) and covered(tree.data):
+    # full coverage raises before any pair is listed.  Centres round
+    # monotonically, so no two lie further apart than cell 0 and the last
+    # cell: when cell 0 sees the whole grid, every cell does
+    if tree.query_ball_point(tree.data[0], reach, return_length=True) >= n:
         raise DegenerateDataError(
             "every neighbourhood covers the whole grid; GI* is identically zero"
         )

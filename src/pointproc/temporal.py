@@ -9,6 +9,7 @@ after every accepted event and every rejected time advance.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import warnings
@@ -22,6 +23,7 @@ from .core import (
     EventTimes,
     ParameterError,
     RngStream,
+    _check_array_size,
     _non_negative,
     _positive,
 )
@@ -96,7 +98,9 @@ class IntensityFn:
     violation: the simulator re-checks at each candidate point and
     raises EnvelopeError if the envelope lied.  The built-in shapes
     (`constant`, `piecewise`, `sinusoid`) skip the sampling, because
-    their envelopes are exact by construction.
+    their envelopes are exact by construction.  The envelope is
+    validated once and kept as a tuple; `segments()`, `horizon` and
+    `max_bound` read it.
     """
 
     _CHECK_POINTS = 1000
@@ -126,12 +130,12 @@ class IntensityFn:
             if i and a != segs[i - 1][1]:
                 raise ParameterError(f"envelope has a gap/overlap before segment {i}")
         self._fn = fn
-        self.starts = np.array([s[0] for s in segs])
-        self.ends = np.array([s[1] for s in segs])
-        self.bounds = np.array([s[2] for s in segs])
+        self._envelope = tuple(segs)
+        self.horizon = segs[-1][1]
+        self.max_bound = max(u for _, _, u in segs)
 
     def _check_dominance(self):
-        for a, b, u in zip(self.starts, self.ends, self.bounds):
+        for a, b, u in self._envelope:
             ts = np.linspace(a, b, self._CHECK_POINTS + 2)
             # segments are half-open on the right: check the left limit
             ts[-1] = a + (b - a) * (1.0 - 1e-12)
@@ -144,22 +148,14 @@ class IntensityFn:
                         f"envelope bound {u} does not dominate intensity {v} at t={t}"
                     )
 
-    @property
-    def horizon(self) -> float:
-        return float(self.ends[-1])
-
-    @property
-    def max_bound(self) -> float:
-        return float(self.bounds.max())
-
     def __call__(self, t: float) -> float:
         t = float(t)
-        if t < 0.0 or t > self.horizon:
+        if not 0.0 <= t <= self.horizon:
             raise ParameterError(f"t={t} outside envelope span [0, {self.horizon}]")
         return float(self._fn(t))
 
     def segments(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.starts.tolist(), self.ends.tolist(), self.bounds.tolist()))
+        return list(self._envelope)
 
     # -- common shapes -------------------------------------------------
 
@@ -172,13 +168,10 @@ class IntensityFn:
     def piecewise(cls, segments: Sequence[tuple]) -> "IntensityFn":
         """Step function; each (t_start, t_end, rate) is its own bound."""
         segs = [(float(a), float(b), float(r)) for a, b, r in segments]
-        starts = np.array([s[0] for s in segs])
-        rates = np.array([s[2] for s in segs])
 
         def step(t: float) -> float:
             # a boundary time belongs to the segment it starts
-            i = int(np.searchsorted(starts, t, side="right")) - 1
-            return float(rates[max(0, min(i, len(segs) - 1))])
+            return segs[bisect.bisect_right(segs, (t, math.inf, math.inf)) - 1][2]
 
         return cls._exact(step, segs)
 
@@ -199,7 +192,9 @@ class IntensityFn:
         w = 2.0 * math.pi / period
         fn = lambda t: base + amplitude * math.sin(w * t)
         seg_len = period / _SINUSOID_SEGMENTS
-        n_seg = max(1, math.ceil(horizon / seg_len - 1e-12))
+        n_seg = horizon / seg_len if seg_len else math.inf
+        _check_array_size(f"envelope for period {period}: segment count", n_seg)
+        n_seg = max(1, math.ceil(n_seg - 1e-12))
         edges = np.minimum(np.arange(n_seg + 1) * seg_len, horizon)
         segs = []
         for a, b in zip(edges[:-1], edges[1:]):
@@ -250,7 +245,6 @@ def simulate_nhpp(intensity: IntensityFn, horizon: float, rng: RngStream) -> Eve
             end = min(b, horizon)
             if u == 0.0:
                 continue
-            _positive(u)  # the bounds array is writable
             s = a
             while True:
                 s += -math.log(draw()) / u
@@ -352,7 +346,7 @@ def hawkes_intensity(model: HawkesModel, history: EventTimes, t: float) -> float
     value at an event time is the pre-jump intensity.
     """
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")
     past = history.times[history.times < t]
     if past.size == 0:

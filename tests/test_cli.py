@@ -112,6 +112,22 @@ class TestSimulate:
         assert err.startswith("error: horizon must be positive and finite")
         assert "Traceback" not in err
 
+    def test_nhpp_backwards_segment_names_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("--out", out, "simulate", "nhpp", "--intensity", "piecewise",
+                   "--horizon", 1.0, "--segments", "0:1:2,1:0.5:3") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: envelope segment 1 must have t_end > t_start")
+
+    def test_nhpp_sinusoid_too_many_segments(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("--out", out, "simulate", "nhpp", "--intensity", "sinusoid", "--base", 3.0,
+                   "--amplitude", 1.0, "--period", "1e-300", "--horizon", 5.0) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: envelope for period 1e-300: segment count")
+        assert "Traceback" not in err
+        assert not (out / "events.csv").exists()
+
     def test_nhpp_missing_params_fails_cleanly(self, tmp_path):
         out = tmp_path / "run"
         assert run("--out", out, "simulate", "nhpp",

@@ -388,12 +388,6 @@ def _hawkes_with_alpha(alpha):
     return HawkesModel(0.5, kernel)
 
 
-def _nhpp_with_bound(bound):
-    f = IntensityFn.piecewise([(0, 10, 1.0)])
-    f.bounds[0] = bound  # the bounds array is writable
-    return simulate_nhpp(f, 10.0, RngStream(0))
-
-
 _GRID = Grid(GridSpec(Region(0, 1, 0, 1), 2, 2), [[1, 2], [3, 4]])
 _PATTERN = SpatialPattern([[0.5, 0.5]], Region(0, 1, 0, 1))
 _KERNEL = ExponentialKernel(0.5, 1.0)
@@ -426,8 +420,7 @@ SCALAR_SITES = [
     ("PowerLawKernel.delta", "delta", False, lambda v: PowerLawKernel(0.5, v, 1.0)),
     ("PowerLawKernel.eta", "eta", False, lambda v: PowerLawKernel(0.5, 1.0, v)),
     ("HawkesModel", "mu", True, lambda v: HawkesModel(v, _KERNEL)),
-    # a zero envelope bound skips its segment; a zero excitation leaves the bound at mu
-    ("simulate_nhpp.bound", "rate", True, _nhpp_with_bound),
+    # a zero excitation leaves the bound at mu
     ("simulate_hawkes.bound", "rate", True,
      lambda v: simulate_hawkes(_hawkes_with_alpha(v), 100.0, RngStream(0))),
 ]

@@ -84,6 +84,9 @@ class TestRss:
             rss(a, b)
 
 
+COLLIDED = GridSpec(Region(1e16, 1e16 + 64, 0, 1), 64, 2)  # x centres collide in pairs
+
+
 class TestGiStar:
     def test_matches_dense_reference(self):
         spec = GridSpec(UNIT, 6, 5)
@@ -169,12 +172,13 @@ class TestGiStar:
         with pytest.raises(ParameterError):
             gi_star(grid, 0.0)
 
-    @pytest.mark.parametrize("nx,ny", [(10, 10), (17, 23)])
-    def test_matches_the_tree_rule_at_every_squared_distance(self, nx, ny):
+    @pytest.mark.parametrize("spec", [
+        GridSpec(UNIT, 10, 10), GridSpec(UNIT, 17, 23), COLLIDED, GridSpec(UNIT, 1, 7),
+    ], ids=["10-10", "17-23", "collided", "1x7"])
+    def test_matches_the_tree_rule_at_every_squared_distance(self, spec):
         # radius sqrt(d2) for every distinct squared centre distance d2 puts
         # pairs on the boundary of the tree's dx*dx + dy*dy <= r*r rule
-        spec = GridSpec(UNIT, nx, ny)
-        counts = np.arange(spec.ncells).reshape(nx, ny) * 7 % 11
+        counts = np.arange(spec.ncells).reshape(spec.nx, spec.ny) * 7 % 11
         grid, centres = Grid(spec, counts), spec.centre_points()
         dx = centres[:, None, 0] - centres[None, :, 0]
         dy = centres[:, None, 1] - centres[None, :, 1]
@@ -236,9 +240,6 @@ def exact_distances(spec):
     c = spec.centre_points()
     d = np.unique(np.hypot(c[:, 0] - c[0, 0], c[:, 1] - c[0, 1]))
     return d[d > 0]
-
-
-COLLIDED = GridSpec(Region(1e16, 1e16 + 64, 0, 1), 64, 2)  # x centres collide in pairs
 
 
 class TestCandidateDiscs:

@@ -214,6 +214,20 @@ class TestIntensityFn:
         with pytest.raises(ParameterError):
             f(6.0)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ParameterError, match="outside envelope span"):
+            IntensityFn.constant(2, 5)(math.nan)
+
+    def test_envelope_is_frozen(self):
+        f = IntensityFn.piecewise([(0, 10, 4.0), (10, 20, 1.0)])
+        assert not any(hasattr(f, name) for name in ("starts", "ends", "bounds"))
+        want = simulate_nhpp(f, 20.0, RngStream(3)).times
+        segs = f.segments()
+        segs[1] = (10.0, 20.0, math.inf)
+        segs.append((20.0, 30.0, 1.0))
+        assert f.segments() == [(0.0, 10.0, 4.0), (10.0, 20.0, 1.0)]
+        assert np.array_equal(simulate_nhpp(f, 20.0, RngStream(3)).times, want)
+
 
 class TestSimulateNhpp:
     def test_deterministic(self):
@@ -321,12 +335,6 @@ class TestNhppStreamPosition:
             scalar_thinning(f, 50.0, ref)
         assert stream_state(rng) == stream_state(ref)
         assert stream_state(rng) != state_after_uniforms(0, 0)  # it drew before raising
-
-    def test_bound_checked_per_segment(self):
-        f = IntensityFn.piecewise([(0, 10, 4.0), (10, 20, 1.0)])
-        f.bounds[1] = math.inf  # the array is writable
-        with pytest.raises(ParameterError, match="rate must be positive and finite, got inf"):
-            simulate_nhpp(f, 20.0, FiniteRng(3))
 
 
 class TestNhppMean:
@@ -456,6 +464,11 @@ class TestHawkesIntensity:
         history = EventTimes([1.0], horizon=4.0)
         # elapsed x = 2, kernel = 1 / (2 + 1)^2
         assert hawkes_intensity(model, history, 3.0) == pytest.approx(2.0 + 1.0 / 9.0)
+
+    def test_nan_time_rejected(self):
+        model = HawkesModel(1.0, ExponentialKernel(0.5, 1.0))
+        with pytest.raises(ParameterError, match="t must be >= 0, got nan"):
+            hawkes_intensity(model, EventTimes([1.0, 2.0], horizon=5.0), math.nan)
 
 
 def brute_force_ogata(mu, alpha, beta, horizon, rng):
