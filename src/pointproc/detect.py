@@ -41,7 +41,8 @@ __all__ = [
     "space_time_scan",
 ]
 
-# Candidate (centre, cell) pairs held at once by _centre_pairs.
+# Candidate (centre, cell) pairs held at once by _centre_pairs, and
+# (centre, cell) distances by _candidate_discs.
 _DISC_BLOCK_PAIRS = 2**18
 
 
@@ -126,20 +127,52 @@ class ScanResult:
 class ScanResults(Sequence):
     """Read-only scan results in rank order, as the columns of scan.csv.
 
-    `columns` holds cx, cy, radius, t_start, t_end, observed, expected,
-    llr and p_value, one read-only array each, row k being the k-th
-    ranked cylinder.  A `ScanResult` is built only when indexed or
-    iterated; a slice returns a list of them.
+    Built from nine columns, cx, cy, radius, t_start, t_end, observed,
+    expected, llr and p_value, in any row order.  Ranking is by decreasing
+    LLR, ties on cx, cy, radius and t_start, then the given order, and it
+    is lazy: `columns` sorts every row on first use and keeps the result,
+    one read-only array per column, row k being the k-th ranked cylinder;
+    `top(k)` sorts only the rows with the k-th LLR or above.  A
+    `ScanResult` is built only when indexed or iterated; a slice returns a
+    list of them.
     """
 
     def __init__(self, columns):
         self._columns = tuple(columns)
         for c in self._columns:
             c.setflags(write=False)
+        self._ranked = False
 
     @property
     def columns(self) -> tuple:
+        if not self._ranked:
+            # read once: a concurrent call may swap in ranked columns, and
+            # ranking those again gives the same rows
+            cols = self._columns
+            order = self._order(cols)
+            cols = tuple(c[order] for c in cols)
+            for c in cols:
+                c.setflags(write=False)
+            self._columns, self._ranked = cols, True
         return self._columns
+
+    def top(self, k: int) -> tuple:
+        """The columns of the best k rows in rank order: `columns` cut to k
+        rows, but unless they are already ranked, only the rows with the
+        k-th LLR or above are sorted."""
+        cols = self._columns
+        if self._ranked or not 0 < k < len(self):
+            return tuple(c[:k] for c in self.columns)
+        key = -cols[7]
+        # every row tied with the k-th LLR, and NaN ones, which sort last
+        rows = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
+        rows = rows[self._order(tuple(c[rows] for c in cols))[:k]]
+        return tuple(c[rows] for c in cols)
+
+    @staticmethod
+    def _order(columns) -> np.ndarray:
+        cx, cy, radius, t_start, _, _, _, llr, _ = columns
+        return np.lexsort((t_start, radius, cy, cx, -llr))
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -147,7 +180,7 @@ class ScanResults(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
-        *cylinder, observed, expected, llr, p_value = (c[index] for c in self._columns)
+        *cylinder, observed, expected, llr, p_value = (c[index] for c in self.columns)
         return ScanResult(
             Cylinder(*cylinder), int(observed), float(expected), float(llr), float(p_value)
         )
@@ -202,48 +235,104 @@ def _centre_pairs(spec: GridSpec, radius: float):
         yield blk, pairs["i"], pairs["j"]
 
 
-def _candidate_discs(spec: GridSpec, radii: np.ndarray):
-    """Distinct cell sets reachable as (centre, radius) discs.
+def _box(offsets: np.ndarray, reach: float):
+    """Per centre, the start of a fixed-width window of cells along one axis.
 
-    Returns the discs as the rows of a CSR matrix of ones over the cells,
-    and their (cx, cy, radius) representatives as an (ndiscs, 3) array.
-    A cell is in a disc when the np.hypot of its offset from the centre is
-    at most the radius; the centre pairs, taken with a margin, only
-    propose candidate cells, so they may propose too many but never too
-    few.  Discs containing identical cell sets are evaluated once; the
-    first (centre, radius) producing a set, centre-major with the radii in
-    the order given, is kept as its representative.
+    `offsets[a, b]` is the offset of cell b from centre a.  Offsets round
+    monotonically in b, so the cells within `reach` of a centre are one
+    span holding the centre itself; the window, as wide as the widest span
+    and clipped to the grid, contains it.
     """
-    centres = spec.centre_points()
-    ncells = centres.shape[0]
-    pairs = _centre_pairs(spec, radii.max() * (1 + 1e-9))
-    next(pairs)  # the tree; the discs need only the pairs
+    near = np.abs(offsets) <= reach
+    width = int(near.sum(axis=1).max())
+    return np.clip(near.argmax(axis=1), 0, len(offsets) - width), width
+
+
+def _candidate_discs(spec: GridSpec, radii: np.ndarray):
+    """Distinct cell sets reachable as (centre, radius) discs, as column runs.
+
+    Returns the discs as an (ndiscs, nx, 2) int32 array of [lo, hi) bounds
+    on iy, one run per grid column, (0, 0) where a disc misses the column;
+    and their (cx, cy, radius) representatives as an (ndiscs, 3) array.  A
+    cell is in a disc when the np.hypot of its offset from the centre is at
+    most the radius.  Offsets round monotonically and hypot grows with
+    |dy|, so in each column the members are one run of iy, placed by its
+    first member and its size.  Each centre is measured only against a box
+    of columns and rows wide enough for the largest radius, a block of
+    centres at a time; no (centre, cell) pair is listed.  Discs with
+    identical runs are evaluated once; the first (centre, radius) producing
+    a set, centre-major with the radii in the order given, is kept as its
+    representative.
+    """
+    nx, ny, ncells = spec.nx, spec.ny, spec.ncells
+    cx, cy = spec.x_centres(), spec.y_centres()
+    dx, dy = cx - cx[:, None], cy - cy[:, None]
+    # the margin guards the box against a libm hypot that is not monotone
+    reach = radii.max() * (1 + 1e-9)
+    col0, bx = _box(dx, reach)
+    row0, by = _box(dy, reach)
+    ixc, iyc = np.divmod(np.arange(ncells), ny)
+    cols = col0[ixc, None] + np.arange(bx)
+    rows = row0[iyc, None] + np.arange(by)
     radius_list = radii.tolist()
+    nrad = len(radius_list)
+    width = 2 * nx * np.dtype(np.int32).itemsize
+    # a block holds at most about _DISC_BLOCK_PAIRS distances and as many runs
+    block = max(1, _DISC_BLOCK_PAIRS // (bx * by + nrad * nx))
     seen: set[bytes] = set()
-    rows: list[bytes] = []
+    keys: list[bytes] = []
     reps: list[tuple[float, float, float]] = []
-    for blk, i, j in pairs:
-        xy = centres[blk]
-        centre, cell = np.divmod(np.sort(i.astype(np.int64) * ncells + j), ncells)
-        cell = cell.astype(np.int32)
-        d = np.hypot(centres[cell, 0] - xy[centre, 0], centres[cell, 1] - xy[centre, 1])
-        bounds = np.searchsorted(centre, np.arange(len(xy) + 1)).tolist()
-        for (x, y), lo, hi in zip(xy.tolist(), bounds, bounds[1:]):
-            cells, dist = cell[lo:hi], d[lo:hi]
-            for r in radius_list:
-                row = cells[dist <= r].tobytes()
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-                    reps.append((x, y, r))
-    indices = np.frombuffer(bytearray().join(rows), dtype=np.int32)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    indptr //= indices.itemsize
-    members = sparse.csr_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(len(rows), ncells)
-    )
-    return members, np.array(reps)
+    for b0 in range(0, ncells, block):
+        c = np.arange(b0, min(b0 + block, ncells))
+        col, row = cols[c], rows[c]
+        dist = np.hypot(dx[ixc[c, None], col][:, :, None], dy[iyc[c, None], row][:, None, :])
+        at = np.arange(len(c))[:, None]
+        runs = np.zeros((len(c), nrad, nx, 2), dtype=np.int32)
+        for k, r in enumerate(radius_list):
+            inside = dist <= r
+            size = inside.sum(axis=2)
+            lo = np.where(size > 0, row[:, :1] + inside.argmax(axis=2), 0)
+            runs[at, k, col, 0] = lo
+            runs[at, k, col, 1] = lo + size
+        buf = runs.tobytes()
+        for m in range(len(c) * nrad):
+            key = buf[m * width:(m + 1) * width]
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+                centre, k = divmod(b0 * nrad + m, nrad)
+                reps.append((cx[ixc[centre]], cy[iyc[centre]], radius_list[k]))
+    runs = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), nx, 2)
+    return runs, np.array(reps)
+
+
+def _run_matrix(runs: np.ndarray, ny: int):
+    """The discs' runs as a CSR matrix over the rows of `_prefix_sums`.
+
+    Row d holds +1 at each run's hi and -1 at its lo, so its product with
+    the prefix sums is the sum over disc d's cells.
+    """
+    ndiscs, nx = runs.shape[:2]
+    lo, hi = runs[..., 0], runs[..., 1]
+    hit = hi > lo
+    base = np.arange(nx) * (ny + 1)
+    indices = np.stack([base + lo, base + hi], axis=-1)[hit].ravel()
+    indptr = np.zeros(ndiscs + 1, dtype=np.int64)
+    np.cumsum(2 * hit.sum(axis=1), out=indptr[1:])
+    data = np.tile([-1.0, 1.0], indices.size // 2)
+    return sparse.csr_matrix((data, indices, indptr), shape=(ndiscs, nx * (ny + 1)))
+
+
+def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """(ncells, n) values -> (nx * (ny + 1), n + 1) 2-D prefix sums.
+
+    Row ix * (ny + 1) + j, column s holds the sum over cells (ix, iy < j)
+    and slices < s: cumulated along the slices, then down each column.
+    """
+    n = per_cell.shape[1]
+    out = np.zeros((nx, ny + 1, n + 1))
+    np.cumsum(per_cell.reshape(nx, ny, n).cumsum(axis=2), axis=1, out=out[:, 1:, 1:])
+    return out.reshape(nx * (ny + 1), n + 1)
 
 
 def _candidate_windows(n_slices: int, slice_len: float, durations: np.ndarray):
@@ -288,10 +377,13 @@ def space_time_scan(
     p-value is the rank of its LLR among the replicate maxima,
     (1 + #{max_sim >= llr}) / (nsim + 1).
 
-    Results are sorted by decreasing LLR (ties: centre x, y, radius,
-    start) and returned as a read-only `ScanResults` sequence, which
-    holds them as the columns of scan.csv.  Each replicate uses
-    substream i+1 of `rng`, so the output is independent of `threads`.
+    Each disc is held as one run of cells per grid column, so one sparse
+    product of +1/-1 run ends with 2-D prefix sums gives every disc's
+    slice sums, for the observed counts and in each replicate.  Results
+    come back as a read-only `ScanResults` sequence, the columns of
+    scan.csv, ranked by decreasing LLR (ties: centre x, y, radius, start)
+    on first use.  Each replicate uses substream i+1 of `rng`, so the
+    output is independent of `threads`.
     """
     n_slices = int(n_slices)
     nsim = int(nsim)
@@ -341,23 +433,24 @@ def space_time_scan(
     if mass_total <= 0.0:
         raise DegenerateDataError("baseline has zero total mass")
 
-    members, reps = _candidate_discs(spec, radii_arr)
+    runs, reps = _candidate_discs(spec, radii_arr)
+    discs = _run_matrix(runs, spec.ny)
     windows = _candidate_windows(n_slices, slice_len, dur_arr)
     starts = np.array([s0 for s0, _ in windows])
     ends = starts + np.array([w for _, w in windows])
     n_win = len(windows)
 
-    def window_sums(per_slice: np.ndarray) -> np.ndarray:
-        """(ndiscs, nslices) -> (ndiscs, nwindows) sums over each window."""
-        cum = np.zeros((per_slice.shape[0], n_slices + 1), dtype=per_slice.dtype)
-        np.cumsum(per_slice, axis=1, out=cum[:, 1:])
-        return cum[:, ends] - cum[:, starts]
-
-    # Integer counts make the sparse observed pass exact in any order.
-    obs = window_sums(members @ counts)
-    # `expected` stays on the dense BLAS product: scan.csv records its last
-    # bits, and sparse or blocked sums of the float mass round differently.
-    expected = total * window_sums(members.toarray() @ mass) / mass_total
+    # Integer counts make the run sums exact in any order.
+    obs = discs @ _prefix_sums(counts, spec.nx, spec.ny)
+    obs = obs[:, ends] - obs[:, starts]
+    # `expected` stays on the dense BLAS product of the 0/1 member rows:
+    # scan.csv records its last bits, and sparse or blocked sums of the
+    # float mass round differently.
+    iy = np.arange(spec.ny)
+    members = (runs[..., :1] <= iy) & (iy < runs[..., 1:])
+    cum = np.zeros((len(runs), n_slices + 1))
+    np.cumsum(members.reshape(len(runs), ncells).astype(float) @ mass, axis=1, out=cum[:, 1:])
+    expected = total * (cum[:, ends] - cum[:, starts]) / mass_total
     llr = _poisson_llr(obs, expected, total).ravel()
 
     # Null distribution of the maximum LLR.  The LLR is 0 for n <= mu and
@@ -368,7 +461,7 @@ def space_time_scan(
     by_group = np.argsort(group, kind="stable")
     group_starts = np.searchsorted(group[by_group], np.arange(mu.size))
     # Each cylinder's window sum, in group order, is hi - lo in the flattened
-    # (ndiscs, nslices + 1) product of the discs with the slice cumsums.
+    # (ndiscs, nslices + 1) product of the runs with the prefix sums.
     disc, win = np.divmod(by_group, n_win)
     row = disc * (n_slices + 1)
     lo, hi = row + starts[win], row + ends[win]
@@ -377,9 +470,7 @@ def space_time_scan(
     def replicate(i: int) -> float:
         sub = rng.substream(i + 1)
         sim = sub.multinomial(int(total), pvals).reshape(ncells, n_slices)
-        cum = np.zeros((ncells, n_slices + 1))
-        np.cumsum(sim, axis=1, out=cum[:, 1:])
-        sums = (members @ cum).ravel()
+        sums = (discs @ _prefix_sums(sim, spec.nx, spec.ny)).ravel()
         sim_obs = np.take(sums, hi) - np.take(sums, lo)
         return float(_poisson_llr(np.maximum.reduceat(sim_obs, group_starts), mu, total).max())
 
@@ -391,6 +482,4 @@ def space_time_scan(
     t_start = np.tile(starts * slice_len, len(reps))
     t_end = np.tile(np.minimum(ends * slice_len, events.horizon), len(reps))
     observed = np.rint(obs).astype(np.int64).ravel()
-    order = np.lexsort((t_start, radius, cy, cx, -llr))
-    columns = (cx, cy, radius, t_start, t_end, observed, expected.ravel(), llr, p_value)
-    return ScanResults(tuple(c[order] for c in columns))
+    return ScanResults((cx, cy, radius, t_start, t_end, observed, expected.ravel(), llr, p_value))

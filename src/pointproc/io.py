@@ -200,4 +200,4 @@ def write_curve_csv(path, radii, observed, lower=None, upper=None) -> None:
 def write_scan_csv(path, results, top=None) -> None:
     """A `ScanResults` table in rank order, or its best `top` rows."""
     write_table(path, "cx,cy,radius,t_start,t_end,observed,expected,llr,p_value",
-                [c[:top] for c in results.columns])
+                results.columns if top is None else results.top(top))

@@ -335,6 +335,44 @@ def test_c11_planted_space_time_cluster(note):
     assert calm >= 90
 
 
+def test_c13_scan_null_calibration(note):
+    # Under H0 the top cylinder's Monte Carlo p-value is valid,
+    # P(p <= k/(nsim+1)) <= k/(nsim+1) (Besag and Clifford 1989), when the
+    # events follow the scan's baseline: the volume default, and a
+    # non-uniform baseline the events are drawn from.
+    spec, n_slices, n_events, trials = GridSpec(UNIT, 5, 5), 5, 40, 200
+    mass = np.random.default_rng(13).gamma(1.0, size=(n_slices, 5, 5))
+    rates = {}
+    for b, baseline in enumerate([None, [Grid(spec, m) for m in mass]]):
+        p_values = []
+        for trial in range(trials):
+            g = np.random.default_rng([13, b, trial])
+            if baseline is None:
+                data = g.random((n_events, 3))
+            else:
+                pick = g.choice(mass.size, n_events, p=(mass / mass.sum()).ravel())
+                s, ix, iy = np.unravel_index(pick, mass.shape)
+                u = g.random((n_events, 3))
+                data = np.column_stack([(ix + u[:, 0]) / 5, (iy + u[:, 1]) / 5,
+                                        (s + u[:, 2]) / n_slices])
+            events = SpaceTimeEvents(data, UNIT, 1.0)
+            # seeds 100 apart: the replicates of one trial use seed + 1..99
+            res = space_time_scan(events, spec, n_slices, [0.15, 0.3], [0.2, 0.4], 99,
+                                  RngStream(10**6 * (b + 1) + 100 * trial), baseline=baseline)
+            p_values.append(res[0].p_value)
+        p_values = np.array(p_values)
+        for k in (5, 10, 20):
+            q = k / 100
+            rates[("volume", "gamma")[b], k] = (np.mean(p_values <= q),
+                                                q + 3 * math.sqrt(q * (1 - q) / trials))
+
+    ok = all(rate <= bound for rate, bound in rates.values())
+    note(13, "scan-null-calibration", ok,
+         ", ".join(f"{name} P(p<={k}/100)={rate:.3f}" for (name, k), (rate, _) in rates.items()))
+    for (name, k), (rate, bound) in rates.items():
+        assert rate <= bound, (name, k, rate, bound)
+
+
 def test_c12_cli_reproducibility(tmp_path, note):
     g = np.random.default_rng(12)
     pts = tmp_path / "pts.csv"

@@ -15,6 +15,7 @@ from pointproc import (
     Region,
     RngStream,
     ScanResult,
+    ScanResults,
     SpaceTimeEvents,
     SpatialPattern,
     aggregate_to_grid,
@@ -242,40 +243,67 @@ def exact_distances(spec):
     return d[d > 0]
 
 
-class TestCandidateDiscs:
-    """The sparse disc builder against the dense-mask reference: the same
-    cells and the same representatives, in the same order."""
+def run_masks(spec, runs):
+    """Column runs [lo, hi) of iy expanded to one dense 0/1 row per disc:
+    +1 at each lo and -1 at each hi, cumulated down the column."""
+    disc, ix = np.indices(runs.shape[:2])
+    edges = np.zeros((len(runs), spec.nx, spec.ny + 1))
+    np.add.at(edges, (disc, ix, runs[..., 0]), 1.0)
+    np.add.at(edges, (disc, ix, runs[..., 1]), -1.0)
+    return edges.cumsum(axis=2)[..., :-1].reshape(len(runs), spec.ncells)
 
-    @pytest.mark.parametrize("spec,radii", [
-        (GridSpec(UNIT, 30, 30), [0.05, 0.1, 0.15]),
-        (GridSpec(UNIT, 17, 23), [0.15, 0.05, 0.3, 0.05]),
-        (GridSpec(UNIT, 1, 1), [0.2]),
-        (GridSpec(UNIT, 6, 4), [100.0]),
-        (GridSpec(Region(0, 1e-100, 0, 1e-100), 8, 8), [1e-101, 3e-101, 7e-101]),
-        (COLLIDED, [0.5, 1.0, 2.5]),
-        (GridSpec(UNIT, 10, 13), None),
-        # squared distances would underflow without the tree's rescale
-        (GridSpec(Region(0, 1e-158, 0, 7e-159), 7, 5), None),
-    ], ids=["bench", "17x23", "1x1", "radius-100", "1e-100-wide", "collided", "on-boundary",
-            "1e-158-wide"])
+
+DISC_GEOMETRIES = pytest.mark.parametrize("spec,radii", [
+    (GridSpec(UNIT, 30, 30), [0.05, 0.1, 0.15]),
+    (GridSpec(UNIT, 17, 23), [0.15, 0.05, 0.3, 0.05]),
+    (GridSpec(UNIT, 1, 1), [0.2]),
+    (GridSpec(UNIT, 6, 4), [100.0]),
+    (GridSpec(Region(0, 1e-100, 0, 1e-100), 8, 8), [1e-101, 3e-101, 7e-101]),
+    (COLLIDED, [0.5, 1.0, 2.5]),
+    (GridSpec(UNIT, 10, 13), None),
+    # squared distances would underflow; hypot does not
+    (GridSpec(Region(0, 1e-158, 0, 7e-159), 7, 5), None),
+    (GridSpec(UNIT, 17, 23), None),
+], ids=["bench", "17x23", "1x1", "radius-100", "1e-100-wide", "collided", "on-boundary",
+        "1e-158-wide", "17x23-on-boundary"])
+
+
+class TestCandidateDiscs:
+    """The column-run disc builder against the dense-mask reference: the
+    same cells and the same representatives, in the same order."""
+
+    @DISC_GEOMETRIES
     def test_matches_dense_masks(self, spec, radii):
         radii = exact_distances(spec) if radii is None else np.asarray(radii, dtype=float)
-        members, reps = detect._candidate_discs(spec, radii)
+        runs, reps = detect._candidate_discs(spec, radii)
         want, want_reps = brute.dense_discs(spec, radii)
-        assert np.array_equal(members.toarray(), want)
+        assert runs.shape == (len(want), spec.nx, 2)
+        assert np.array_equal(run_masks(spec, runs), want)
         assert np.array_equal(reps, np.array(want_reps))
 
+    @DISC_GEOMETRIES
+    def test_run_sums_match_the_dense_members(self, spec, radii):
+        radii = exact_distances(spec) if radii is None else np.asarray(radii, dtype=float)
+        runs, _ = detect._candidate_discs(spec, radii)
+        members, _ = brute.dense_discs(spec, radii)
+        counts = np.random.default_rng(spec.ncells).integers(0, 50, (spec.ncells, 6))
+        cum = np.zeros((spec.ncells, 7))
+        np.cumsum(counts, axis=1, out=cum[:, 1:])
+        sums = detect._run_matrix(runs, spec.ny) @ detect._prefix_sums(counts, spec.nx, spec.ny)
+        assert np.array_equal(sums, members @ cum)
+
     def test_whole_region_radius_holds_one_block_of_pairs(self):
-        # radius 2 makes all 13 million (centre, cell) pairs candidates; one
-        # list of them would take about 1 GB of numpy buffers (tracemalloc
-        # does not see the tree's own)
+        # radius 2 puts every cell in every centre's box: 13 million
+        # (centre, cell) distances, about 1 GB of numpy buffers if measured
+        # at once, and a few MiB one block of centres at a time
         tracemalloc.start()
         try:
-            members, reps = detect._candidate_discs(GridSpec(UNIT, 60, 60), np.array([2.0]))
+            runs, reps = detect._candidate_discs(GridSpec(UNIT, 60, 60), np.array([2.0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert members.shape == (1, 3600) and members.nnz == 3600
+        members = run_masks(GridSpec(UNIT, 60, 60), runs)
+        assert members.shape == (1, 3600) and np.count_nonzero(members) == 3600
         assert reps.shape == (1, 3) and reps[0, 2] == 2.0
         assert peak < 32 * 2**20
 
@@ -609,6 +637,25 @@ class TestScanResults:
         ]
         assert all(res[k] == ScanResult(Cylinder(*rows[k][:5]), *rows[k][5:])
                    for k in range(len(res)))
+
+    @pytest.mark.parametrize("k", [1, 7, 100, 300, 449, 450, 10**6, 0, -3])
+    def test_top_matches_the_full_rank(self, k):
+        def fresh():
+            return space_time_scan(make_events(3), GridSpec(UNIT, 5, 5), 5, [0.15, 0.3],
+                                   [0.2, 0.4], 99, RngStream(1))
+        top, full = fresh().top(k), fresh().columns
+        # k = 300 cuts inside the llr == 0 ties
+        assert np.sum(full[7] > 0) < 300 < len(full[7])
+        assert all(np.array_equal(a, b[:k]) for a, b in zip(top, full, strict=True))
+
+    def test_columns_given_in_any_order_are_ranked(self, res):
+        shuffled = np.random.default_rng(0).permutation(len(res))
+        again = ScanResults(tuple(c[shuffled] for c in res.columns))
+        # the rank keys match row for row; rows tied on all of them (one
+        # start, two durations) keep the order they were given in
+        assert all(np.array_equal(again.columns[i], res.columns[i]) for i in (0, 1, 2, 3, 7))
+        rows = [sorted(zip(*(c.tolist() for c in r.columns))) for r in (again, res)]
+        assert rows[0] == rows[1]
 
 
 class TestCylinder:
