@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .core import (
     DegenerateDataError,
@@ -41,8 +40,7 @@ __all__ = [
     "space_time_scan",
 ]
 
-# Candidate (centre, cell) pairs held at once by _centre_pairs, and
-# (centre, cell) distances by _candidate_discs.
+# (centre, cell) offsets held at once by _windows and its callers.
 _DISC_BLOCK_PAIRS = 2**18
 
 
@@ -55,8 +53,9 @@ def rss(a: Grid, b: Grid) -> float:
 
 
 def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
-    """Getis-Ord GI* z-scores of a grid of counts, with binary weights
-    (centre distance <= radius, the cell itself included).
+    """Getis-Ord GI* z-scores of a grid of counts, with binary weights: cell
+    j is a neighbour of centre i when dx*dx + dy*dy <= radius*radius for
+    their centre offset (dx, dy), the cell itself included.
 
     z_i = (S_i - xbar W_i) / (s sqrt((n W_i - W_i^2) / (n - 1))), where
     S_i is the neighbourhood sum, W_i its size, and s the population
@@ -72,21 +71,25 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
     s = x.std()  # population sd, matching the n-1 variance factor above
     if s == 0.0:
         raise DegenerateDataError("GI* is undefined when every cell count is equal")
-    pairs = _centre_pairs(spec, radius)
-    tree, reach = next(pairs)
-    # full coverage raises before any pair is listed.  Centres round
-    # monotonically, so no two lie further apart than cell 0 and the last
-    # cell: when cell 0 sees the whole grid, every cell does
-    if tree.query_ball_point(tree.data[0], reach, return_length=True) >= n:
+    # squared offsets underflow for tiny cells; rescaling by a power of two
+    # is exact and keeps them in the normal range
+    scale = math.ldexp(1.0, -math.frexp(max(spec.cell_width, spec.cell_height))[1])
+    cx, cy = spec.x_centres() * scale, spec.y_centres() * scale
+    reach = radius * scale
+    r2 = reach * reach
+    # Centres round monotonically, so no two lie further apart than cell 0 and
+    # the last cell: when those are neighbours, every cell sees the whole grid
+    dx, dy = cx[-1] - cx[0], cy[-1] - cy[0]
+    if dx * dx + dy * dy <= r2:
         raise DegenerateDataError(
             "every neighbourhood covers the whole grid; GI* is identically zero"
         )
-    # integer counts make S exact in any order
     W, S = np.zeros(n), np.zeros(n)
-    for blk, centre, cell in pairs:
-        size = blk.stop - blk.start
-        W[blk] = np.bincount(centre, minlength=size)
-        S[blk] = np.bincount(centre, weights=x[cell], minlength=size)
+    for blk, col, row, dx, dy in _windows(cx, cy, reach):
+        near = (dx * dx)[:, :, None] + (dy * dy)[:, None, :] <= r2
+        W[blk] = near.sum(axis=(1, 2))
+        # integer counts make S exact in any order
+        S[blk] = (near * x[col[:, :, None] * spec.ny + row[:, None, :]]).sum(axis=(1, 2))
     xbar = x.mean()
     var_term = (n * W - W * W) / (n - 1.0)
     full = W >= n
@@ -205,47 +208,55 @@ def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
     return np.where(n > mu, inside + outside, 0.0)
 
 
-def _centre_pairs(spec: GridSpec, radius: float):
-    """Pairs of cell centres within `radius` of each other, a block at a time.
-
-    First yields the k-d tree of the centres and the radius, both in the
-    tree's units; then, for one block of centres at a time, a slice of
-    the cells and the block's (centre, cell) pairs as two index arrays,
-    in no particular order, with the centre counted from the slice start.
-    A pair is kept when dx*dx + dy*dy <= radius*radius.  Those squared
-    distances underflow for tiny cells, so the tree holds the centres
-    rescaled by a power of two, which is exact and keeps them in the
-    normal range.  A block holds at most about _DISC_BLOCK_PAIRS pairs,
-    even when the radius spans the region.
-    """
-    centres = spec.centre_points()
-    ncells = centres.shape[0]
-    scale = math.ldexp(1.0, -math.frexp(max(spec.cell_width, spec.cell_height))[1])
-    tree = cKDTree(centres * scale)
-    reach = radius * scale
-    yield tree, reach
-    # the cells within the radius of a centre lie in a box of at most this many
-    box = min(spec.nx, 2 * radius / spec.cell_width + 3) * min(
-        spec.ny, 2 * radius / spec.cell_height + 3)
-    block = max(1, int(_DISC_BLOCK_PAIRS // box))
-    for b0 in range(0, ncells, block):
-        blk = slice(b0, min(b0 + block, ncells))
-        query = tree if block >= ncells else cKDTree(tree.data[blk])
-        pairs = query.sparse_distance_matrix(tree, reach, output_type="ndarray")
-        yield blk, pairs["i"], pairs["j"]
+def _span_ends(c: np.ndarray, reach: float) -> np.ndarray:
+    """Per a, the first b > a with c[b] - c[a] > reach, or len(c): a
+    vectorised bisection, since the offsets round monotonically in b."""
+    n = len(c)
+    lo, hi = np.arange(1, n + 1), np.full(n, n)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        ok = c[mid] - c[live] > reach
+        hi[live[ok]] = mid[ok]
+        lo[live[~ok]] = mid[~ok] + 1
+        live = live[lo[live] < hi[live]]
+    return lo
 
 
-def _box(offsets: np.ndarray, reach: float):
+def _box(c: np.ndarray, reach: float):
     """Per centre, the start of a fixed-width window of cells along one axis.
 
-    `offsets[a, b]` is the offset of cell b from centre a.  Offsets round
-    monotonically in b, so the cells within `reach` of a centre are one
-    span holding the centre itself; the window, as wide as the widest span
-    and clipped to the grid, contains it.
+    The cells within `reach` of centre a are one span holding a itself; its
+    start is the end of the span on the reversed, negated axis, whose
+    offsets are exactly the negated ones.  The window, as wide as the
+    widest span and clipped to the axis, contains it.
     """
-    near = np.abs(offsets) <= reach
-    width = int(near.sum(axis=1).max())
-    return np.clip(near.argmax(axis=1), 0, len(offsets) - width), width
+    n = len(c)
+    first = n - _span_ends(-c[::-1], reach)[::-1]
+    width = int((_span_ends(c, reach) - first).max())
+    return np.clip(first, 0, n - width), width
+
+
+def _windows(cx: np.ndarray, cy: np.ndarray, reach: float, per_centre: int = 0):
+    """The cells near each grid centre, one block of centres at a time.
+
+    Yields a slice of the centres, x-major, and per centre the columns and
+    rows of its window with their offsets from it, as (block, bx) and
+    (block, by) arrays.  The window, offsets within `reach` and a margin on
+    each axis, holds every cell within `reach` by hypot or by squared
+    offsets.  A block holds about _DISC_BLOCK_PAIRS offsets and `per_centre`
+    more values per centre.
+    """
+    nx, ny = len(cx), len(cy)
+    reach = reach * (1 + 1e-9)
+    col0, bx = _box(cx, reach)
+    row0, by = _box(cy, reach)
+    block = max(1, _DISC_BLOCK_PAIRS // (bx * by + per_centre))
+    for b0 in range(0, nx * ny, block):
+        ix, iy = np.divmod(np.arange(b0, min(b0 + block, nx * ny)), ny)
+        col = col0[ix, None] + np.arange(bx)
+        row = row0[iy, None] + np.arange(by)
+        yield slice(b0, b0 + len(ix)), col, row, cx[col] - cx[ix, None], cy[row] - cy[iy, None]
 
 
 def _candidate_discs(spec: GridSpec, radii: np.ndarray):
@@ -257,37 +268,25 @@ def _candidate_discs(spec: GridSpec, radii: np.ndarray):
     cell is in a disc when the np.hypot of its offset from the centre is at
     most the radius.  Offsets round monotonically and hypot grows with
     |dy|, so in each column the members are one run of iy, placed by its
-    first member and its size.  Each centre is measured only against a box
-    of columns and rows wide enough for the largest radius, a block of
-    centres at a time; no (centre, cell) pair is listed.  Discs with
-    identical runs are evaluated once; the first (centre, radius) producing
-    a set, centre-major with the radii in the order given, is kept as its
-    representative.
+    first member and its size.  Each centre is measured only against the
+    `_windows` box of the largest radius; no (centre, cell) pair is
+    listed.  Discs with identical runs are evaluated once; the first
+    (centre, radius) producing a set, centre-major with the radii in the
+    order given, is kept as its representative.
     """
-    nx, ny, ncells = spec.nx, spec.ny, spec.ncells
+    nx, ny = spec.nx, spec.ny
     cx, cy = spec.x_centres(), spec.y_centres()
-    dx, dy = cx - cx[:, None], cy - cy[:, None]
-    # the margin guards the box against a libm hypot that is not monotone
-    reach = radii.max() * (1 + 1e-9)
-    col0, bx = _box(dx, reach)
-    row0, by = _box(dy, reach)
-    ixc, iyc = np.divmod(np.arange(ncells), ny)
-    cols = col0[ixc, None] + np.arange(bx)
-    rows = row0[iyc, None] + np.arange(by)
     radius_list = radii.tolist()
     nrad = len(radius_list)
     width = 2 * nx * np.dtype(np.int32).itemsize
-    # a block holds at most about _DISC_BLOCK_PAIRS distances and as many runs
-    block = max(1, _DISC_BLOCK_PAIRS // (bx * by + nrad * nx))
     seen: set[bytes] = set()
     keys: list[bytes] = []
     reps: list[tuple[float, float, float]] = []
-    for b0 in range(0, ncells, block):
-        c = np.arange(b0, min(b0 + block, ncells))
-        col, row = cols[c], rows[c]
-        dist = np.hypot(dx[ixc[c, None], col][:, :, None], dy[iyc[c, None], row][:, None, :])
-        at = np.arange(len(c))[:, None]
-        runs = np.zeros((len(c), nrad, nx, 2), dtype=np.int32)
+    for blk, col, row, dx, dy in _windows(cx, cy, radii.max(), nrad * nx):
+        ncentres = blk.stop - blk.start
+        dist = np.hypot(dx[:, :, None], dy[:, None, :])
+        at = np.arange(ncentres)[:, None]
+        runs = np.zeros((ncentres, nrad, nx, 2), dtype=np.int32)
         for k, r in enumerate(radius_list):
             inside = dist <= r
             size = inside.sum(axis=2)
@@ -295,13 +294,13 @@ def _candidate_discs(spec: GridSpec, radii: np.ndarray):
             runs[at, k, col, 0] = lo
             runs[at, k, col, 1] = lo + size
         buf = runs.tobytes()
-        for m in range(len(c) * nrad):
+        for m in range(ncentres * nrad):
             key = buf[m * width:(m + 1) * width]
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
-                centre, k = divmod(b0 * nrad + m, nrad)
-                reps.append((cx[ixc[centre]], cy[iyc[centre]], radius_list[k]))
+                centre, k = divmod(blk.start * nrad + m, nrad)
+                reps.append((cx[centre // ny], cy[centre % ny], radius_list[k]))
     runs = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), nx, 2)
     return runs, np.array(reps)
 
@@ -339,13 +338,13 @@ def _candidate_windows(n_slices: int, slice_len: float, durations: np.ndarray):
     """Distinct (start slice, slice count) windows for the durations.
 
     Durations are floored to whole slices, with a one-slice minimum:
-    the scan cannot resolve below its slice length.
+    the scan cannot resolve below its slice length.  A duration past the
+    horizon covers every slice, even where its slice count overflows.
     """
     seen = set()
     windows: list[tuple[int, int]] = []
-    for dur in durations:
-        width = int(math.floor(dur / slice_len + 1e-9))
-        width = min(max(width, 1), n_slices)
+    for dur in durations.tolist():
+        width = max(math.floor(min(dur / slice_len + 1e-9, n_slices)), 1)
         for s0 in range(n_slices - width + 1):
             if (s0, width) not in seen:
                 seen.add((s0, width))

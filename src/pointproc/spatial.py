@@ -78,7 +78,7 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Gr
         tree = cKDTree(pattern.points)
         counts = tree.query_ball_point(centres, bandwidth, return_length=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = counts / (math.pi * bandwidth**2)
+        vals = counts / (math.pi * np.float64(bandwidth) ** 2)  # inf where Python's ** raises
     if not np.all(np.isfinite(vals)):  # count / area overflows, or the area is 0
         raise ParameterError(f"bandwidth {bandwidth} is too small: the density overflows")
     return Grid(spec, vals.reshape(spec.nx, spec.ny))
@@ -205,10 +205,10 @@ def nni(pattern: SpatialPattern) -> float:
 def _pair_counts(centres: cKDTree, tree: cKDTree, radii: np.ndarray) -> np.ndarray:
     """Pairs (c, p), c a centre and p a tree point, with dx*dx + dy*dy <= r*r."""
     counts = centres.count_neighbors(tree, radii)
-    # count_neighbors compares with pow(r, 2), one ulp off r*r for about one
-    # radius in a thousand; those radii are counted per point, by the r*r rule
-    for j, r in enumerate(radii):
-        if math.pow(r, 2) != r * r:
+    # count_neighbors compares with pow(r, 2), one ulp off a finite r*r for about
+    # one radius in a thousand; those radii are counted per point, by the r*r rule
+    for j, r in enumerate(radii.tolist()):
+        if math.isfinite(r * r) and math.pow(r, 2) != r * r:
             counts[j] = tree.query_ball_point(centres.data, r, return_length=True).sum()
     return counts
 

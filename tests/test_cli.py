@@ -187,6 +187,15 @@ class TestAnalyze:
         assert lines[0] == "r,observed,lower,upper"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("envelope", [(), ("--envelope", 19)], ids=["plain", "envelope"])
+    def test_k_radius_whose_square_overflows(self, tmp_path, envelope):
+        src = write_pattern(tmp_path)
+        out = tmp_path / "run"
+        assert run("--seed", 9, "--out", out, "analyze", "k", "--in", src,
+                   "--region", "0,1,0,1", "--radii", "0.1,1e308", *envelope) == 0
+        last = (out / "k.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[1]) == 119 / 120  # (n - 1) / lambda, 120 points on the unit square
+
     def test_f_requires_probe_grid(self, tmp_path):
         src = write_pattern(tmp_path)
         out = tmp_path / "run"
@@ -297,6 +306,18 @@ class TestDetect:
         assert lines[0].startswith("cx,cy,radius")
         llrs = [float(l.split(",")[7]) for l in lines[1:]]
         assert llrs == sorted(llrs, reverse=True)
+
+    def test_scan_duration_past_the_horizon(self, tmp_path):
+        src = write_space_time(tmp_path)
+        scans = []
+        for dur in ("1e308", "1"):
+            out = tmp_path / dur
+            assert run("--seed", 5, "--out", out, "detect", "scan", "--in", src,
+                       "--region", "0,1,0,1", "--horizon", 1.0,
+                       "--nx", 4, "--ny", 4, "--slices", 4,
+                       "--radii", "0.3", "--durations", dur, "--nsim", 99) == 0
+            scans.append((out / "scan.csv").read_bytes())
+        assert scans[0] == scans[1]
 
     def test_scan_top_truncates(self, tmp_path):
         src = write_space_time(tmp_path)

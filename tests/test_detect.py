@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 import _oracles as brute
 from pointproc import (
@@ -124,14 +123,10 @@ class TestGiStar:
         with pytest.raises(DegenerateDataError, match="whole grid"):
             gi_star(Grid(spec, counts), 5.0)
 
-    def test_full_coverage_raises_before_the_pair_list(self, monkeypatch):
-        # 3,600 cells at radius 2 would first list all 13 million neighbour pairs;
-        # tracemalloc sees numpy's buffers but not scipy's, hence the stub too
-        class NoPairList(cKDTree):
-            def sparse_distance_matrix(self, *args, **kwargs):
-                raise AssertionError("pair list built before the coverage check")
-
-        monkeypatch.setattr(detect, "cKDTree", NoPairList)
+    def test_full_coverage_raises_before_the_pair_list(self):
+        # 3,600 cells at radius 2 would first measure all 13 million
+        # (centre, cell) offsets; GI* calls no scipy, so tracemalloc sees
+        # every allocation
         grid = Grid(GridSpec(UNIT, 60, 60), np.arange(3600).reshape(60, 60) % 7)
         tracemalloc.start()
         try:
@@ -175,7 +170,8 @@ class TestGiStar:
 
     @pytest.mark.parametrize("spec", [
         GridSpec(UNIT, 10, 10), GridSpec(UNIT, 17, 23), COLLIDED, GridSpec(UNIT, 1, 7),
-    ], ids=["10-10", "17-23", "collided", "1x7"])
+        GridSpec(UNIT, 23, 1), GridSpec(Region(-3.25, 9.75, 2.5, 11.5), 13, 9),
+    ], ids=["10-10", "17-23", "collided", "1x7", "23x1", "offset-13x9"])
     def test_matches_the_tree_rule_at_every_squared_distance(self, spec):
         # radius sqrt(d2) for every distinct squared centre distance d2 puts
         # pairs on the boundary of the tree's dx*dx + dy*dy <= r*r rule
@@ -193,7 +189,7 @@ class TestGiStar:
 
     def test_large_radius_holds_one_block_of_pairs(self):
         # radius 0.9 leaves corner cells uncovered, so GI* is defined; its
-        # 12 million neighbour pairs are listed one block at a time
+        # 12 million (centre, cell) offsets are measured one block at a time
         grid = Grid(GridSpec(UNIT, 60, 60), np.arange(3600).reshape(60, 60) % 7)
         tracemalloc.start()
         try:
@@ -202,6 +198,26 @@ class TestGiStar:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(z)) and np.any(z != 0.0)
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("nx,ny", [(20000, 1), (1, 20000)])
+    def test_long_strip_holds_no_axis_table(self, nx, ny):
+        # an (n, n) table of offsets along the strip would take 3.2 GB;
+        # each centre's neighbourhood is the 7 cells within 3.5 cells
+        spec = GridSpec(UNIT, nx, ny)
+        grid = Grid(spec, (np.arange(spec.ncells) % 5).reshape(nx, ny))
+        tracemalloc.start()
+        try:
+            z = gi_star(grid, 3.5 / spec.ncells).values.ravel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x = grid.values.ravel().astype(float)
+        window = np.convolve(x, np.ones(7))[3:-3]
+        size = np.convolve(np.ones_like(x), np.ones(7))[3:-3]
+        n = spec.ncells
+        ref = (window - x.mean() * size) / (x.std() * np.sqrt((n * size - size**2) / (n - 1)))
+        assert np.allclose(z, ref, rtol=1e-12, atol=1e-12)
         assert peak < 32 * 2**20
 
     def test_tiny_region_matches_the_unit_grid(self):
@@ -352,6 +368,13 @@ class TestSpaceTimeScan:
         t_end = res.columns[4]
         assert t_end.max() == 0.7
         assert [r.cylinder.t_end for r in res] == t_end.tolist()
+
+    def test_duration_past_the_horizon_covers_every_slice(self):
+        # 1e308 slices overflow to inf; like the horizon itself, they clamp to 5
+        ev = make_events(6)
+        a, b = (space_time_scan(ev, self.SPEC, 5, [0.3], [d], 99, RngStream(1)).columns
+                for d in (1e308, ev.horizon))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_observed_matches_direct_count(self):
         ev = make_events(5)

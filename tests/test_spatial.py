@@ -129,6 +129,13 @@ class TestKdeSurface:
         else:
             assert np.all(np.isfinite(kde_surface(pat, spec, bw).values))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bw", [1e154, 1e308])
+    def test_huge_bandwidth_gives_a_zero_surface(self, bw):
+        # pi * bw**2 overflows at 1e154, and bw**2 itself at 1e308
+        surf = kde_surface(random_pattern(0), GridSpec(UNIT, 3, 3), bw)
+        assert np.array_equal(surf.values, np.zeros((3, 3)))
+
 
 class TestQuadrat:
     def test_hand_statistic(self):
@@ -331,6 +338,12 @@ class TestRipleysK:
     def test_bad_correction(self):
         with pytest.raises(ParameterError):
             ripleys_k(random_pattern(0), [0.1], correction="ripley")
+
+    @pytest.mark.filterwarnings("error")
+    def test_radius_whose_square_overflows_counts_every_pair(self):
+        pat = random_pattern(0)
+        k = ripleys_k(pat, [0.1, 1e308])
+        assert k[1] == (len(pat) - 1) / pat.intensity
 
 
 def _lattice_case():
