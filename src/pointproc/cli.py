@@ -1,13 +1,14 @@
 """Command-line interface: simulate | analyze | detect with replayable runs.
 
 Every run writes its outputs plus manifest.json into --out.  The
-manifest records the resolved command, parameters and seed -- but not
-the output directory or thread count, neither of which affects the
-bytes produced -- so
+manifest records its format, the resolved command, parameters and seed
+-- but not the output directory or thread count, neither of which
+affects the bytes produced -- so
 
     pointproc --manifest <out>/manifest.json --out <elsewhere>
 
-reproduces the original outputs byte for byte.  Replay turns the
+reproduces the original outputs byte for byte; a manifest of another
+format exits 2 instead.  Replay turns the
 recorded parameters back into a command line for the argv parser, so a
 hand-edited manifest gets every check that argv gets.  On failure all
 files written by the run are removed and the exit status is non-zero.
@@ -181,6 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------- run plumbing
 
+# The manifest format this version writes and replays.  Format 1 had no
+# "format" key; format 2 measures grid discs on whole-cell offsets, which
+# changed GI* and scan outputs at radii that put a cell on a disc's edge.
+_FORMAT = 2
+
 # namespace entries that steer a run rather than shape its outputs
 _RUN_KEYS = ("command", "subcommand", "seed", "out", "threads", "manifest")
 
@@ -225,6 +231,10 @@ def _replay_args(parser: argparse.ArgumentParser, outer) -> argparse.Namespace:
     for fld in ("command", "subcommand", "seed", "params"):
         if fld not in doc:
             raise ParameterError(f"{path}: manifest is missing {fld!r}")
+    found = doc.get("format", 1)  # manifests without the key are format 1
+    if type(found) is not int or found != _FORMAT:
+        raise ParameterError(f"{path}: manifest format {found!r} cannot be replayed; "
+                             f"this version replays format {_FORMAT} only")
     command, recorded = [doc["command"], doc["subcommand"]], doc["params"]
     if not isinstance(recorded, dict):
         raise ParameterError(f"{path}: manifest params must be a JSON object")
@@ -424,8 +434,9 @@ def main(argv=None) -> int:
         return 2
 
     # threads deliberately absent: outputs are thread-invariant
-    manifest = {"tool": "pointproc", "version": __version__, "command": args.command,
-                "subcommand": args.subcommand, "seed": seed, "params": _params(args)}
+    manifest = {"format": _FORMAT, "tool": "pointproc", "version": __version__,
+                "command": args.command, "subcommand": args.subcommand, "seed": seed,
+                "params": _params(args)}
     outdir = Path(args.out) if args.out is not None else Path(".")
     written: list[Path] = []
 
@@ -440,11 +451,11 @@ def main(argv=None) -> int:
         if derived:
             manifest["derived"] = derived
         out("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except (*_USER_ERRORS, OSError) as e:
+    except (*_USER_ERRORS, OSError, MemoryError) as e:
         for path in written:
             with contextlib.suppress(OSError):  # missing, or a directory the run never wrote
                 path.unlink()
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     for path in written:
         print(f"wrote {path}")

@@ -211,6 +211,15 @@ class Region:
         )
 
 
+def _index_list(mask) -> str:
+    """The indices where `mask` holds, for an error message: every one up
+    to ten of them, or the first ten and the count."""
+    where = np.flatnonzero(mask)
+    if where.size <= 10:
+        return str(where.tolist())
+    return f"{str(where[:10].tolist())[:-1]}, ...] ({where.size} in all)"
+
+
 def _check_array_size(what: str, *shape: int) -> None:
     """Raise unless a float64 array of this shape can exist at all: a
     bound on addressable bytes, not a memory cap."""
@@ -283,8 +292,7 @@ class GridSpec:
         iy = np.where((iy >= self.ny) & (y <= r.ymax), self.ny - 1, iy)
         bad = ~self.region.contains(x, y) | ~np.isfinite(x) | ~np.isfinite(y)
         if np.any(bad):
-            where = np.flatnonzero(bad).tolist()
-            raise ParameterError(f"points outside grid region at indices {where}")
+            raise ParameterError(f"points outside grid region at indices {_index_list(bad)}")
         return ix, iy
 
 
@@ -299,9 +307,9 @@ class SpatialPattern:
             raise ParameterError(f"points must be (n, 2), got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ParameterError("point coordinates must be finite")
-        if pts.shape[0] and not np.all(region.contains(pts[:, 0], pts[:, 1])):
-            outside = np.flatnonzero(~region.contains(pts[:, 0], pts[:, 1])).tolist()
-            raise ParameterError(f"points outside region at indices {outside}")
+        outside = ~region.contains(pts[:, 0], pts[:, 1])
+        if np.any(outside):
+            raise ParameterError(f"points outside region at indices {_index_list(outside)}")
         pts.setflags(write=False)
         self.points = pts
         self.region = region
@@ -339,15 +347,14 @@ class SpaceTimeEvents:
         if not np.all(np.isfinite(arr)):
             raise ParameterError("event coordinates must be finite")
         if arr.shape[0]:
-            inside = region.contains(arr[:, 0], arr[:, 1])
-            if not np.all(inside):
-                raise ParameterError(
-                    f"events outside region at indices {np.flatnonzero(~inside).tolist()}"
-                )
+            outside = ~region.contains(arr[:, 0], arr[:, 1])
+            if np.any(outside):
+                raise ParameterError(f"events outside region at indices {_index_list(outside)}")
             t = arr[:, 2]
-            if np.any(t < 0.0) or np.any(t > horizon):
-                bad = np.flatnonzero((t < 0.0) | (t > horizon)).tolist()
-                raise ParameterError(f"event times outside [0, horizon] at indices {bad}")
+            bad = (t < 0.0) | (t > horizon)
+            if np.any(bad):
+                raise ParameterError(
+                    f"event times outside [0, horizon] at indices {_index_list(bad)}")
         arr.setflags(write=False)
         self.xy = arr[:, :2]
         self.t = arr[:, 2]
@@ -396,7 +403,7 @@ def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> Grid:
     point falls inside the grid; the error lists the points outside it.
     """
     if not spec.region.covers(pattern.region):
-        outside = np.flatnonzero(~spec.region.contains(pattern.x, pattern.y)).tolist()
+        outside = _index_list(~spec.region.contains(pattern.x, pattern.y))
         raise ParameterError(f"grid region must cover the pattern region; "
                              f"points outside the grid at indices {outside}")
     counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)

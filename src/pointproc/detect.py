@@ -40,10 +40,6 @@ __all__ = [
     "space_time_scan",
 ]
 
-# (centre, cell) offsets held at once by _windows and its callers.
-_DISC_BLOCK_PAIRS = 2**18
-
-
 def rss(a: Grid, b: Grid) -> float:
     """Residual sum of squares between two grids."""
     if a.spec != b.spec:
@@ -52,10 +48,36 @@ def rss(a: Grid, b: Grid) -> float:
     return float((diff * diff).sum())
 
 
+def _disc_template(spec: GridSpec, radius: float) -> np.ndarray:
+    """The grid disc of `radius` as the half-height of its run per column.
+
+    Entry k, for column offsets k = 0..nx-1, is the largest row offset
+    j <= ny - 1 with np.hypot(k * cell_width, j * cell_height) < radius, or
+    -1 when column offset k holds no cell.  The disc about a centre cell
+    is this template moved there and clipped to the grid: one shape for
+    every centre, symmetric under ±k and ±j.  The tie rule is strict, so
+    a radius of exactly one cell holds the centre cell alone.  Offsets
+    are whole multiples of the cell size, so they neither underflow nor
+    round differently from one centre to the next.
+    """
+    ny, h = spec.ny, spec.cell_height
+    dx = np.arange(spec.nx) * spec.cell_width
+    # a first guess from the circle's half-chord, then exact hypot steps
+    with np.errstate(invalid="ignore", over="ignore"):
+        chord = np.sqrt(radius - dx) * np.sqrt(radius + dx) / h
+    j = np.where(dx < radius, np.minimum(chord, ny - 1), -1).astype(np.int64)
+    while np.any(out := (j >= 0) & ~(np.hypot(dx, j * h) < radius)):
+        j -= out
+    while np.any(more := (j < ny - 1) & (np.hypot(dx, (j + 1) * h) < radius)):
+        j += more
+    return j
+
+
 def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
     """Getis-Ord GI* z-scores of a grid of counts, with binary weights: cell
-    j is a neighbour of centre i when dx*dx + dy*dy <= radius*radius for
-    their centre offset (dx, dy), the cell itself included.
+    j is a neighbour of centre i when their offset of (k, l) cells has
+    np.hypot(k * cell_width, l * cell_height) < radius, the cell itself
+    included (the `_disc_template` rule, shared with the scan).
 
     z_i = (S_i - xbar W_i) / (s sqrt((n W_i - W_i^2) / (n - 1))), where
     S_i is the neighbourhood sum, W_i its size, and s the population
@@ -64,38 +86,41 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
     """
     radius = _positive(neighbourhood_radius, "neighbourhood radius")
     spec = grid.spec
-    n = spec.ncells
+    nx, ny, n = spec.nx, spec.ny, spec.ncells
     if n < 2:
         raise ParameterError("GI* needs at least two cells")
     x = grid.values.ravel().astype(float)
     s = x.std()  # population sd, matching the n-1 variance factor above
     if s == 0.0:
         raise DegenerateDataError("GI* is undefined when every cell count is equal")
-    # squared offsets underflow for tiny cells; rescaling by a power of two
-    # is exact and keeps them in the normal range
-    scale = math.ldexp(1.0, -math.frexp(max(spec.cell_width, spec.cell_height))[1])
-    cx, cy = spec.x_centres() * scale, spec.y_centres() * scale
-    reach = radius * scale
-    r2 = reach * reach
-    # Centres round monotonically, so no two lie further apart than cell 0 and
-    # the last cell: when those are neighbours, every cell sees the whole grid
-    dx, dy = cx[-1] - cx[0], cy[-1] - cy[0]
-    if dx * dx + dy * dy <= r2:
+    half = _disc_template(spec, radius)
+    # when cell 0 reaches the far corner, every cell sees the whole grid
+    if half[-1] == ny - 1:
         raise DegenerateDataError(
             "every neighbourhood covers the whole grid; GI* is identically zero"
         )
-    W, S = np.zeros(n), np.zeros(n)
-    for blk, col, row, dx, dy in _windows(cx, cy, reach):
-        near = (dx * dx)[:, :, None] + (dy * dy)[:, None, :] <= r2
-        W[blk] = near.sum(axis=(1, 2))
+    # W and S per centre, one template column offset k at a time: the run
+    # sums of column c serve the centres in columns c + k and c - k
+    cum = np.zeros((nx, ny + 1))
+    np.cumsum(x.reshape(nx, ny), axis=1, out=cum[:, 1:])
+    iy = np.arange(ny)
+    W, S = np.zeros((nx, ny)), np.zeros((nx, ny))
+    for k, j in enumerate(half[half >= 0].tolist()):
+        lo, hi = np.maximum(iy - j, 0), np.minimum(iy + j + 1, ny)
         # integer counts make S exact in any order
-        S[blk] = (near * x[col[:, :, None] * spec.ny + row[:, None, :]]).sum(axis=(1, 2))
+        runs, size = cum[:, hi] - cum[:, lo], hi - lo
+        S[k:] += runs[:nx - k]
+        W[k:] += size
+        if k:
+            S[:nx - k] += runs[k:]
+            W[:nx - k] += size
+    W, S = W.ravel(), S.ravel()
     xbar = x.mean()
     var_term = (n * W - W * W) / (n - 1.0)
     full = W >= n
     denom = s * np.sqrt(np.where(full, 1.0, var_term))
     z = np.where(full, 0.0, (S - xbar * W) / denom)
-    return Grid(spec, z.reshape(spec.nx, spec.ny))
+    return Grid(spec, z.reshape(nx, ny))
 
 
 @dataclass(frozen=True)
@@ -208,99 +233,43 @@ def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
     return np.where(n > mu, inside + outside, 0.0)
 
 
-def _span_ends(c: np.ndarray, reach: float) -> np.ndarray:
-    """Per a, the first b > a with c[b] - c[a] > reach, or len(c): a
-    vectorised bisection, since the offsets round monotonically in b."""
-    n = len(c)
-    lo, hi = np.arange(1, n + 1), np.full(n, n)
-    live = np.flatnonzero(lo < hi)
-    while live.size:
-        mid = (lo[live] + hi[live]) // 2
-        ok = c[mid] - c[live] > reach
-        hi[live[ok]] = mid[ok]
-        lo[live[~ok]] = mid[~ok] + 1
-        live = live[lo[live] < hi[live]]
-    return lo
-
-
-def _box(c: np.ndarray, reach: float):
-    """Per centre, the start of a fixed-width window of cells along one axis.
-
-    The cells within `reach` of centre a are one span holding a itself; its
-    start is the end of the span on the reversed, negated axis, whose
-    offsets are exactly the negated ones.  The window, as wide as the
-    widest span and clipped to the axis, contains it.
-    """
-    n = len(c)
-    first = n - _span_ends(-c[::-1], reach)[::-1]
-    width = int((_span_ends(c, reach) - first).max())
-    return np.clip(first, 0, n - width), width
-
-
-def _windows(cx: np.ndarray, cy: np.ndarray, reach: float, per_centre: int = 0):
-    """The cells near each grid centre, one block of centres at a time.
-
-    Yields a slice of the centres, x-major, and per centre the columns and
-    rows of its window with their offsets from it, as (block, bx) and
-    (block, by) arrays.  The window, offsets within `reach` and a margin on
-    each axis, holds every cell within `reach` by hypot or by squared
-    offsets.  A block holds about _DISC_BLOCK_PAIRS offsets and `per_centre`
-    more values per centre.
-    """
-    nx, ny = len(cx), len(cy)
-    reach = reach * (1 + 1e-9)
-    col0, bx = _box(cx, reach)
-    row0, by = _box(cy, reach)
-    block = max(1, _DISC_BLOCK_PAIRS // (bx * by + per_centre))
-    for b0 in range(0, nx * ny, block):
-        ix, iy = np.divmod(np.arange(b0, min(b0 + block, nx * ny)), ny)
-        col = col0[ix, None] + np.arange(bx)
-        row = row0[iy, None] + np.arange(by)
-        yield slice(b0, b0 + len(ix)), col, row, cx[col] - cx[ix, None], cy[row] - cy[iy, None]
-
-
 def _candidate_discs(spec: GridSpec, radii: np.ndarray):
     """Distinct cell sets reachable as (centre, radius) discs, as column runs.
 
     Returns the discs as an (ndiscs, nx, 2) int32 array of [lo, hi) bounds
     on iy, one run per grid column, (0, 0) where a disc misses the column;
     and their (cx, cy, radius) representatives as an (ndiscs, 3) array.  A
-    cell is in a disc when the np.hypot of its offset from the centre is at
-    most the radius.  Offsets round monotonically and hypot grows with
-    |dy|, so in each column the members are one run of iy, placed by its
-    first member and its size.  Each centre is measured only against the
-    `_windows` box of the largest radius; no (centre, cell) pair is
-    listed.  Discs with identical runs are evaluated once; the first
-    (centre, radius) producing a set, centre-major with the radii in the
-    order given, is kept as its representative.
+    disc is its radius's `_disc_template` moved to the centre cell and
+    clipped to the grid, so it holds the cells whose offset from the
+    centre is under the radius, and every centre of a radius sees one
+    shape.  The runs are built one grid column of centres at a time.
+    Discs with identical runs are evaluated once; the first (centre,
+    radius) producing a set, centre-major with the radii in the order
+    given, is kept as its representative.
     """
     nx, ny = spec.nx, spec.ny
     cx, cy = spec.x_centres(), spec.y_centres()
     radius_list = radii.tolist()
     nrad = len(radius_list)
+    half = np.stack([_disc_template(spec, r) for r in radius_list])
+    iy = np.arange(ny)[:, None, None]
     width = 2 * nx * np.dtype(np.int32).itemsize
     seen: set[bytes] = set()
     keys: list[bytes] = []
     reps: list[tuple[float, float, float]] = []
-    for blk, col, row, dx, dy in _windows(cx, cy, radii.max(), nrad * nx):
-        ncentres = blk.stop - blk.start
-        dist = np.hypot(dx[:, :, None], dy[:, None, :])
-        at = np.arange(ncentres)[:, None]
-        runs = np.zeros((ncentres, nrad, nx, 2), dtype=np.int32)
-        for k, r in enumerate(radius_list):
-            inside = dist <= r
-            size = inside.sum(axis=2)
-            lo = np.where(size > 0, row[:, :1] + inside.argmax(axis=2), 0)
-            runs[at, k, col, 0] = lo
-            runs[at, k, col, 1] = lo + size
-        buf = runs.tobytes()
-        for m in range(ncentres * nrad):
+    for ix in range(nx):
+        # (nrad, nx) half-heights about column ix, then (ny, nrad, nx) runs
+        h = half[:, np.abs(np.arange(nx) - ix)]
+        lo = np.where(h >= 0, np.maximum(iy - h, 0), 0)
+        hi = np.where(h >= 0, np.minimum(iy + h + 1, ny), 0)
+        buf = np.stack([lo, hi], axis=-1).astype(np.int32).tobytes()
+        for m in range(ny * nrad):
             key = buf[m * width:(m + 1) * width]
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
-                centre, k = divmod(blk.start * nrad + m, nrad)
-                reps.append((cx[centre // ny], cy[centre % ny], radius_list[k]))
+                row, k = divmod(m, nrad)
+                reps.append((cx[ix], cy[row], radius_list[k]))
     runs = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), nx, 2)
     return runs, np.array(reps)
 

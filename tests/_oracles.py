@@ -3,9 +3,12 @@
 These deliberately avoid the library's k-d tree: every statistic is
 recomputed from a dense pairwise-distance matrix using the same
 Euclidean arithmetic (sqrt of the sum of squares), which the production
-code must match exactly.  Two exceptions pin the k-d tree's tie rule:
-`ripleys_k_tree`, the per-radius tree loop, and `gi_star_squared`, which
-applies the tree's dx*dx + dy*dy <= r*r to every pair.
+code must match exactly.  The exception is `ripleys_k_tree`, the
+per-radius tree loop, which pins the k-d tree's tie rule.  The grid discs of GI* and the
+scan are open and measured on whole-cell offsets: `gi_star_lattice`,
+`disc_template` and `dense_discs` count a cell when
+np.hypot(k * cell_width, l * cell_height) < r for its offset of (k, l)
+cells, at every (centre, cell) pair.
 
 `read_table_rows` is the CSV reader's row-by-row parser, the reference
 for its fast path, and `dense_discs` the dense-mask disc builder, the
@@ -116,13 +119,28 @@ def gi_star(counts: np.ndarray, centres: np.ndarray, radius: float) -> np.ndarra
     return _gi_star_weights(counts, cross(centres, centres) <= radius)
 
 
-def gi_star_squared(counts: np.ndarray, centres: np.ndarray, radii) -> list[np.ndarray]:
-    """GI* at each radius with the k-d tree's rule: a pair when
-    dx*dx + dy*dy <= r*r."""
-    dx = centres[:, None, 0] - centres[None, :, 0]
-    dy = centres[:, None, 1] - centres[None, :, 1]
-    d2 = dx * dx + dy * dy
-    return [_gi_star_weights(counts, d2 <= r * r) for r in radii]
+def lattice_distances(spec) -> np.ndarray:
+    """(ncells, ncells) np.hypot of every (centre, cell) offset of (k, l)
+    whole cells, measured as k * cell_width and l * cell_height."""
+    ix, iy = np.divmod(np.arange(spec.ncells), spec.ny)
+    k, l = ix[:, None] - ix[None, :], iy[:, None] - iy[None, :]
+    return np.hypot(k * spec.cell_width, l * spec.cell_height)
+
+
+def gi_star_lattice(counts: np.ndarray, spec, radii) -> list[np.ndarray]:
+    """GI* at each radius with the grid-disc rule: a pair when its
+    lattice distance is < r."""
+    d = lattice_distances(spec)
+    return [_gi_star_weights(counts, d < r) for r in radii]
+
+
+def disc_template(spec, radius) -> np.ndarray:
+    """Per column offset k, the largest row offset l with
+    np.hypot(k * cell_width, l * cell_height) < radius, or -1 if none."""
+    k = np.arange(spec.nx)[:, None] * spec.cell_width
+    l = np.arange(spec.ny)[None, :] * spec.cell_height
+    inside = np.hypot(k, l) < radius
+    return np.where(inside.any(axis=1), spec.ny - 1 - inside[:, ::-1].argmax(axis=1), -1)
 
 
 def _gi_star_weights(counts: np.ndarray, within: np.ndarray) -> np.ndarray:
@@ -142,19 +160,19 @@ def _gi_star_weights(counts: np.ndarray, within: np.ndarray) -> np.ndarray:
 def dense_discs(spec, radii):
     """Distinct cell sets reachable as (centre, radius) discs, as dense masks.
 
-    One float mask row per distinct disc, from every cell distance of
-    every centre; the first (centre, radius) producing a set is kept as
-    its representative.
+    One float mask row per distinct disc, from the lattice distance of
+    every cell to every centre; the first (centre, radius) producing a
+    set is kept as its representative.
     """
     centres = spec.centre_points()
     ncells = centres.shape[0]
+    dist = lattice_distances(spec)
     seen: dict[bytes, int] = {}
     members: list[np.ndarray] = []
     reps: list[tuple[float, float, float]] = []
     for c in range(ncells):
-        d = np.hypot(centres[:, 0] - centres[c, 0], centres[:, 1] - centres[c, 1])
         for r in radii:
-            mask = d <= r
+            mask = dist[c] < r
             key = mask.tobytes()
             if key not in seen:
                 seen[key] = len(members)

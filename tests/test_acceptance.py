@@ -373,6 +373,36 @@ def test_c13_scan_null_calibration(note):
         assert rate <= bound, (name, k, rate, bound)
 
 
+def test_c14_envelope_null_calibration(note):
+    # Under CSR, a pattern's curve leaves the nsim = 19 min/max envelope at
+    # a given radius with probability at most 2/20 = 0.1; ties of the step
+    # functions G, F and K only lower it.  Leaving it at any radius is
+    # likelier (Baddeley et al. 2014), so that rate is reported, not bounded.
+    trials, probe = 250, GridSpec(UNIT, 8, 8)
+    radii = {"G": [0.02, 0.05, 0.08, 0.12], "F": [0.03, 0.06, 0.1, 0.15],
+             "K": [0.05, 0.1, 0.15, 0.2]}
+    bound = 0.1 + 3 * math.sqrt(0.1 * 0.9 / trials)
+    pointwise, anywhere = {}, {}
+    for name, rs in radii.items():
+        outside = []
+        for trial in range(trials):
+            pattern = simulate_csr(50.0, UNIT, RngStream(14_000_000 + trial))
+            # seeds 100 apart: the replicates of one trial use seed + 1..19
+            env = csr_envelope(pattern, name.lower(), rs, 19,
+                               RngStream(15_000_000 + 100 * trial),
+                               probe_spec=probe if name == "F" else None)
+            outside.append((env.observed < env.lower) | (env.observed > env.upper))
+        outside = np.array(outside)
+        pointwise[name], anywhere[name] = outside.mean(axis=0), outside.any(axis=1).mean()
+
+    ok = all(np.all(rate <= bound) for rate in pointwise.values())
+    note(14, "envelope-null-calibration", ok, ", ".join(
+        f"{name} pointwise max {pointwise[name].max():.3f}, any radius {anywhere[name]:.3f}"
+        for name in radii))
+    for name, rate in pointwise.items():
+        assert np.all(rate <= bound), (name, rate.tolist(), bound)
+
+
 def test_c12_cli_reproducibility(tmp_path, note):
     g = np.random.default_rng(12)
     pts = tmp_path / "pts.csv"

@@ -731,6 +731,21 @@ class TestManifestReplay:
         assert run("--manifest", tmp_path / "nope.json", "--out", tmp_path) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,found", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "format"}, "1"),
+        (lambda doc: {**doc, "format": 3}, "3"),
+        (lambda doc: {**doc, "format": "2"}, "'2'"),
+    ], ids=["no-key", "format-3", "text"])
+    def test_other_format_is_a_usage_error(self, recorded, tmp_path, capsys, edit, found):
+        assert recorded["hpp"]["format"] == 2
+        m, out = tmp_path / "m.json", tmp_path / "run"
+        m.write_text(json.dumps(edit(recorded["hpp"])))
+        assert run("--manifest", m, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {m}: manifest format {found} cannot be replayed; "
+                       "this version replays format 2 only\n")
+        assert not out.exists()
+
     def test_manifest_missing_field(self, tmp_path, capsys):
         m = tmp_path / "m.json"
         m.write_text(json.dumps({"command": "simulate", "subcommand": "hpp"}))
@@ -764,6 +779,18 @@ class TestTopLevel:
         assert capsys.readouterr().err.startswith("error:")
         assert [p.name for p in out.iterdir()] == ["manifest.json"]  # events.csv rolled back
         assert (out / "manifest.json").is_dir()
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 74.5 GiB"])
+    def test_memory_error_is_an_error_line(self, tmp_path, capsys, monkeypatch, message):
+        def exhausted(subcommand, p, seed, threads, out):
+            out("events.csv").write_text("t\n")
+            raise MemoryError(message)
+
+        monkeypatch.setitem(pointproc.cli._DISPATCH, "simulate", exhausted)
+        out = tmp_path / "run"
+        assert run("--out", out, "simulate", "hpp", "--rate", 1.0, "--horizon", 5.0) == 1
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+        assert list(out.iterdir()) == []  # events.csv rolled back
 
     def test_entry_point_subprocess(self, tmp_path):
         env = child_env()

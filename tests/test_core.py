@@ -306,6 +306,34 @@ class TestSpaceTimeEvents:
             SpaceTimeEvents([[2.0, 0.5, 1.0]], Region(0, 1, 0, 1), 2.0)
 
 
+UNIT_SQUARE = Region(0, 1, 0, 1)
+FAR = np.full((10**5, 2), 2.0)  # 10^5 points outside the unit square
+
+
+class TestOutsideIndexLists:
+    """Every "outside" error lists at most ten indices, then the count."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: GridSpec(UNIT_SQUARE, 3, 3).cell_indices(FAR[:, 0], FAR[:, 1]),
+        lambda: SpatialPattern(FAR, UNIT_SQUARE),
+        lambda: SpaceTimeEvents(np.column_stack([FAR, np.zeros(len(FAR))]), UNIT_SQUARE, 1.0),
+        lambda: SpaceTimeEvents(np.full((10**5, 3), 0.5) * [1, 1, 9], UNIT_SQUARE, 1.0),
+        lambda: core.aggregate_to_grid(SpatialPattern(FAR, Region(0, 3, 0, 3)),
+                                       GridSpec(UNIT_SQUARE, 3, 3)),
+    ], ids=["cell_indices", "SpatialPattern", "SpaceTimeEvents-space",
+            "SpaceTimeEvents-time", "aggregate_to_grid"])
+    def test_message_stays_short(self, make):
+        with pytest.raises(ParameterError) as info:
+            make()
+        message = str(info.value)
+        assert message.endswith("at indices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...] (100000 in all)")
+        assert len(message) < 150
+
+    def test_ten_indices_are_listed_in_full(self):
+        with pytest.raises(ParameterError, match=r"indices \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9\]$"):
+            SpatialPattern(FAR[:10], UNIT_SQUARE)
+
+
 class TestCountGrid:
     def test_basic(self):
         spec = GridSpec(Region(0, 1, 0, 1), 2, 2)

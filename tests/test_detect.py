@@ -86,6 +86,45 @@ class TestRss:
 
 COLLIDED = GridSpec(Region(1e16, 1e16 + 64, 0, 1), 64, 2)  # x centres collide in pairs
 
+LATTICE_GEOMETRIES = pytest.mark.parametrize("spec", [
+    GridSpec(UNIT, 10, 10), GridSpec(UNIT, 17, 23), COLLIDED, GridSpec(UNIT, 1, 7),
+    GridSpec(UNIT, 23, 1), GridSpec(Region(-3.25, 9.75, 2.5, 11.5), 13, 9),
+], ids=["10-10", "17-23", "collided", "1x7", "23x1", "offset-13x9"])
+
+
+def tie_radii(spec):
+    """Every distinct lattice distance np.hypot(k * cell_width, l *
+    cell_height) > 0: the radii that put a cell on a disc's edge."""
+    k = np.arange(spec.nx)[:, None] * spec.cell_width
+    l = np.arange(spec.ny)[None, :] * spec.cell_height
+    d = np.unique(np.hypot(k, l))
+    return d[d > 0]
+
+
+def around(radii):
+    """The radii and their neighbours one ulp below and above."""
+    radii = np.asarray(radii, dtype=float)
+    return np.unique([np.nextafter(radii, 0.0), radii, np.nextafter(radii, np.inf)])
+
+
+class TestDiscTemplate:
+    @LATTICE_GEOMETRIES
+    def test_matches_the_lattice_oracle_at_every_tie_radius(self, spec):
+        for r in around(tie_radii(spec)):
+            assert np.array_equal(detect._disc_template(spec, r), brute.disc_template(spec, r)), r
+
+    def test_ties_are_outside(self):
+        # a radius of exactly one cell holds the centre cell alone
+        spec = GridSpec(UNIT, 10, 10)
+        assert detect._disc_template(spec, 0.1).tolist() == [0] + [-1] * 9
+        assert detect._disc_template(spec, np.nextafter(0.1, 1)).tolist() == [1, 0] + [-1] * 8
+
+    def test_extreme_radii_and_cells(self):
+        assert detect._disc_template(GridSpec(UNIT, 3, 4), 1e308).tolist() == [3, 3, 3]
+        tiny = GridSpec(Region(0, 1e-300, 0, 1e-300), 4, 4)
+        assert detect._disc_template(tiny, 1e-300).tolist() == [3, 3, 3, 2]
+        assert detect._disc_template(tiny, 5e-324).tolist() == [0, -1, -1, -1]
+
 
 class TestGiStar:
     def test_matches_dense_reference(self):
@@ -123,10 +162,10 @@ class TestGiStar:
         with pytest.raises(DegenerateDataError, match="whole grid"):
             gi_star(Grid(spec, counts), 5.0)
 
-    def test_full_coverage_raises_before_the_pair_list(self):
-        # 3,600 cells at radius 2 would first measure all 13 million
-        # (centre, cell) offsets; GI* calls no scipy, so tracemalloc sees
-        # every allocation
+    def test_full_coverage_raises_before_any_sum(self):
+        # 3,600 cells at radius 2 have 13 million (centre, cell) pairs; the
+        # template decides full coverage first.  GI* calls no scipy, so
+        # tracemalloc sees every allocation
         grid = Grid(GridSpec(UNIT, 60, 60), np.arange(3600).reshape(60, 60) % 7)
         tracemalloc.start()
         try:
@@ -168,28 +207,22 @@ class TestGiStar:
         with pytest.raises(ParameterError):
             gi_star(grid, 0.0)
 
-    @pytest.mark.parametrize("spec", [
-        GridSpec(UNIT, 10, 10), GridSpec(UNIT, 17, 23), COLLIDED, GridSpec(UNIT, 1, 7),
-        GridSpec(UNIT, 23, 1), GridSpec(Region(-3.25, 9.75, 2.5, 11.5), 13, 9),
-    ], ids=["10-10", "17-23", "collided", "1x7", "23x1", "offset-13x9"])
-    def test_matches_the_tree_rule_at_every_squared_distance(self, spec):
-        # radius sqrt(d2) for every distinct squared centre distance d2 puts
-        # pairs on the boundary of the tree's dx*dx + dy*dy <= r*r rule
+    @LATTICE_GEOMETRIES
+    def test_matches_the_template_rule_at_every_tie_radius(self, spec):
+        # every lattice distance, and one ulp either side, puts cells on
+        # or next to the edge of the open disc
         counts = np.arange(spec.ncells).reshape(spec.nx, spec.ny) * 7 % 11
-        grid, centres = Grid(spec, counts), spec.centre_points()
-        dx = centres[:, None, 0] - centres[None, :, 0]
-        dy = centres[:, None, 1] - centres[None, :, 1]
-        radii = np.sqrt(np.unique(dx * dx + dy * dy)[1:])
-        for r, ref in zip(radii, brute.gi_star_squared(counts.ravel(), centres, radii)):
+        grid, radii = Grid(spec, counts), around(tie_radii(spec))
+        for r, ref in zip(radii, brute.gi_star_lattice(counts.ravel(), spec, radii)):
             try:
                 z = gi_star(grid, r).values.ravel()
             except DegenerateDataError:  # every neighbourhood is the whole grid
                 z = np.zeros(spec.ncells)
             assert np.array_equal(z, ref), r
 
-    def test_large_radius_holds_one_block_of_pairs(self):
-        # radius 0.9 leaves corner cells uncovered, so GI* is defined; its
-        # 12 million (centre, cell) offsets are measured one block at a time
+    def test_large_radius_lists_no_pairs(self):
+        # radius 0.9 leaves corner cells uncovered, so GI* is defined; it
+        # has 12 million (centre, cell) pairs, but GI* sums column runs
         grid = Grid(GridSpec(UNIT, 60, 60), np.arange(3600).reshape(60, 60) % 7)
         tracemalloc.start()
         try:
@@ -221,7 +254,7 @@ class TestGiStar:
         assert peak < 32 * 2**20
 
     def test_tiny_region_matches_the_unit_grid(self):
-        # squared distances of 1e-171 cells underflow to 0 without the rescale
+        # squared offsets of 1e-171 would underflow to 0; np.hypot does not
         counts = np.arange(100).reshape(10, 10) % 7
         tiny = GridSpec(Region(0, 1e-170, 0, 1e-170), 10, 10)
         z = gi_star(Grid(tiny, counts), 1.5e-171).values
@@ -250,13 +283,6 @@ class TestPoissonLlr:
         ns = np.arange(6.0, 30.0)
         vals = _poisson_llr(ns, np.full_like(ns, 5.0), 100.0)
         assert np.all(np.diff(vals) > 0)
-
-
-def exact_distances(spec):
-    """Every distinct np.hypot distance from cell 0: radii on the boundary."""
-    c = spec.centre_points()
-    d = np.unique(np.hypot(c[:, 0] - c[0, 0], c[:, 1] - c[0, 1]))
-    return d[d > 0]
 
 
 def run_masks(spec, runs):
@@ -290,7 +316,7 @@ class TestCandidateDiscs:
 
     @DISC_GEOMETRIES
     def test_matches_dense_masks(self, spec, radii):
-        radii = exact_distances(spec) if radii is None else np.asarray(radii, dtype=float)
+        radii = tie_radii(spec) if radii is None else np.asarray(radii, dtype=float)
         runs, reps = detect._candidate_discs(spec, radii)
         want, want_reps = brute.dense_discs(spec, radii)
         assert runs.shape == (len(want), spec.nx, 2)
@@ -299,7 +325,7 @@ class TestCandidateDiscs:
 
     @DISC_GEOMETRIES
     def test_run_sums_match_the_dense_members(self, spec, radii):
-        radii = exact_distances(spec) if radii is None else np.asarray(radii, dtype=float)
+        radii = tie_radii(spec) if radii is None else np.asarray(radii, dtype=float)
         runs, _ = detect._candidate_discs(spec, radii)
         members, _ = brute.dense_discs(spec, radii)
         counts = np.random.default_rng(spec.ncells).integers(0, 50, (spec.ncells, 6))
@@ -308,10 +334,10 @@ class TestCandidateDiscs:
         sums = detect._run_matrix(runs, spec.ny) @ detect._prefix_sums(counts, spec.nx, spec.ny)
         assert np.array_equal(sums, members @ cum)
 
-    def test_whole_region_radius_holds_one_block_of_pairs(self):
-        # radius 2 puts every cell in every centre's box: 13 million
-        # (centre, cell) distances, about 1 GB of numpy buffers if measured
-        # at once, and a few MiB one block of centres at a time
+    def test_whole_region_radius_lists_no_pairs(self):
+        # radius 2 puts every cell in every disc: 13 million (centre, cell)
+        # pairs, about 1 GB of numpy buffers if measured at once; the
+        # template is measured once per column offset
         tracemalloc.start()
         try:
             runs, reps = detect._candidate_discs(GridSpec(UNIT, 60, 60), np.array([2.0]))
@@ -322,6 +348,72 @@ class TestCandidateDiscs:
         assert members.shape == (1, 3600) and np.count_nonzero(members) == 3600
         assert reps.shape == (1, 3) and reps[0, 2] == 2.0
         assert peak < 32 * 2**20
+
+
+def disc_masks(spec, radii):
+    """The scan's distinct discs as a set of (nx, ny) boolean masks in bytes."""
+    runs, _ = detect._candidate_discs(spec, np.asarray(radii, dtype=float))
+    masks = run_masks(spec, runs).reshape(-1, spec.nx, spec.ny) > 0
+    return masks, {m.tobytes() for m in masks}
+
+
+class TestOneShapePerRadius:
+    """A radius gives one disc shape, wherever its centre lies."""
+
+    @pytest.mark.parametrize("spec,radius", [
+        (GridSpec(UNIT, 30, 30), 0.1), (GridSpec(UNIT, 17, 17), 2 / 17),
+        (GridSpec(UNIT, 60, 60), 0.05), (GridSpec(UNIT, 17, 23), 0.15),
+        (GridSpec(Region(-3.25, 9.75, 2.5, 11.5), 13, 9), 3.0),
+    ], ids=["bench-3-cells", "17x17-2-cells", "60x60-3-cells", "17x23", "offset-13x9"])
+    def test_interior_discs_are_translates_of_one_shape(self, spec, radius):
+        runs, reps = detect._candidate_discs(spec, np.array([radius]))
+        ix = np.rint((reps[:, 0] - spec.region.xmin) / spec.cell_width - 0.5).astype(int)
+        iy = np.rint((reps[:, 1] - spec.region.ymin) / spec.cell_height - 0.5).astype(int)
+        half = brute.disc_template(spec, radius)
+        rx, ry = np.count_nonzero(half >= 0) - 1, half.max()
+        interior = (rx <= ix) & (ix < spec.nx - rx) & (ry <= iy) & (iy < spec.ny - ry)
+        # every interior centre gives a disc of its own, and all are one shape
+        assert np.count_nonzero(interior) == (spec.nx - 2 * rx) * (spec.ny - 2 * ry) > 0
+        shapes = set()
+        for d in np.flatnonzero(interior):
+            cols = slice(ix[d] - rx, ix[d] + rx + 1)
+            assert np.count_nonzero(runs[d, :, 1] > runs[d, :, 0]) == 2 * rx + 1
+            shapes.add((runs[d, cols] - iy[d]).tobytes())
+        assert len(shapes) == 1
+
+    @pytest.mark.parametrize("spec,radii", [
+        (GridSpec(UNIT, 17, 23), around([2 / 17, 3 / 23, 0.15])),
+        (GridSpec(UNIT, 30, 30), around([0.05, 0.1, 0.15])),
+    ], ids=["17x23", "bench"])
+    def test_mirrors_mirror_the_discs_and_gi_star(self, spec, radii):
+        masks, discs = disc_masks(spec, radii)
+        assert {m[::-1].tobytes() for m in masks} == discs
+        assert {m[:, ::-1].tobytes() for m in masks} == discs
+        counts = np.random.default_rng(3).integers(0, 9, (spec.nx, spec.ny))
+        for r in radii:
+            z = gi_star(Grid(spec, counts), r).values
+            for flip in (np.flipud, np.fliplr):
+                # only x.mean() and x.std() depend on the order of the cells
+                mirrored = gi_star(Grid(spec, flip(counts)), r).values
+                assert np.allclose(flip(mirrored), z, rtol=1e-12, atol=1e-12), r
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec(UNIT, 10, 10), GridSpec(Region(0, 17, 0, 23), 17, 23),
+    ], ids=["10x10", "17x23-unit-cells"])
+    def test_transposing_square_cells_transposes_the_discs_and_gi_star(self, spec):
+        r0 = spec.region
+        flipped = GridSpec(Region(r0.ymin, r0.ymax, r0.xmin, r0.xmax), spec.ny, spec.nx)
+        radii = around(tie_radii(spec)[:12])
+        masks, _ = disc_masks(spec, radii)
+        assert {m.T.tobytes() for m in masks} == disc_masks(flipped, radii)[1]
+        counts = np.random.default_rng(4).integers(0, 9, (spec.nx, spec.ny))
+        for r in around(tie_radii(spec)):
+            try:
+                z = gi_star(Grid(spec, counts), r).values
+            except DegenerateDataError:
+                continue
+            transposed = gi_star(Grid(flipped, counts.T), r).values
+            assert np.allclose(transposed.T, z, rtol=1e-12, atol=1e-12), r
 
 
 def make_events(seed, n=60, horizon=1.0):
