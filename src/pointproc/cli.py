@@ -1,16 +1,16 @@
 """Command-line interface: simulate | analyze | detect with replayable runs.
 
 Every run writes its outputs plus manifest.json into --out.  The
-manifest records its format, the resolved command, parameters and seed
--- but not the output directory or thread count, neither of which
-affects the bytes produced -- so
+manifest records its format, the resolved command, parameters, seed and
+library versions -- but not the output directory or thread count,
+neither of which affects the bytes produced -- so
 
     pointproc --manifest <out>/manifest.json --out <elsewhere>
 
 reproduces the original outputs byte for byte; a manifest of another
-format exits 2 instead.  Replay turns the
-recorded parameters back into a command line for the argv parser, so a
-hand-edited manifest gets every check that argv gets.  On failure all
+format exits 2 instead, and other library versions warn.  Replay turns
+the recorded parameters back into a command line for the argv parser, so
+a hand-edited manifest gets every check that argv gets.  On failure all
 files written by the run are removed and the exit status is non-zero.
 """
 
@@ -20,10 +20,12 @@ import argparse
 import contextlib
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, io
 from .core import (
@@ -182,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------- run plumbing
 
-# The manifest format this version writes and replays.  Format 1 had no
-# "format" key; format 2 measures grid discs on whole-cell offsets, which
-# changed GI* and scan outputs at radii that put a cell on a disc's edge.
-_FORMAT = 2
+# The manifest format this version writes and replays (2: discs on whole-cell
+# offsets; 3: a seed tree and run-summed `expected`), and the versions it records.
+_FORMAT = 3
+_VERSIONS = {"numpy": np.__version__, "python": platform.python_version(),
+             "scipy": scipy.__version__}
 
 # namespace entries that steer a run rather than shape its outputs
 _RUN_KEYS = ("command", "subcommand", "seed", "out", "threads", "manifest")
@@ -235,6 +238,9 @@ def _replay_args(parser: argparse.ArgumentParser, outer) -> argparse.Namespace:
     if type(found) is not int or found != _FORMAT:
         raise ParameterError(f"{path}: manifest format {found!r} cannot be replayed; "
                              f"this version replays format {_FORMAT} only")
+    if doc.get("versions") != _VERSIONS:
+        print(f"warning: {path}: recorded with {doc.get('versions')}, replayed with "
+              f"{_VERSIONS}; outputs may differ", file=sys.stderr)
     command, recorded = [doc["command"], doc["subcommand"]], doc["params"]
     if not isinstance(recorded, dict):
         raise ParameterError(f"{path}: manifest params must be a JSON object")
@@ -435,8 +441,8 @@ def main(argv=None) -> int:
 
     # threads deliberately absent: outputs are thread-invariant
     manifest = {"format": _FORMAT, "tool": "pointproc", "version": __version__,
-                "command": args.command, "subcommand": args.subcommand, "seed": seed,
-                "params": _params(args)}
+                "versions": _VERSIONS, "command": args.command,
+                "subcommand": args.subcommand, "seed": seed, "params": _params(args)}
     outdir = Path(args.out) if args.out is not None else Path(".")
     written: list[Path] = []
 

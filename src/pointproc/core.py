@@ -59,17 +59,21 @@ class RngStream:
     """Deterministic random stream: same seed, same draw sequence.
 
     ``uniform`` draws lie strictly inside (0, 1), so ``-log(u)`` is
-    always finite; the thinning simulators rely on that.  Substreams are
-    derived as ``seed + index`` (mod 2**64) and are safe to hand to
-    parallel replicates as long as each index is used once.
+    always finite; the thinning simulators rely on that.  A stream is
+    PCG64 of ``SeedSequence(seed, spawn_key=path)``: the root's path is
+    (), giving ``PCG64(seed)``, and ``substream(i)`` appends i >= 0, so
+    no two streams of the tree collide.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, _path: tuple = ()):
         self.seed = int(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._path = _path
+        tree = np.random.SeedSequence(self.seed, spawn_key=_path)
+        self._gen = np.random.Generator(np.random.PCG64(tree))
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed})"
+        path = f", path={self._path}" if self._path else ""
+        return f"RngStream(seed={self.seed}{path})"
 
     def uniform(self) -> float:
         u = self._gen.random()
@@ -81,23 +85,13 @@ class RngStream:
         """Yield the values that successive `uniform` calls would return.
 
         They are drawn in blocks of _UNIFORM_BLOCK (PCG64 gives the same
-        doubles either way).  Closing the generator rewinds the stream
-        past the draws it did not yield, so the stream ends where the
-        scalar calls would have left it; close it explicitly, for
-        example with `contextlib.closing`.  The rewind would drop a
-        buffered 32-bit half, but no RngStream draw leaves one.
+        doubles either way), so the stream ends at the close of the last
+        block drawn, past any values not yet taken.
         """
-        used = size = 0
-        try:
-            while True:
-                block = self._gen.random(_UNIFORM_BLOCK).tolist()
-                size = len(block)
-                for used, u in enumerate(block, 1):
-                    if u != 0.0:  # random() covers [0, 1); keep the interval open
-                        yield u
-        finally:
-            if used != size:
-                self._gen.bit_generator.advance(used - size)
+        while True:
+            for u in self._gen.random(_UNIFORM_BLOCK).tolist():
+                if u != 0.0:  # random() covers [0, 1); keep the interval open
+                    yield u
 
     def uniforms(self, low: float, high: float, n: int) -> np.ndarray:
         return self._gen.uniform(low, high, int(n))
@@ -105,11 +99,11 @@ class RngStream:
     def poisson(self, mean: float) -> int:
         return int(self._gen.poisson(mean))
 
-    def multinomial(self, n: int, pvals) -> np.ndarray:
-        return self._gen.multinomial(int(n), np.asarray(pvals, dtype=float))
-
     def substream(self, index: int) -> "RngStream":
-        return RngStream((self.seed + int(index)) & 0xFFFFFFFFFFFFFFFF)
+        index = int(index)
+        if index < 0:
+            raise ParameterError(f"substream index must be >= 0, got {index}")
+        return RngStream(self.seed, (*self._path, index))
 
 
 def _positive(value: float, name: str = "rate") -> float:

@@ -3,9 +3,9 @@
 Two detectors: Getis-Ord GI* z-scores on a count grid, and a cylindrical
 space-time scan with a Poisson likelihood ratio and Monte Carlo
 significance.  The scan evaluates everything at cell-by-time-slice
-resolution — observed counts, baseline mass, and the multinomial null
-replicates all live on the same discrete aggregation, so the rank-based
-p-value is exact under the null.
+resolution — observed counts, baseline mass, and the null replicates all
+live on the same discrete aggregation, so the rank-based p-value is exact
+under the null.  No scan sum calls BLAS, so no thread count changes it.
 """
 
 from __future__ import annotations
@@ -337,18 +337,19 @@ def space_time_scan(
 
     Events are aggregated to (cell, time slice); candidate cylinders are
     every distinct disc of cell centres crossed with every distinct
-    whole-slice window.  Expected counts scale the baseline mass (cell
-    volume by default, or one grid of non-negative mass per slice, which
-    need not be integers) to the observed total N.  Significance: the
-    total is redistributed over (cell, slice) proportionally to the
-    baseline nsim times; a cylinder's
-    p-value is the rank of its LLR among the replicate maxima,
-    (1 + #{max_sim >= llr}) / (nsim + 1).
+    whole-slice window.  Expected counts scale the baseline mass (one unit
+    per (cell, slice) by default, or one grid of non-negative mass per
+    slice, which need not be integers) to the observed total N.
+    Significance: nsim times, N events are drawn over (cell, slice) in
+    proportion to the mass; a cylinder's p-value is the rank of its LLR
+    among the replicate maxima, (1 + #{max_sim >= llr}) / (nsim + 1).
 
     Each disc is held as one run of cells per grid column, so one sparse
     product of +1/-1 run ends with 2-D prefix sums gives every disc's
-    slice sums, for the observed counts and in each replicate.  Results
-    come back as a read-only `ScanResults` sequence, the columns of
+    slice sums: of the counts, the mass and each replicate.  An integer
+    mass gives `expected` rounded once; a float mass may cancel by a few
+    eps of the total, never below 0, and gives 0 where none is positive.
+    Results come back as a read-only `ScanResults` sequence, the columns of
     scan.csv, ranked by decreasing LLR (ties: centre x, y, radius, start)
     on first use.  Each replicate uses substream i+1 of `rng`, so the
     output is independent of `threads`.
@@ -382,9 +383,9 @@ def space_time_scan(
     np.add.at(counts, (cell, s_idx), 1.0)
     total = float(len(events))
 
-    # baseline mass per (cell, slice)
+    # baseline mass per (cell, slice); cells and slices share one volume
     if baseline is None:
-        mass = np.full((ncells, n_slices), spec.cell_area * slice_len)
+        mass = np.ones((ncells, n_slices))
     else:
         if len(baseline) != n_slices:
             raise ParameterError(
@@ -408,17 +409,17 @@ def space_time_scan(
     ends = starts + np.array([w for _, w in windows])
     n_win = len(windows)
 
-    # Integer counts make the run sums exact in any order.
-    obs = discs @ _prefix_sums(counts, spec.nx, spec.ny)
-    obs = obs[:, ends] - obs[:, starts]
-    # `expected` stays on the dense BLAS product of the 0/1 member rows:
-    # scan.csv records its last bits, and sparse or blocked sums of the
-    # float mass round differently.
-    iy = np.arange(spec.ny)
-    members = (runs[..., :1] <= iy) & (iy < runs[..., 1:])
-    cum = np.zeros((len(runs), n_slices + 1))
-    np.cumsum(members.reshape(len(runs), ncells).astype(float) @ mass, axis=1, out=cum[:, 1:])
-    expected = total * (cum[:, ends] - cum[:, starts]) / mass_total
+    def cylinder_sums(per_cell: np.ndarray) -> np.ndarray:
+        sums = discs @ _prefix_sums(per_cell, spec.nx, spec.ny)
+        return sums[:, ends] - sums[:, starts]
+
+    # Integer values sum exactly in any order: the counts, and an integer
+    # mass.  A float mass cancels in the prefix sums; its sums are kept
+    # >= 0, and a cylinder with no positive-mass (cell, slice) pair gets 0.
+    obs = cylinder_sums(counts)
+    in_mass = np.maximum(cylinder_sums(mass), 0.0)
+    in_mass[cylinder_sums(mass > 0) == 0] = 0.0
+    expected = total * in_mass / mass_total
     llr = _poisson_llr(obs, expected, total).ravel()
 
     # Null distribution of the maximum LLR.  The LLR is 0 for n <= mu and
@@ -433,11 +434,13 @@ def space_time_scan(
     disc, win = np.divmod(by_group, n_win)
     row = disc * (n_slices + 1)
     lo, hi = row + starts[win], row + ends[win]
-    pvals = (mass / mass_total).ravel()
+    # N categorical (cell, slice) draws: given N, the multinomial law
+    cum_mass = np.cumsum(mass.ravel())
 
     def replicate(i: int) -> float:
-        sub = rng.substream(i + 1)
-        sim = sub.multinomial(int(total), pvals).reshape(ncells, n_slices)
+        u = rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total)
+        cells = np.searchsorted(cum_mass, u, side="right")
+        sim = np.bincount(cells, minlength=mass.size).reshape(ncells, n_slices)
         sums = (discs @ _prefix_sums(sim, spec.nx, spec.ny)).ravel()
         sim_obs = np.take(sums, hi) - np.take(sums, lo)
         return float(_poisson_llr(np.maximum.reduceat(sim_obs, group_starts), mu, total).max())

@@ -40,14 +40,14 @@ def write_table(path, header: str, columns) -> None:
     if len({len(c) for c in cols}) > 1:
         raise ParameterError(f"table columns differ in length: {[len(c) for c in cols]}")
     line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-    n = len(cols[0])
-    flat = [None] * (n * len(cols))  # row-major: the columns interleaved
-    for j, c in enumerate(cols):
-        flat[j::len(cols)] = c.tolist()
-    rows = (line * n) % tuple(flat)
-    with open(path, "w") as f:  # two writes: no copy of rows with the header in front
+    with open(path, "w") as f:
         f.write(f"{header}\n")
-        f.write(rows)
+        for lo in range(0, len(cols[0]), 65536):  # no more than a block of rows as text
+            block = [c[lo:lo + 65536].tolist() for c in cols]
+            flat = [None] * (len(block[0]) * len(cols))  # row-major: the columns interleaved
+            for j, c in enumerate(block):
+                flat[j::len(cols)] = c
+            f.write((line * len(block[0])) % tuple(flat))
 
 
 def _read_table(path, header: str) -> tuple[np.ndarray, list[int]]:

@@ -10,7 +10,6 @@ after every accepted event and every rejected time advance.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -71,19 +70,18 @@ def poisson_count_pmf(rate: float, a: float, b: float, n: int) -> float:
 def simulate_hpp(rate: float, horizon: float, rng: RngStream) -> EventTimes:
     """Homogeneous Poisson path: cumulative -log(u)/rate arrivals.
 
-    The first arrival past the horizon is drawn and discarded, so the
-    consumed random variates are a deterministic function of the path.
+    The first arrival past the horizon is drawn and discarded; the stream
+    ends at a whole block of `rng.uniform_draws()`, as in every simulator.
     """
     rate = _positive(rate)
     horizon = _positive(horizon, "horizon")
     times = []
     t = 0.0
-    with contextlib.closing(rng.uniform_draws()) as draws:
-        for u in draws:
-            t += -math.log(u) / rate
-            if t > horizon:
-                break
-            times.append(t)
+    for u in rng.uniform_draws():
+        t += -math.log(u) / rate
+        if t > horizon:
+            break
+        times.append(t)
     return EventTimes(times, horizon)
 
 
@@ -237,26 +235,25 @@ def simulate_nhpp(intensity: IntensityFn, horizon: float, rng: RngStream) -> Eve
             f"envelope span {intensity.horizon} does not cover horizon {horizon}"
         )
     times: list[float] = []
-    with contextlib.closing(rng.uniform_draws()) as draws:
-        draw = draws.__next__
-        for a, b, u in intensity.segments():
-            if a >= horizon:
+    draw = rng.uniform_draws().__next__
+    for a, b, u in intensity.segments():
+        if a >= horizon:
+            break
+        end = min(b, horizon)
+        if u == 0.0:
+            continue
+        s = a
+        while True:
+            s += -math.log(draw()) / u
+            if s > end:
                 break
-            end = min(b, horizon)
-            if u == 0.0:
-                continue
-            s = a
-            while True:
-                s += -math.log(draw()) / u
-                if s > end:
-                    break
-                lam = intensity(s)
-                if lam > u * (1.0 + _DOMINANCE_RTOL):
-                    raise EnvelopeError(
-                        f"envelope bound {u} exceeded by intensity {lam} at t={s}"
-                    )
-                if draw() <= lam / u:
-                    times.append(s)
+            lam = intensity(s)
+            if lam > u * (1.0 + _DOMINANCE_RTOL):
+                raise EnvelopeError(
+                    f"envelope bound {u} exceeded by intensity {lam} at t={s}"
+                )
+            if draw() <= lam / u:
+                times.append(s)
     return EventTimes(times, horizon)
 
 
@@ -421,19 +418,18 @@ def simulate_hawkes(model: HawkesModel, horizon: float, rng: RngStream) -> Event
     times: list[float] = []
     excitation = 0.0  # sum of kernel terms at the current time, post-jump
     s = 0.0
-    with contextlib.closing(rng.uniform_draws()) as draws:
-        draw = draws.__next__
-        while True:
-            bound = model.mu + excitation
-            if not math.isfinite(bound) or bound <= 0.0:  # the excitation can overflow
-                _positive(bound)  # raises
-            w = -math.log(draw()) / bound
-            excitation *= math.exp(-beta * w)
-            s += w
-            if s > horizon:
-                break
-            lam = model.mu + excitation  # left limit: candidate not yet an event
-            if draw() * bound <= lam:
-                times.append(s)
-                excitation += alpha
+    draw = rng.uniform_draws().__next__
+    while True:
+        bound = model.mu + excitation
+        if not math.isfinite(bound) or bound <= 0.0:  # the excitation can overflow
+            _positive(bound)  # raises
+        w = -math.log(draw()) / bound
+        excitation *= math.exp(-beta * w)
+        s += w
+        if s > horizon:
+            break
+        lam = model.mu + excitation  # left limit: candidate not yet an event
+        if draw() * bound <= lam:
+            times.append(s)
+            excitation += alpha
     return EventTimes(times, horizon)

@@ -16,6 +16,7 @@ reference for the scan's sparse one.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -185,10 +186,13 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
     """Dense reference scan: (rows, replicate maxima).
 
     Rows are (cylinder, observed, expected, llr, p_value) in rank order.
-    Every replicate takes the full LLR over all cylinders from a dense
-    disc-mask product, and each p-value counts the replicate maxima one
-    cylinder at a time.  Candidate windows and the LLR formula come from
-    the library; inputs are assumed valid.
+    `expected` is exact up to one rounding: each cylinder's baseline mass
+    is summed as `fractions.Fraction` over its member (cell, slice) pairs
+    (the cell volume by default).  Every replicate draws the library's
+    categorical (cell, slice) sample, takes the full LLR over all
+    cylinders from a dense disc-mask product, and each p-value counts the
+    replicate maxima one cylinder at a time.  Candidate windows and the
+    LLR formula come from the library; inputs are assumed valid.
     """
     from pointproc.detect import Cylinder, _candidate_windows, _poisson_llr
 
@@ -200,10 +204,12 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
     np.add.at(counts, (ix * spec.ny + iy, s_idx), 1.0)
     total = float(len(events))
     if baseline is None:
-        mass = np.full((ncells, n_slices), spec.cell_area * slice_len)
+        mass = np.ones((ncells, n_slices))
+        exact = [[Fraction(spec.cell_area * slice_len)] * n_slices] * ncells
     else:
         mass = np.column_stack([g.values.ravel().astype(float) for g in baseline])
-    mass_total = mass.sum()
+        exact = [[Fraction(v) for v in row] for row in mass.tolist()]
+    mass_total = sum(map(sum, exact), Fraction(0))
 
     discs, reps = dense_discs(spec, np.asarray(radii, dtype=float))
     windows = _candidate_windows(n_slices, slice_len, np.asarray(durations, dtype=float))
@@ -215,13 +221,19 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
         return np.stack([cum[:, s0 + w] - cum[:, s0] for s0, w in windows], axis=1)
 
     obs = window_sums(discs @ counts)
-    expected = total * window_sums(discs @ mass) / mass_total
+    expected = np.empty_like(obs)
+    for i, disc in enumerate(discs):
+        cells = np.flatnonzero(disc).tolist()
+        per_slice = [sum((exact[c][s] for c in cells), Fraction(0)) for s in range(n_slices)]
+        for j, (s0, w) in enumerate(windows):
+            expected[i, j] = float(Fraction(total) * sum(per_slice[s0:s0 + w]) / mass_total)
     llr = _poisson_llr(obs, expected, total)
 
-    pvals = (mass / mass_total).ravel()
+    cum_mass = np.cumsum(mass.ravel())
     max_llrs = np.empty(nsim)
     for i in range(nsim):
-        sim = rng.substream(i + 1).multinomial(int(total), pvals)
+        u = rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total)
+        sim = np.bincount(np.searchsorted(cum_mass, u, side="right"), minlength=mass.size)
         sim_obs = window_sums(discs @ sim.reshape(ncells, n_slices).astype(float))
         max_llrs[i] = _poisson_llr(sim_obs, expected, total).max()
 

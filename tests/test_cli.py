@@ -2,7 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import hashlib
 import os
+import platform
 import shutil
 import string
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -284,6 +287,31 @@ class TestAnalyze:
 
 
 class TestDetect:
+    def test_scan_bytes_ignore_blas_and_worker_threads(self, tmp_path):
+        # one child process per BLAS setting (unset: OpenBLAS takes the core
+        # count), each writing scan.csv at --threads 1 and 2
+        src = write_space_time(tmp_path, n=1500)
+        argv = ["--seed", "3", "detect", "scan", "--in", str(src), "--region", "0,1,0,1",
+                "--horizon", "1", "--nx", "17", "--ny", "23", "--slices", "20",
+                "--radii", "0.05,0.1,0.15", "--durations", "0.1,0.2,0.4", "--nsim", "99"]
+        outs = []
+        for blas in ("1", "2", None):
+            env = child_env()
+            for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(var, None)
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            calls = []
+            for threads in ("1", "2"):
+                outs.append(tmp_path / f"blas{blas}-threads{threads}")
+                calls.append([*argv, "--threads", threads, "--out", str(outs[-1])])
+            code = f"from pointproc.cli import main\nfor a in {calls!r}:\n    assert main(a) == 0"
+            res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert res.returncode == 0, res.stderr
+        digests = {hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() for out in outs}
+        assert len(digests) == 1
+
     def test_gistar(self, tmp_path):
         src = write_pattern(tmp_path, n=200)
         out = tmp_path / "run"
@@ -733,18 +761,41 @@ class TestManifestReplay:
 
     @pytest.mark.parametrize("edit,found", [
         (lambda doc: {k: v for k, v in doc.items() if k != "format"}, "1"),
-        (lambda doc: {**doc, "format": 3}, "3"),
-        (lambda doc: {**doc, "format": "2"}, "'2'"),
-    ], ids=["no-key", "format-3", "text"])
+        (lambda doc: {**doc, "format": 2}, "2"),
+        (lambda doc: {**doc, "format": "3"}, "'3'"),
+    ], ids=["no-key", "format-2", "text"])
     def test_other_format_is_a_usage_error(self, recorded, tmp_path, capsys, edit, found):
-        assert recorded["hpp"]["format"] == 2
+        assert recorded["hpp"]["format"] == 3
         m, out = tmp_path / "m.json", tmp_path / "run"
         m.write_text(json.dumps(edit(recorded["hpp"])))
         assert run("--manifest", m, "--out", out) == 2
         err = capsys.readouterr().err
         assert err == (f"error: {m}: manifest format {found} cannot be replayed; "
-                       "this version replays format 2 only\n")
+                       "this version replays format 3 only\n")
         assert not out.exists()
+
+    def test_manifest_records_the_versions(self, recorded):
+        assert recorded["hpp"]["versions"] == {
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "python": platform.python_version()}
+
+    @pytest.mark.parametrize("versions", [
+        {"numpy": "1.24.0", "python": platform.python_version(), "scipy": scipy.__version__},
+        None,
+    ], ids=["other-numpy", "no-key"])
+    def test_other_versions_warn_then_run(self, recorded, tmp_path, capsys, versions):
+        doc = recorded["scan"]
+        a, m, b = tmp_path / "a", tmp_path / "m.json", tmp_path / "b"
+        edited = {k: v for k, v in doc.items() if k != "versions"}
+        m.write_text(json.dumps(edited if versions is None else {**edited, "versions": versions}))
+        assert run("--manifest", m, "--out", b) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {m}: recorded with {versions}, replayed with {doc['versions']}; "
+            "outputs may differ\n")
+        (tmp_path / "same.json").write_text(json.dumps(doc))
+        assert run("--manifest", tmp_path / "same.json", "--out", a) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert read_bytes_map(a) == read_bytes_map(b)
 
     def test_manifest_missing_field(self, tmp_path, capsys):
         m = tmp_path / "m.json"

@@ -619,6 +619,26 @@ def scan_rows(results):
     return [(r.cylinder, r.observed, r.expected, r.llr, r.p_value) for r in results]
 
 
+def float_mass_bound(spec, n_slices, total):
+    """The bound on |expected - exact| for a float baseline: k * eps *
+    total, k = 4 * (nx + ny + n_slices).  A 2-D prefix sum rounds ny +
+    n_slices times, a disc sums 2 nx of them, a window takes the
+    difference of two disc sums, and the scaling to the total rounds a few
+    times more: each rounding is at most eps / 2 of the total mass."""
+    return 4 * (spec.nx + spec.ny + n_slices) * np.finfo(float).eps * total
+
+
+def assert_rows_within(got, want, bound):
+    """A float-baseline scan against the exact oracle: the same cylinders,
+    counts and p-values in the same order, `expected` within `bound` and
+    the LLR to the relative change that implies."""
+    got = scan_rows(got)
+    assert [(r[0], r[1], r[4]) for r in got] == [(r[0], r[1], r[4]) for r in want]
+    expected = np.array([[r[2] for r in got], [r[2] for r in want]])
+    assert np.all(np.abs(expected[0] - expected[1]) <= bound)
+    assert [r[3] for r in got] == pytest.approx([r[3] for r in want], rel=1e-12)
+
+
 class TestScanMatchesDenseReference:
     """The grouped-maximum replicates and vectorised p-values against the
     dense path that evaluates every cylinder in every replicate."""
@@ -626,12 +646,15 @@ class TestScanMatchesDenseReference:
     SPEC = GridSpec(UNIT, 5, 5)
     ARGS = (5, [0.15, 0.3], [0.2, 0.4], 99)
 
-    def check(self, events, seed, baseline=None):
+    def check(self, events, seed, baseline=None, bound=None):
         want, max_llrs = brute.space_time_scan(
             events, self.SPEC, *self.ARGS, RngStream(seed), baseline=baseline
         )
         got = space_time_scan(events, self.SPEC, *self.ARGS, RngStream(seed), baseline=baseline)
-        assert scan_rows(got) == want
+        if bound is None:  # integer mass: exact
+            assert scan_rows(got) == want
+        else:
+            assert_rows_within(got, want, bound)
         return want, max_llrs
 
     @pytest.mark.parametrize("uniform_grids", [False, True], ids=["volume", "grids"])
@@ -653,7 +676,9 @@ class TestScanMatchesDenseReference:
 
     def test_fractional_baseline(self):
         g = np.random.default_rng(10)
-        self.check(make_events(2), 3, baseline=[Grid(self.SPEC, g.random((5, 5))) for _ in range(5)])
+        events = make_events(2)
+        self.check(events, 3, baseline=[Grid(self.SPEC, g.random((5, 5))) for _ in range(5)],
+                   bound=float_mass_bound(self.SPEC, 5, len(events)))
 
     def test_tied_llrs(self):
         want, max_llrs = self.check(make_events(0, n=10), 0)
@@ -663,9 +688,9 @@ class TestScanMatchesDenseReference:
 
 
 class TestScanMatchesDenseReferenceAtScale:
-    """Grids where the sparse and the dense BLAS products of the float mass
-    round differently (the 5x5 grids above agree on both), and where
-    centres collide, so disc keys tie in the rank order."""
+    """A grid whose float mass cancels in larger prefix sums than the 5x5
+    grids above, and one where centres collide, so disc keys tie in the
+    rank order."""
 
     def test_expected_follows_the_dense_product(self):
         spec = GridSpec(UNIT, 20, 20)
@@ -674,7 +699,7 @@ class TestScanMatchesDenseReferenceAtScale:
         args = (spec, 4, [0.1, 0.2], [0.25, 0.5], 99)
         want, _ = brute.space_time_scan(make_events(4, n=200), *args, RngStream(5), baseline)
         got = space_time_scan(make_events(4, n=200), *args, RngStream(5), baseline=baseline)
-        assert scan_rows(got) == want
+        assert_rows_within(got, want, float_mass_bound(spec, 4, 200))
 
     def test_collided_centres_keep_the_lexsort_order(self):
         g = np.random.default_rng(12)
@@ -685,6 +710,36 @@ class TestScanMatchesDenseReferenceAtScale:
         got = space_time_scan(events, *args, RngStream(6))
         assert scan_rows(got) == want
         assert len({(r[0].cx, r[0].cy) for r in want}) < COLLIDED.ncells
+
+
+class TestFloatMassCancellation:
+    """Prefix sums of a float mass cancel.  On a gamma baseline with an
+    interior block of zero mass, plain differences leave most zero-mass
+    cylinders nonzero and some sums below 0; with a tiny positive block
+    instead, some still fall below 0."""
+
+    SPEC = GridSpec(UNIT, 15, 13)
+    RADII = [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("block", [0.0, 1e-300], ids=["zero", "tiny"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_mass_gives_zero_and_none_is_negative(self, block, seed):
+        mass = np.random.default_rng(seed).gamma(0.5, 1.0, (15, 13, 8))
+        mass[4:11, 3:10, 2:6] = block
+        res = space_time_scan(make_events(seed, n=300), self.SPEC, 8, self.RADII,
+                              np.arange(1, 9) / 8, 99, RngStream(seed),
+                              baseline=[Grid(self.SPEC, mass[..., s]) for s in range(8)])
+        cx, cy, radius, t_start, t_end, _, expected, _, _ = res.columns
+        assert np.all(expected >= 0.0)
+        # the exact count of positive-mass (cell, slice) pairs per disc and window
+        masks, reps = brute.dense_discs(self.SPEC, self.RADII)
+        cum = np.zeros((len(masks), 9))
+        np.cumsum(masks @ (mass.reshape(-1, 8) > 0), axis=1, out=cum[:, 1:])
+        positive = {(*rep, s0 / 8, (s0 + w) / 8): cum[d, s0 + w] > cum[d, s0]
+                    for d, rep in enumerate(reps) for s0 in range(8) for w in range(1, 9 - s0)}
+        zero = ~np.array([positive[key] for key in zip(cx, cy, radius, t_start, t_end)])
+        assert zero.any() == (block == 0.0)
+        assert np.all(expected[zero] == 0.0)
 
 
 class TestScanResults:

@@ -50,6 +50,24 @@ def state_after_uniforms(seed, n):
     return stream_state(rng)
 
 
+def final_state(simulate, *args, seed):
+    """Where a simulator leaves a fresh stream of `seed`."""
+    rng = RngStream(seed)
+    simulate(*args, rng)
+    return stream_state(rng)
+
+
+def scalar_hpp(rate, horizon, rng):
+    """Arrival times with one uniform() call per gap, the one past the
+    horizon included: the reference for the values of simulate_hpp."""
+    times, t = [], 0.0
+    while True:
+        t += exponential_draw(rng, rate)
+        if t > horizon:
+            return times
+        times.append(t)
+
+
 class TestPoissonCountPmf:
     def test_matches_scipy(self):
         for rate, a, b, n in [(2.0, 0.0, 100.0, 200), (0.5, 1.0, 3.0, 0), (7.3, 2.0, 2.5, 4)]:
@@ -112,13 +130,15 @@ class TestSimulateHpp:
         rng = RngStream(8)
         ev = simulate_hpp(3.0, 10.0, rng)
         # the arrival past the horizon is drawn, discarded
-        assert stream_state(rng) == state_after_uniforms(8, len(ev) + 1)
+        assert ev.times.tolist() == scalar_hpp(3.0, 10.0, RngStream(8))
+        assert stream_state(rng) == final_state(simulate_hpp, 3.0, 10.0, seed=8)
 
     @pytest.mark.parametrize("rate", [0.1, 102.3, 300.0])  # no arrival, about one block, several
-    def test_stream_position_across_blocks(self, rate):
+    def test_scalar_values_across_blocks(self, rate):
         rng = RngStream(11)
         ev = simulate_hpp(rate, 10.0, rng)
-        assert stream_state(rng) == state_after_uniforms(11, len(ev) + 1)
+        assert ev.times.tolist() == scalar_hpp(rate, 10.0, RngStream(11))
+        assert stream_state(rng) == final_state(simulate_hpp, rate, 10.0, seed=11)
 
     def test_count_mean(self):
         total = sum(len(simulate_hpp(2.0, 10.0, RngStream(s))) for s in range(300))
@@ -303,9 +323,10 @@ def scalar_thinning(intensity, horizon, rng):
     return times
 
 
-class TestNhppStreamPosition:
-    """simulate_nhpp leaves its stream where per-variate uniform() calls
-    would, whether it returns or raises."""
+class TestNhppScalarDraws:
+    """simulate_nhpp draws the values per-variate uniform() calls would,
+    and the same seed leaves its stream in the same state, whether it
+    returns or raises."""
 
     @pytest.mark.parametrize("intensity,horizon", [
         (IntensityFn.sinusoid(3.0, 2.0, 24.0, 96.0), 96.0),
@@ -318,9 +339,9 @@ class TestNhppStreamPosition:
         rng, ref = RngStream(seed), RngStream(seed)
         ev = simulate_nhpp(intensity, horizon, rng)
         assert ev.times.tolist() == scalar_thinning(intensity, horizon, ref)
-        assert stream_state(rng) == stream_state(ref)
+        assert stream_state(rng) == final_state(simulate_nhpp, intensity, horizon, seed=seed)
 
-    def test_lying_envelope_leaves_scalar_position(self):
+    def test_lying_envelope_raises_where_scalar_draws_would(self):
         state = {"checked": False}
 
         def two_faced(t):
@@ -328,12 +349,15 @@ class TestNhppStreamPosition:
 
         f = IntensityFn(two_faced, [(0.0, 50.0, 1.0)])
         state["checked"] = True
-        rng, ref = RngStream(0), RngStream(0)
-        with pytest.raises(EnvelopeError):
+        rng, again = RngStream(0), RngStream(0)
+        with pytest.raises(EnvelopeError) as raised:
             simulate_nhpp(f, 50.0, rng)
+        with pytest.raises(EnvelopeError) as scalar:
+            scalar_thinning(f, 50.0, RngStream(0))
+        assert raised.value.args[0].split(" at t=")[1] == scalar.value.args[0].split(" at t=")[1]
         with pytest.raises(EnvelopeError):
-            scalar_thinning(f, 50.0, ref)
-        assert stream_state(rng) == stream_state(ref)
+            simulate_nhpp(f, 50.0, again)
+        assert stream_state(rng) == stream_state(again)
         assert stream_state(rng) != state_after_uniforms(0, 0)  # it drew before raising
 
 
@@ -521,12 +545,12 @@ class TestSimulateHawkes:
 
     @pytest.mark.parametrize("horizon", [0.5, 50.0, 500.0])  # part of a block to several
     @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_leaves_stream_where_scalar_draws_would(self, seed, horizon):
+    def test_matches_scalar_draws(self, seed, horizon):
         model = HawkesModel(1.2, ExponentialKernel(0.8, 1.5))
         rng, ref = RngStream(seed), RngStream(seed)
         ev = simulate_hawkes(model, horizon, rng)
         assert ev.times.tolist() == scalar_ogata(1.2, 0.8, 1.5, horizon, ref)
-        assert stream_state(rng) == stream_state(ref)
+        assert stream_state(rng) == final_state(simulate_hawkes, model, horizon, seed=seed)
 
     def test_overflowing_excitation_raises(self):
         # each accepted event adds 1e308, so the second one overflows the bound to inf
