@@ -6,6 +6,9 @@ significance.  The scan evaluates everything at cell-by-time-slice
 resolution — observed counts, baseline mass, and the null replicates all
 live on the same discrete aggregation, so the rank-based p-value is exact
 under the null.  No scan sum calls BLAS, so no thread count changes it.
+A replicate takes the sums of each window width as one strided difference
+of its discs' slice sums, and cuts the discs with equal expected counts to
+their largest count before any likelihood ratio.
 """
 
 from __future__ import annotations
@@ -349,6 +352,13 @@ def space_time_scan(
     slice sums: of the counts, the mass and each replicate.  An integer
     mass gives `expected` rounded once; a float mass may cancel by a few
     eps of the total, never below 0, and gives 0 where none is positive.
+    A cylinder whose positive mass is within that rounding of 0 is summed
+    again over its (cell, slice) pairs, to a few eps of its own mass.
+    A replicate's maximum LLR needs only the largest count among the
+    cylinders that share an expected value.  Discs whose expected rows are
+    equal form a class, found once; each replicate takes one strided
+    difference of its slice sums per window width, cuts every class to its
+    maximum, and evaluates one LLR per distinct expected value.
     Results come back as a read-only `ScanResults` sequence, the columns of
     scan.csv, ranked by decreasing LLR (ties: centre x, y, radius, start)
     on first use.  Each replicate uses substream i+1 of `rng`, so the
@@ -417,33 +427,71 @@ def space_time_scan(
     # mass.  A float mass cancels in the prefix sums; its sums are kept
     # >= 0, and a cylinder with no positive-mass (cell, slice) pair gets 0.
     obs = cylinder_sums(counts)
-    in_mass = np.maximum(cylinder_sums(mass), 0.0)
-    in_mass[cylinder_sums(mass > 0) == 0] = 0.0
+    positive = cylinder_sums(mass > 0) > 0
+    in_mass = np.where(positive, np.maximum(cylinder_sums(mass), 0.0), 0.0)
+    # A positive mass within the prefix sums' rounding of 0 may have
+    # cancelled to nothing: sum those cylinders over their pairs instead.
+    bound = 4 * (spec.nx + spec.ny + n_slices) * np.finfo(float).eps * mass_total
+    near = positive & (in_mass <= bound)
+    for d in np.flatnonzero(near.any(axis=1)).tolist():
+        cells = np.concatenate([
+            np.arange(ix * spec.ny + lo, ix * spec.ny + hi)
+            for ix, (lo, hi) in enumerate(runs[d].tolist())
+        ])
+        per_slice = [math.fsum(col) for col in mass[cells].T.tolist()]
+        for j in np.flatnonzero(near[d]).tolist():
+            in_mass[d, j] = math.fsum(per_slice[starts[j]:ends[j]])
     expected = total * in_mass / mass_total
     llr = _poisson_llr(obs, expected, total).ravel()
 
     # Null distribution of the maximum LLR.  The LLR is 0 for n <= mu and
     # rises with n above it, so each replicate's maximum is reached at the
     # largest count within a group of cylinders sharing the same expected
-    # value: one LLR per group instead of one per cylinder.
-    mu, group = np.unique(expected.ravel(), return_inverse=True)
+    # value: one LLR per group instead of one per cylinder.  Discs with
+    # equal expected rows share their group at every window, so each such
+    # class is first cut to its maximum count per window.  The classes of
+    # two or more discs are made contiguous and the lone discs follow,
+    # passed through: a reduceat over one-disc segments costs more than
+    # the gather it saves, and a non-uniform baseline leaves most discs alone.
+    order = np.lexsort(expected.T)
+    ranked = expected[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    label = np.cumsum(first) - 1
+    shared = np.bincount(label)[label] > 1
+    order = np.concatenate([order[shared], order[~shared]])
+    class_starts = np.flatnonzero(first[shared])
+    n_shared = np.count_nonzero(shared)
+    class_discs = discs[order]
+    # (window, column) entries, a column being one class or one lone disc;
+    # _candidate_windows lists the windows of each width together, by start
+    columns = np.concatenate([order[class_starts], order[n_shared:]])
+    mu, group = np.unique(expected[columns].T.ravel(), return_inverse=True)
     by_group = np.argsort(group, kind="stable")
     group_starts = np.searchsorted(group[by_group], np.arange(mu.size))
-    # Each cylinder's window sum, in group order, is hi - lo in the flattened
-    # (ndiscs, nslices + 1) product of the runs with the prefix sums.
-    disc, win = np.divmod(by_group, n_win)
-    row = disc * (n_slices + 1)
-    lo, hi = row + starts[win], row + ends[win]
-    # N categorical (cell, slice) draws: given N, the multinomial law
+    widths = list(dict.fromkeys(w for _, w in windows))
+    width_rows = np.cumsum([0] + [n_slices + 1 - w for w in widths]).tolist()
+    n_classes = len(class_starts)
+    # N categorical (cell, slice) draws: given N, the multinomial law; the
+    # sorted uniforms search the cumulative mass in order, to the same cells
     cum_mass = np.cumsum(mass.ravel())
 
     def replicate(i: int) -> float:
-        u = rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total)
+        u = np.sort(rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total))
         cells = np.searchsorted(cum_mass, u, side="right")
         sim = np.bincount(cells, minlength=mass.size).reshape(ncells, n_slices)
-        sums = (discs @ _prefix_sums(sim, spec.nx, spec.ny)).ravel()
-        sim_obs = np.take(sums, hi) - np.take(sums, lo)
-        return float(_poisson_llr(np.maximum.reduceat(sim_obs, group_starts), mu, total).max())
+        # (slices + 1, ndiscs) slice sums: a width's window sums are one
+        # strided difference, cut to each class's maximum
+        st = (class_discs @ _prefix_sums(sim, spec.nx, spec.ny)).T.copy()
+        best = np.empty((n_win, len(columns)))
+        for k, w in enumerate(widths):
+            rows = slice(width_rows[k], width_rows[k + 1])
+            sim_obs = st[w:] - st[:n_slices + 1 - w]
+            np.maximum.reduceat(sim_obs[:, :n_shared], class_starts, axis=1,
+                                out=best[rows, :n_classes])
+            best[rows, n_classes:] = sim_obs[:, n_shared:]
+        peaks = np.maximum.reduceat(np.take(best, by_group), group_starts)
+        return float(_poisson_llr(peaks, mu, total).max())
 
     max_llrs = np.sort(indexed_map(replicate, nsim, threads))
     # (1 + #{max_sim >= llr}) / (nsim + 1), for every cylinder at once

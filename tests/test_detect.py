@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -646,11 +648,12 @@ class TestScanMatchesDenseReference:
     SPEC = GridSpec(UNIT, 5, 5)
     ARGS = (5, [0.15, 0.3], [0.2, 0.4], 99)
 
-    def check(self, events, seed, baseline=None, bound=None):
+    def check(self, events, seed, baseline=None, bound=None, spec=SPEC, args=ARGS, threads=1):
         want, max_llrs = brute.space_time_scan(
-            events, self.SPEC, *self.ARGS, RngStream(seed), baseline=baseline
+            events, spec, *args, RngStream(seed), baseline=baseline
         )
-        got = space_time_scan(events, self.SPEC, *self.ARGS, RngStream(seed), baseline=baseline)
+        got = space_time_scan(events, spec, *args, RngStream(seed), baseline=baseline,
+                              threads=threads)
         if bound is None:  # integer mass: exact
             assert scan_rows(got) == want
         else:
@@ -685,6 +688,49 @@ class TestScanMatchesDenseReference:
         pos = np.array([r[3] for r in want if r[3] > 0])
         assert np.unique(pos).size < pos.size  # ties among cylinders
         assert np.isin(pos, max_llrs).any()  # ties with replicate maxima
+
+    # The replicates cut each class of discs with equal expected rows to its
+    # maximum per window, one strided difference per window width.
+
+    def test_unsorted_durations_one_past_the_horizon(self):
+        want, _ = self.check(make_events(3), 4, args=(5, [0.15, 0.3], [0.4, 1.7, 0.2], 99))
+        assert any(r[0].t_start == 0.0 and r[0].t_end == 1.0 for r in want)
+
+    def test_integer_baseline_with_zeros_leaves_every_disc_alone(self):
+        g = np.random.default_rng(13)
+        grids = [Grid(self.SPEC, g.integers(1, 40, size=(5, 5)) * (g.random((5, 5)) > 0.3))
+                 for _ in range(5)]
+        want, _ = self.check(make_events(5), 6, baseline=grids)
+        rows = expected_rows(want)
+        assert len(set(rows)) == len(rows)
+        assert any(r[2] == 0.0 for r in want)
+
+    @pytest.mark.parametrize("threads", [1, 2])  # both equal the oracle, so each other
+    def test_clipped_discs_share_an_expected_row_not_a_run(self, threads):
+        # a baseline symmetric in x: a disc and its mirror image, clipped at
+        # opposite edges, share every expected count; a disc about the
+        # middle column is its own mirror, alone unless it ties another
+        spec = GridSpec(Region(0, 1.5, 0, 1), 9, 6)
+        g = np.random.default_rng(7)
+        grids = []
+        for _ in range(4):
+            left, middle = g.integers(1, 9, size=(4, 6)), g.integers(1, 9, size=(1, 6))
+            grids.append(Grid(spec, np.concatenate([left, middle, left[::-1]])))
+        data = np.column_stack([1.5 * g.random(80), g.random(80), g.random(80)])
+        events = SpaceTimeEvents(data, spec.region, 1.0)
+        args = (4, [0.2, 0.35], [0.25, 0.5], 99)
+        want, _ = self.check(events, 8, baseline=grids, spec=spec, args=args, threads=threads)
+        sizes = Counter(expected_rows(want)).values()
+        assert max(sizes) > 1 and min(sizes) == 1
+
+
+def expected_rows(rows):
+    """Each disc's expected counts, one per window, from the oracle's rows."""
+    by_disc = {}
+    for cylinder, _, expected, _, _ in rows:
+        key = (cylinder.cx, cylinder.cy, cylinder.radius)
+        by_disc.setdefault(key, {})[cylinder.t_start, cylinder.t_end] = expected
+    return [tuple(windows[w] for w in sorted(windows)) for windows in by_disc.values()]
 
 
 class TestScanMatchesDenseReferenceAtScale:
@@ -721,25 +767,54 @@ class TestFloatMassCancellation:
     SPEC = GridSpec(UNIT, 15, 13)
     RADII = [0.1, 0.2, 0.3]
 
-    @pytest.mark.parametrize("block", [0.0, 1e-300], ids=["zero", "tiny"])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_zero_mass_gives_zero_and_none_is_negative(self, block, seed):
+    def scan(self, block, seed):
         mass = np.random.default_rng(seed).gamma(0.5, 1.0, (15, 13, 8))
         mass[4:11, 3:10, 2:6] = block
         res = space_time_scan(make_events(seed, n=300), self.SPEC, 8, self.RADII,
                               np.arange(1, 9) / 8, 99, RngStream(seed),
                               baseline=[Grid(self.SPEC, mass[..., s]) for s in range(8)])
+        return mass.reshape(-1, 8), res
+
+    @pytest.mark.parametrize("block", [0.0, 1e-300], ids=["zero", "tiny"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_mass_gives_zero_and_none_is_negative(self, block, seed):
+        mass, res = self.scan(block, seed)
         cx, cy, radius, t_start, t_end, _, expected, _, _ = res.columns
         assert np.all(expected >= 0.0)
         # the exact count of positive-mass (cell, slice) pairs per disc and window
         masks, reps = brute.dense_discs(self.SPEC, self.RADII)
         cum = np.zeros((len(masks), 9))
-        np.cumsum(masks @ (mass.reshape(-1, 8) > 0), axis=1, out=cum[:, 1:])
+        np.cumsum(masks @ (mass > 0), axis=1, out=cum[:, 1:])
         positive = {(*rep, s0 / 8, (s0 + w) / 8): cum[d, s0 + w] > cum[d, s0]
                     for d, rep in enumerate(reps) for s0 in range(8) for w in range(1, 9 - s0)}
         zero = ~np.array([positive[key] for key in zip(cx, cy, radius, t_start, t_end)])
         assert zero.any() == (block == 0.0)
         assert np.all(expected[zero] == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tiny_mass_is_summed_pair_by_pair(self, seed):
+        mass, res = self.scan(1e-300, seed)
+        cx, cy, radius, t_start, t_end, _, expected, llr, _ = res.columns
+        assert np.all(expected > 0.0) and np.all(np.isfinite(llr))
+        # every cylinder well inside the prefix sums' rounding of 0, found by
+        # sums of non-negative terms, against its exact mass
+        masks, reps = brute.dense_discs(self.SPEC, self.RADII)
+        per_slice = masks @ mass
+        bound = float_mass_bound(self.SPEC, 8, mass.sum())
+        exact_total = sum(map(Fraction, mass.ravel().tolist()), Fraction(0))
+        row = {key: k for k, key in enumerate(zip(cx, cy, radius, t_start, t_end))}
+        got, want = [], []
+        for d, rep in enumerate(reps):
+            for s0 in range(8):
+                for w in range(1, 9 - s0):
+                    if per_slice[d, s0:s0 + w].sum() > bound / 4:
+                        continue
+                    pairs = mass[masks[d] > 0, s0:s0 + w].ravel().tolist()
+                    exact = sum(map(Fraction, pairs), Fraction(0))
+                    want.append(float(300 * exact / exact_total))
+                    got.append(expected[row[(*rep, s0 / 8, (s0 + w) / 8)]])
+        assert len(want) > 100
+        assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
 
 
 class TestScanResults:
