@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import chdtrc
-from scipy.spatial import cKDTree
 
 from .core import (
     DegenerateDataError,
@@ -31,6 +30,11 @@ from .core import (
     aggregate_to_grid,
     indexed_map,
 )
+
+# scipy's submodules are imported where they are used: together they take
+# ~0.3 s to import, and most CLI commands need neither
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "EnvelopeResult",
@@ -70,6 +74,8 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Gr
     surface under-estimates there; its integral over the region is below
     n by exactly the mass the discs lose.
     """
+    from scipy.spatial import cKDTree
+
     bandwidth = _positive(bandwidth, "bandwidth")
     centres = spec.centre_points()
     if len(pattern) == 0:
@@ -100,6 +106,8 @@ def quadrat_counts(pattern: SpatialPattern, spec: GridSpec) -> QuadratResult:
     Statistic: sum (c - cbar)^2 / cbar against chi-square with
     ncells - 1 degrees of freedom.
     """
+    from scipy.special import chdtrc
+
     if spec.ncells < 2:
         raise DegenerateDataError("quadrat test needs at least two cells")
     grid = aggregate_to_grid(pattern, spec)
@@ -142,6 +150,8 @@ def dispersion_by_block(
 
 def _nn_distances(points: np.ndarray) -> np.ndarray:
     """Distance from each point to its nearest other point."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     d, _ = tree.query(points, k=2)
     return d[:, 1]
@@ -176,6 +186,8 @@ def f_function(pattern: SpatialPattern, probe_spec: GridSpec, radii) -> np.ndarr
 
     Probes are the centres of `probe_spec`.
     """
+    from scipy.spatial import cKDTree
+
     radii = _validate_radii(radii)
     if len(pattern) == 0:
         raise InsufficientDataError("F needs at least one point")
@@ -219,6 +231,8 @@ def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.nd
     correction="border" averages only over points further than r from
     the region boundary; radii where no such point exists yield NaN.
     """
+    from scipy.spatial import cKDTree
+
     radii = _validate_radii(radii, positive=True)
     if correction not in ("none", "border"):
         raise ParameterError(f"correction must be 'none' or 'border', got {correction!r}")

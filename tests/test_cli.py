@@ -735,6 +735,29 @@ class TestManifestReplay:
         assert run("--manifest", a / "manifest.json", "--out", b) == 0
         assert read_bytes_map(a) == read_bytes_map(b)
 
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
+        # main builds its parser once per process and shares it between runs
+        src = write_pattern(tmp_path)
+        runs = {
+            "k": ["analyze", "k", "--in", src, "--region", "0,1,0,1",
+                  "--radii", "0.05,0.1", "--envelope", 19],
+            "gistar": ["detect", "gistar", "--in", src, "--region", "0,1,0,1",
+                       "--nx", 5, "--ny", 5, "--radius", 0.3],
+            "hpp": ["simulate", "hpp", "--rate", 2.0, "--horizon", 10.0],
+            "replay": ["--manifest", tmp_path / "one" / "k" / "manifest.json"],
+        }
+        for name, argv in runs.items():
+            seed = [] if name == "replay" else ["--seed", "6"]
+            assert run(*seed, "--out", tmp_path / "one" / name, *argv) == 0
+            res = subprocess.run(
+                [sys.executable, "-m", "pointproc.cli", *seed,
+                 "--out", str(tmp_path / "fresh" / name), *map(str, argv)],
+                capture_output=True, text=True, env=child_env())
+            assert res.returncode == 0, res.stderr
+        for name in runs:
+            assert read_bytes_map(tmp_path / "one" / name) == read_bytes_map(tmp_path / "fresh" / name)
+        assert read_bytes_map(tmp_path / "one" / "k") == read_bytes_map(tmp_path / "one" / "replay")
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         src = write_pattern(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -804,6 +827,39 @@ class TestManifestReplay:
         assert "missing" in capsys.readouterr().err
 
 
+SCIPY_SUBMODULES = ("scipy.integrate", "scipy.sparse", "scipy.spatial", "scipy.special")
+# what a fresh process runs, as code or as CLI arguments ("x,y" and "x,y,t"
+# name an input file), and the scipy submodules that it calls
+SCIPY_USE = {
+    "import pointproc": ("import pointproc", ()),
+    "import pointproc.cli": ("import pointproc.cli", ()),
+    "hpp": (["simulate", "hpp", "--rate", 2.0, "--horizon", 5.0], ()),
+    "nhpp": (["simulate", "nhpp", "--intensity", "sinusoid", "--base", 2.0,
+              "--amplitude", 1.0, "--period", 2.0, "--horizon", 5.0], ()),
+    "hawkes": (["simulate", "hawkes", "--mu", 1.0, "--alpha", 0.4, "--beta", 1.2,
+                "--horizon", 5.0], ()),
+    "csr": (["simulate", "csr", "--rate", 50.0, "--region", "0,1,0,1"], ()),
+    "dispersion": (["analyze", "dispersion", "--in", "x,y", "--region", "0,1,0,1",
+                    "--nx", 4, "--ny", 4, "--blocks", "1,2"], ()),
+    "gistar": (["detect", "gistar", "--in", "x,y", "--region", "0,1,0,1",
+                "--nx", 4, "--ny", 4, "--radius", 0.3], ()),
+    "quadrat": (["analyze", "quadrat", "--in", "x,y", "--region", "0,1,0,1",
+                 "--nx", 4, "--ny", 4], ("scipy.special",)),
+    "scan": (["detect", "scan", "--in", "x,y,t", "--region", "0,1,0,1", "--horizon", 1.0,
+              "--nx", 4, "--ny", 4, "--slices", 4, "--radii", "0.2", "--durations", "0.3",
+              "--nsim", 99], ("scipy.sparse",)),
+}
+
+
+def scipy_loaded(code: str) -> set[str]:
+    """The SCIPY_SUBMODULES that a fresh interpreter holds after running `code`."""
+    probe = f"{code}\nimport sys\nprint(*(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.splitlines()[-1].split())
+
+
 class TestTopLevel:
     def test_no_command_prints_usage(self, capsys):
         assert run() == 2
@@ -860,13 +916,17 @@ class TestTopLevel:
         assert ver.returncode == 0
         assert ver.stdout.startswith("pointproc ")
 
-    def test_cli_import_skips_scipy_integrate(self):
-        # only nhpp_mean integrates, and no CLI command calls it
-        code = "import sys, pointproc.cli; print('scipy.integrate' in sys.modules)"
-        res = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, env=child_env())
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+    @pytest.mark.parametrize("run_, needs", SCIPY_USE.values(), ids=list(SCIPY_USE))
+    def test_loads_only_the_scipy_it_uses(self, tmp_path, run_, needs):
+        # a command pays the import of the scipy it calls, and only that: of
+        # SCIPY_SUBMODULES, it holds what importing its needs alone loads
+        code = run_
+        if isinstance(run_, list):
+            inputs = {"x,y": write_pattern(tmp_path), "x,y,t": write_space_time(tmp_path)}
+            argv = [str(inputs.get(a, a)) for a in ["--out", tmp_path / "out", *run_]]
+            code = f"from pointproc.cli import main\nassert main({argv!r}) == 0"
+        want = scipy_loaded("\n".join(f"import {m}" for m in needs)) if needs else set()
+        assert scipy_loaded(code) == want
 
     def test_console_script_declared(self):
         if sys.version_info >= (3, 11):
