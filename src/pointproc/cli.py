@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import platform
@@ -101,8 +100,6 @@ _region_arg = _list_arg(float, 4)
 _floats_arg = _list_arg(float)
 
 
-# built once per process: main only parses with it, and never changes it
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pointproc",

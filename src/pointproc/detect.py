@@ -235,15 +235,6 @@ def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
     return np.where(n > mu, inside + outside, 0.0)
 
 
-def _max_llr(n: np.ndarray, mu: np.ndarray, total: float) -> float:
-    """`_poisson_llr(n, mu, total).max()`, scoring only the entries with
-    n > mu: the others are 0.  Where every entry has n > mu the maximum
-    is theirs alone, which rounding can leave a hair below 0."""
-    hot = np.flatnonzero(n > mu)  # one index gathers faster than two masks
-    llr = _poisson_llr(n.take(hot), mu.take(hot), total)
-    return float(llr.max() if llr.size == mu.size else llr.max(initial=0.0))
-
-
 def _candidate_discs(spec: GridSpec, radii: np.ndarray):
     """Distinct cell sets reachable as (centre, radius) discs, as column runs.
 
@@ -316,36 +307,6 @@ def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return out.reshape(nx * (ny + 1), n + 1)
 
 
-def _disc_classes(expected: np.ndarray):
-    """The classes of discs whose rows of `expected` are equal.
-
-    Returns (order, class_starts, n_shared): `order` lists every disc, the
-    classes of two or more discs first, each contiguous, then the lone
-    discs; a class starts at each index of `class_starts`, and the classes
-    fill order[:n_shared].  Equal rows agree in every window, so a disc
-    whose value in one window is unique among the discs left is alone: the
-    windows rule discs out in turn, until one rules out none, and only the
-    rest are sorted.  A non-uniform baseline leaves few or none to sort.
-    """
-    order = np.arange(len(expected))
-    for col in expected.T:
-        _, inverse, counts = np.unique(col[order], return_inverse=True, return_counts=True)
-        if np.all(counts > 1):
-            break
-        order = order[counts[inverse] > 1]
-    order = order[np.lexsort(expected[order].T)]
-    ranked = expected[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    label = np.cumsum(first) - 1
-    shared = np.bincount(label)[label] > 1
-    in_class = order[shared]
-    alone = np.ones(len(expected), dtype=bool)
-    alone[in_class] = False
-    order = np.concatenate([in_class, np.flatnonzero(alone)])
-    return order, np.flatnonzero(first[shared]), len(in_class)
-
-
 def _candidate_windows(n_slices: int, slice_len: float, durations: np.ndarray):
     """Distinct (start slice, slice count) windows for the durations.
 
@@ -398,8 +359,7 @@ def space_time_scan(
     cylinders that share an expected value.  Discs whose expected rows are
     equal form a class, found once; each replicate takes one strided
     difference of its slice sums per window width, cuts every class to its
-    maximum, and evaluates one LLR per distinct expected value whose
-    largest count exceeds it.
+    maximum, and evaluates one LLR per distinct expected value.
     Results come back as a read-only `ScanResults` sequence, the columns of
     scan.csv, ranked by decreasing LLR (ties: centre x, y, radius, start)
     on first use.  Each replicate uses substream i+1 of `rng`, so the
@@ -494,7 +454,15 @@ def space_time_scan(
     # two or more discs are made contiguous and the lone discs follow,
     # passed through: a reduceat over one-disc segments costs more than
     # the gather it saves, and a non-uniform baseline leaves most discs alone.
-    order, class_starts, n_shared = _disc_classes(expected)
+    order = np.lexsort(expected.T)
+    ranked = expected[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    label = np.cumsum(first) - 1
+    shared = np.bincount(label)[label] > 1
+    order = np.concatenate([order[shared], order[~shared]])
+    class_starts = np.flatnonzero(first[shared])
+    n_shared = np.count_nonzero(shared)
     class_discs = discs[order]
     # (window, column) entries, a column being one class or one lone disc;
     # _candidate_windows lists the windows of each width together, by start
@@ -524,7 +492,7 @@ def space_time_scan(
                                 out=best[rows, :n_classes])
             best[rows, n_classes:] = sim_obs[:, n_shared:]
         peaks = np.maximum.reduceat(np.take(best, by_group), group_starts)
-        return _max_llr(peaks, mu, total)
+        return float(_poisson_llr(peaks, mu, total).max())
 
     max_llrs = np.sort(indexed_map(replicate, nsim, threads))
     # (1 + #{max_sim >= llr}) / (nsim + 1), for every cylinder at once

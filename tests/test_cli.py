@@ -736,7 +736,8 @@ class TestManifestReplay:
         assert read_bytes_map(a) == read_bytes_map(b)
 
     def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
-        # main builds its parser once per process and shares it between runs
+        # each run leaves the scipy it imported on use loaded for the next;
+        # a run's bytes must not depend on what ran before it in the process
         src = write_pattern(tmp_path)
         runs = {
             "k": ["analyze", "k", "--in", src, "--region", "0,1,0,1",

@@ -26,7 +26,7 @@ from pointproc import (
     space_time_scan,
 )
 from pointproc import detect
-from pointproc.detect import _disc_classes, _max_llr, _poisson_llr
+from pointproc.detect import _poisson_llr
 
 UNIT = Region(0, 1, 0, 1)
 
@@ -285,61 +285,6 @@ class TestPoissonLlr:
         ns = np.arange(6.0, 30.0)
         vals = _poisson_llr(ns, np.full_like(ns, 5.0), 100.0)
         assert np.all(np.diff(vals) > 0)
-
-
-class TestMaxLlr:
-    # n, mu per entry; N = 100
-    @pytest.mark.parametrize("n, mu", [
-        ([3, 9, 0, 7], [5, 4, 1, 7]),  # some entries above their mean
-        ([3, 4, 0], [5, 4, 1]),  # none: 0
-        ([9, 6, 30], [4, 5, 12]),  # all
-        ([33.0], [32.99999992038622]),  # all, with a maximum rounded below 0
-        ([3, 0, 2], [0, 0, 1]),  # a zero mean: inf
-    ], ids=["some", "none", "all", "all-below-0", "inf"])
-    def test_is_the_maximum_over_every_entry(self, n, mu):
-        n, mu = np.array(n, dtype=float), np.array(mu, dtype=float)
-        assert _max_llr(n, mu, 100.0) == float(_poisson_llr(n, mu, 100.0).max())
-
-
-def class_rows(kind, seed=0):
-    """(discs, windows) expected counts whose equal rows are known."""
-    g = np.random.default_rng(seed)
-    if kind == "all-equal":
-        return np.tile(g.random(7), (40, 1))
-    if kind == "all-distinct":
-        return g.random((40, 7))
-    if kind == "one-pair":
-        e = g.random((10, 4))
-        e[7] = e[2]
-        return e
-    if kind == "integer":  # values collide often, rows sometimes
-        return g.integers(0, 3, (300, 5)).astype(float)
-    if kind == "agree-then-differ":  # one window value, split later
-        e = np.zeros((30, 6))
-        e[:, 3:] = g.integers(0, 4, (30, 3))
-        return e
-    if kind == "signed-zero":  # -0.0 == 0.0, as the row comparison has it
-        e = g.integers(0, 2, (20, 4)).astype(float)
-        e[::3] = -e[::3]
-        return e
-    return np.zeros((0, 3))
-
-
-class TestDiscClasses:
-    @pytest.mark.parametrize("kind", ["all-equal", "all-distinct", "one-pair", "integer",
-                                      "agree-then-differ", "signed-zero", "empty"])
-    def test_matches_rows_grouped_by_value(self, kind):
-        expected = class_rows(kind)
-        rows: dict[tuple, list[int]] = {}
-        for d, row in enumerate(expected.tolist()):
-            rows.setdefault(tuple(row), []).append(d)
-        want = {frozenset(ds) for ds in rows.values() if len(ds) > 1}
-        order, class_starts, n_shared = _disc_classes(expected)
-        assert sorted(order.tolist()) == list(range(len(expected)))
-        bounds = [*class_starts.tolist(), n_shared]
-        got = {frozenset(order[a:b].tolist()) for a, b in zip(bounds, bounds[1:])}
-        assert got == want
-        assert n_shared == sum(len(c) for c in want)
 
 
 def run_masks(spec, runs):
