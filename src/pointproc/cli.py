@@ -311,7 +311,7 @@ def _read_input(p, with_times: bool) -> np.ndarray:
         return pts
     if times is None:
         raise ParameterError(f"{path}: scan needs a numeric 't' property per feature")
-    return np.column_stack([pts, times]) if len(pts) else np.empty((0, 3))
+    return np.column_stack([pts, times])
 
 
 def _load_pattern(p) -> SpatialPattern:

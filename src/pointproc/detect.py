@@ -250,30 +250,23 @@ def _candidate_discs(spec: GridSpec, radii: np.ndarray):
     given, is kept as its representative.
     """
     nx, ny = spec.nx, spec.ny
-    cx, cy = spec.x_centres(), spec.y_centres()
-    radius_list = radii.tolist()
-    nrad = len(radius_list)
-    half = np.stack([_disc_template(spec, r) for r in radius_list])
+    nrad = len(radii)
+    half = np.stack([_disc_template(spec, r) for r in radii.tolist()])
     iy = np.arange(ny)[:, None, None]
     width = 2 * nx * np.dtype(np.int32).itemsize
-    seen: set[bytes] = set()
-    keys: list[bytes] = []
-    reps: list[tuple[float, float, float]] = []
+    first: dict[bytes, int] = {}  # runs -> flat (centre, radius) index, in insertion order
     for ix in range(nx):
         # (nrad, nx) half-heights about column ix, then (ny, nrad, nx) runs
         h = half[:, np.abs(np.arange(nx) - ix)]
         lo = np.where(h >= 0, np.maximum(iy - h, 0), 0)
         hi = np.where(h >= 0, np.minimum(iy + h + 1, ny), 0)
         buf = np.stack([lo, hi], axis=-1).astype(np.int32).tobytes()
+        base = ix * ny * nrad
         for m in range(ny * nrad):
-            key = buf[m * width:(m + 1) * width]
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-                row, k = divmod(m, nrad)
-                reps.append((cx[ix], cy[row], radius_list[k]))
-    runs = np.frombuffer(b"".join(keys), dtype=np.int32).reshape(len(keys), nx, 2)
-    return runs, np.array(reps)
+            first.setdefault(buf[m * width:(m + 1) * width], base + m)
+    runs = np.frombuffer(b"".join(first), dtype=np.int32).reshape(len(first), nx, 2)
+    cell, k = np.divmod(np.fromiter(first.values(), dtype=np.int64, count=len(first)), nrad)
+    return runs, np.column_stack([spec.centre_points()[cell], radii[k]])
 
 
 def _run_matrix(runs: np.ndarray, ny: int):
@@ -307,22 +300,17 @@ def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return out.reshape(nx * (ny + 1), n + 1)
 
 
-def _candidate_windows(n_slices: int, slice_len: float, durations: np.ndarray):
-    """Distinct (start slice, slice count) windows for the durations.
+def _window_widths(n_slices: int, slice_len: float, durations: np.ndarray) -> list[int]:
+    """Distinct window widths in slices, in the order of the durations.
 
+    A width w stands for the windows starting at slices 0 ... n_slices - w.
     Durations are floored to whole slices, with a one-slice minimum:
     the scan cannot resolve below its slice length.  A duration past the
     horizon covers every slice, even where its slice count overflows.
     """
-    seen = set()
-    windows: list[tuple[int, int]] = []
-    for dur in durations.tolist():
-        width = max(math.floor(min(dur / slice_len + 1e-9, n_slices)), 1)
-        for s0 in range(n_slices - width + 1):
-            if (s0, width) not in seen:
-                seen.add((s0, width))
-                windows.append((s0, width))
-    return windows
+    return list(dict.fromkeys(
+        max(math.floor(min(dur / slice_len + 1e-9, n_slices)), 1) for dur in durations.tolist()
+    ))
 
 
 def space_time_scan(
@@ -415,10 +403,11 @@ def space_time_scan(
 
     runs, reps = _candidate_discs(spec, radii_arr)
     discs = _run_matrix(runs, spec.ny)
-    windows = _candidate_windows(n_slices, slice_len, dur_arr)
-    starts = np.array([s0 for s0, _ in windows])
-    ends = starts + np.array([w for _, w in windows])
-    n_win = len(windows)
+    widths = _window_widths(n_slices, slice_len, dur_arr)
+    per_width = [n_slices + 1 - w for w in widths]  # windows of each width, by start
+    starts = np.concatenate([np.arange(n) for n in per_width])
+    ends = starts + np.repeat(widths, per_width)
+    n_win = len(starts)
 
     def cylinder_sums(per_cell: np.ndarray) -> np.ndarray:
         sums = discs @ _prefix_sums(per_cell, spec.nx, spec.ny)
@@ -464,14 +453,12 @@ def space_time_scan(
     class_starts = np.flatnonzero(first[shared])
     n_shared = np.count_nonzero(shared)
     class_discs = discs[order]
-    # (window, column) entries, a column being one class or one lone disc;
-    # _candidate_windows lists the windows of each width together, by start
+    # (window, column) entries, a column being one class or one lone disc
     columns = np.concatenate([order[class_starts], order[n_shared:]])
     mu, group = np.unique(expected[columns].T.ravel(), return_inverse=True)
     by_group = np.argsort(group, kind="stable")
     group_starts = np.searchsorted(group[by_group], np.arange(mu.size))
-    widths = list(dict.fromkeys(w for _, w in windows))
-    width_rows = np.cumsum([0] + [n_slices + 1 - w for w in widths]).tolist()
+    width_rows = np.cumsum([0] + per_width).tolist()
     n_classes = len(class_starts)
     # N categorical (cell, slice) draws: given N, the multinomial law; the
     # sorted uniforms search the cumulative mass in order, to the same cells

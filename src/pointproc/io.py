@@ -62,33 +62,26 @@ def _read_table(path, header: str) -> tuple[np.ndarray, list[int]]:
     if lines[0].strip() != header:
         raise ParameterError(f"{path}:1: expected header {header!r}, got {lines[0].strip()!r}")
     k = header.count(",") + 1
-    body = lines[1:]
-    # fast path: one float() pass over every field when each line has k of
-    # them; a blank line or a bad field falls through to the row parser,
-    # which says where it is
-    if body and all(line.count(",") == k - 1 for line in body):
-        try:
-            values = list(map(float, ",".join(body).split(",")))
-        except ValueError:
-            values = []
-        if len(values) == k * len(body):
-            return np.array(values, dtype=float).reshape(-1, k), list(range(2, len(body) + 2))
-    rows, linenos = [], []
-    for lineno, line in enumerate(body, start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
+    body, linenos = lines[1:], range(2, len(lines) + 1)
+    if not all(map(str.strip, body)):  # drop the blank lines
+        linenos = [i for i in linenos if lines[i - 1].strip()]
+        body = [lines[i - 1] for i in linenos]
+    try:  # one float() pass over every field, once each line has k of them
+        if all(line.count(",") == k - 1 for line in body):
+            # an empty body joins to one empty field, which a count of 0 never reads
+            values = np.fromiter(map(float, ",".join(body).split(",")), float, k * len(body))
+            return values.reshape(-1, k), list(linenos)
+    except ValueError:
+        pass
+    for i in linenos:  # the pass failed: name the first line with a bad count or field
+        fields = lines[i - 1].split(",")
         if len(fields) != k:
-            raise ParameterError(f"{path}:{lineno}: expected {k} fields, got {len(fields)}")
-        row = []
+            raise ParameterError(f"{path}:{i}: expected {k} fields, got {len(fields)}")
         for col, f in enumerate(fields, start=1):
             try:
-                row.append(float(f))
+                float(f)
             except ValueError:
-                raise ParameterError(f"{path}:{lineno}: column {col}: not a number: {f!r}") from None
-        rows.append(row)
-        linenos.append(lineno)
-    return np.array(rows, dtype=float).reshape(-1, k), linenos
+                raise ParameterError(f"{path}:{i}: column {col}: not a number: {f.strip()!r}") from None
 
 
 def write_event_times(path, events: EventTimes) -> None:
@@ -120,6 +113,13 @@ def read_space_time_csv(path) -> np.ndarray:
     return _read_table(path, "x,y,t")[0]
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float: TypeError for a bool, a str or anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Point features from a GeoJSON FeatureCollection.
 
@@ -148,13 +148,13 @@ def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
         if not isinstance(coords, (list, tuple)) or len(coords) < 2:
             raise ParameterError(f"{path}: feature {i}: malformed coordinates")
         try:
-            pts.append((float(coords[0]), float(coords[1])))
-        except (TypeError, ValueError, OverflowError):
+            pts.append((_json_number(coords[0]), _json_number(coords[1])))
+        except (TypeError, OverflowError):
             raise ParameterError(f"{path}: feature {i}: malformed coordinates") from None
         if "t" in props:
             try:
-                times.append(float(props["t"]))
-            except (TypeError, ValueError, OverflowError):
+                times.append(_json_number(props["t"]))
+            except (TypeError, OverflowError):
                 raise ParameterError(
                     f"{path}: feature {i}: property 't' is not a number"
                 ) from None
@@ -190,8 +190,10 @@ def read_count_values(path, spec) -> np.ndarray:
 
 
 def write_curve_csv(path, radii, observed, lower=None, upper=None) -> None:
-    """r,observed plus optional envelope columns."""
-    has_env = lower is not None and upper is not None
+    """r,observed plus optional envelope columns, given both or neither."""
+    has_env = lower is not None
+    if has_env != (upper is not None):
+        raise ParameterError("an envelope needs both lower and upper")
     cols = [radii, observed, lower, upper] if has_env else [radii, observed]
     header = "r,observed,lower,upper" if has_env else "r,observed"
     write_table(path, header, [np.asarray(c, dtype=float) for c in cols])

@@ -10,9 +10,9 @@ scan are open and measured on whole-cell offsets: `gi_star_lattice`,
 np.hypot(k * cell_width, l * cell_height) < r for its offset of (k, l)
 cells, at every (centre, cell) pair.
 
-`read_table_rows` is the CSV reader's row-by-row parser, the reference
-for its fast path, and `dense_discs` the dense-mask disc builder, the
-reference for the scan's sparse one.
+`read_table_rows` parses a CSV one line, then one field, at a time, the
+reference for the reader's one `float()` pass, and `dense_discs` is the
+dense-mask disc builder, the reference for the scan's sparse one.
 """
 
 import math
@@ -194,7 +194,7 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
     replicate maxima one cylinder at a time.  Candidate windows and the
     LLR formula come from the library; inputs are assumed valid.
     """
-    from pointproc.detect import Cylinder, _candidate_windows, _poisson_llr
+    from pointproc.detect import Cylinder, _poisson_llr, _window_widths
 
     ncells = spec.ncells
     slice_len = events.horizon / n_slices
@@ -212,7 +212,8 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
     mass_total = sum(map(sum, exact), Fraction(0))
 
     discs, reps = dense_discs(spec, np.asarray(radii, dtype=float))
-    windows = _candidate_windows(n_slices, slice_len, np.asarray(durations, dtype=float))
+    widths = _window_widths(n_slices, slice_len, np.asarray(durations, dtype=float))
+    windows = [(s0, w) for w in widths for s0 in range(n_slices - w + 1)]
 
     def window_sums(per_slice):
         cum = np.concatenate(

@@ -450,6 +450,8 @@ BAD_INPUTS = {
                                  "in"),
     "coordinate-overflows": ("pts.geojson", feature_collection(
         [{**POINT, "geometry": {"type": "Point", "coordinates": [10**400, 0.5]}}]), "in"),
+    "coordinate-a-bool": ("pts.geojson", feature_collection(
+        [{**POINT, "geometry": {"type": "Point", "coordinates": [True, 0.5]}}]), "in"),
     "baseline-nan": ("base.csv", b"cell_x,cell_y,value\n0,0,nan\n", "baseline"),
     "baseline-inf": ("base.csv", b"cell_x,cell_y,value\n0,0,1\n1,1,inf\n", "baseline"),
     "baseline-too-large": ("base.csv", b"cell_x,cell_y,value\n0,0,1e19\n", "baseline"),

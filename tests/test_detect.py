@@ -696,6 +696,14 @@ class TestScanMatchesDenseReference:
         want, _ = self.check(make_events(3), 4, args=(5, [0.15, 0.3], [0.4, 1.7, 0.2], 99))
         assert any(r[0].t_start == 0.0 and r[0].t_end == 1.0 for r in want)
 
+    def test_durations_that_floor_to_one_width(self):
+        # 0.2, 0.21 and 0.2 are all two slices of 0.1: one set of windows
+        args = (10, [0.15, 0.3], [0.2, 0.35, 0.21, 0.2], 99)
+        want, _ = self.check(make_events(4), 5, args=args)
+        assert sorted({round(r[0].t_end - r[0].t_start, 9) for r in want}) == [0.2, 0.3]
+        per_disc = Counter((r[0].cx, r[0].cy, r[0].radius) for r in want)
+        assert set(per_disc.values()) == {9 + 8}  # each window of widths 2 and 3 once
+
     def test_integer_baseline_with_zeros_leaves_every_disc_alone(self):
         g = np.random.default_rng(13)
         grids = [Grid(self.SPEC, g.integers(1, 40, size=(5, 5)) * (g.random((5, 5)) > 0.3))

@@ -244,6 +244,14 @@ class TestCurveCsv:
         with pytest.raises(ParameterError, match="length"):
             write_curve_csv(tmp_path / "c.csv", [1.0], [0.5], lower=[0.1, 0.2], upper=[0.9])
 
+    def test_half_an_envelope(self, tmp_path):
+        p = tmp_path / "c.csv"
+        with pytest.raises(ParameterError, match="both lower and upper"):
+            write_curve_csv(p, [1.0], [0.5], lower=[0.1])
+        with pytest.raises(ParameterError, match="both lower and upper"):
+            write_curve_csv(p, [1.0], [0.5], upper=[0.9])
+        assert not p.exists()
+
 
 class TestScanCsv:
     HEADER = "cx,cy,radius,t_start,t_end,observed,expected,llr,p_value"
@@ -359,6 +367,20 @@ class TestGeoJson:
         with pytest.raises(ParameterError, match="not a number"):
             read_geojson_points(self.write(tmp_path, fc))
 
+    def test_bool_and_string_coordinates_rejected(self, tmp_path):
+        for coords in ([True, "0.5"], [0.25, "0.5"], [False, 0.5]):  # float() takes all three
+            feat = self.feature(0.2, 0.2)
+            feat["geometry"]["coordinates"] = coords
+            fc = {"type": "FeatureCollection", "features": [feat]}
+            with pytest.raises(ParameterError, match="malformed coordinates"):
+                read_geojson_points(self.write(tmp_path, fc))
+
+    def test_bool_and_string_times_rejected(self, tmp_path):
+        for t in (False, True, "1.5"):
+            fc = {"type": "FeatureCollection", "features": [self.feature(0.2, 0.2, {"t": t})]}
+            with pytest.raises(ParameterError, match="property 't' is not a number"):
+                read_geojson_points(self.write(tmp_path, fc))
+
     def test_empty_collection(self, tmp_path):
         fc = {"type": "FeatureCollection", "features": []}
         xy, t = read_geojson_points(self.write(tmp_path, fc))
@@ -432,8 +454,8 @@ class TestCodec:
             want = f"t.csv:{at + 1}: column {col}: not a number: {fields[col - 1]!r}"
         assert str(info.value).endswith(want)
 
-    # fields the fast path and the row parser must agree on: what float()
-    # accepts with and without padding, and what it rejects
+    # fields the reader's one pass and the row-by-row oracle must agree on:
+    # what float() accepts with and without padding, and what it rejects
     VALID = st.one_of(
         st.floats().map(repr),
         st.sampled_from(["1_0", " inf", "Infinity", "-Infinity", "nan", "-nan", "-0.0", "+1",
@@ -449,7 +471,13 @@ class TestCodec:
         newline=st.sampled_from(["\n", "\r\n"]),
         final_newline=st.booleans(),
     )
-    @example(k=2, data=None, newline="\n", final_newline=True)  # an empty body
+    @example(k=2, data=[], newline="\n", final_newline=True)  # an empty body
+    # a bad number on an earlier line than a wrong field count
+    @example(k=2, data=["1,2", "3,x", "4,5,6"], newline="\n", final_newline=True)
+    @example(k=1, data=["nope", "1,2"], newline="\r\n", final_newline=False)
+    # blank lines before a bad line, which is named by its line in the file
+    @example(k=2, data=["", "1,2", "  ", "\t", "3,nope"], newline="\n", final_newline=True)
+    @example(k=1, data=["", "1", " ", "2,3"], newline="\r\n", final_newline=True)
     def test_fast_path_matches_row_parser(self, k, data, newline, final_newline):
         header = ",".join("abc"[:k])
         line = st.one_of(
@@ -458,9 +486,9 @@ class TestCodec:
             st.sampled_from(["", "  ", "\t"]),  # blank lines
         )
         valid = st.lists(self.VALID, min_size=k, max_size=k).map(",".join)
-        if data is None:
-            lines = []
-        else:  # half the texts are valid throughout, so the fast path answers
+        if isinstance(data, list):
+            lines = data
+        else:  # half the texts are valid throughout, so the one pass answers
             lines = data.draw(st.lists(data.draw(st.sampled_from([line, valid])), max_size=8))
         text = newline.join([header, *lines]) + (newline if final_newline else "")
         with tempfile.TemporaryDirectory() as d:
