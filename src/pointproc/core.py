@@ -205,6 +205,15 @@ class Region:
         )
 
 
+def _finite_area(region: Region) -> float:
+    """The region's area, once it is known to be positive and finite: a valid
+    region's width * height can still underflow to 0 or overflow to inf."""
+    area = region.area
+    if not 0.0 < area < math.inf:
+        raise DegenerateDataError(f"region area {area} is not positive and finite")
+    return area
+
+
 def _index_list(mask) -> str:
     """The indices where `mask` holds, for an error message: every one up
     to ten of them, or the first ten and the count."""
@@ -325,7 +334,7 @@ class SpatialPattern:
     @property
     def intensity(self) -> float:
         """Empirical intensity n / area."""
-        return len(self) / self.region.area
+        return len(self) / _finite_area(self.region)
 
 
 class SpaceTimeEvents:

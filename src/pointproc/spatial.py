@@ -7,6 +7,13 @@ Distance queries go through a k-d tree, and every ball is closed.  G
 and F compare distances (d <= r); K, like the KDE's disc counts, counts
 a pair when dx*dx + dy*dy <= r*r, which can differ from d <= r at an
 exact tie.
+
+K lists the pairs within its largest radius once (`query_pairs`), finds
+each pair's first radius by that r*r rule, and counts both ends at once
+for every radius and border band.  A pair list grows with n^2 r^2, so a
+cell-count bound on its length is taken first: when the bound allows
+more than 2**19 pairs (8 MiB), K counts through `count_neighbors`
+instead, one tree per border band.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .core import (
     Region,
     RngStream,
     SpatialPattern,
+    _finite_area,
     _positive,
     aggregate_to_grid,
     indexed_map,
@@ -60,7 +68,7 @@ NNI_MAX_HEX = 2.0 * math.sqrt(2.0 / math.sqrt(3.0))
 def simulate_csr(rate: float, region: Region, rng: RngStream) -> SpatialPattern:
     """Complete spatial randomness: Poisson count, uniform placement."""
     rate = _positive(rate)
-    n = rng.poisson(rate * region.area)
+    n = rng.poisson(rate * _finite_area(region))
     xs = rng.uniforms(region.xmin, region.xmax, n)
     ys = rng.uniforms(region.ymin, region.ymax, n)
     return SpatialPattern(np.column_stack([xs, ys]), region)
@@ -225,6 +233,72 @@ def _pair_counts(centres: cKDTree, tree: cKDTree, radii: np.ndarray) -> np.ndarr
     return counts
 
 
+# `ripleys_k` lists its pairs only while at most this many ordered neighbours
+# (i == j included) can be within reach: under 2**19 pairs, so the (pairs, 2)
+# int64 list stays within 8 MiB.  Scoring the list, _K_PAIR_CHUNK pairs at a
+# time, takes under 2 MiB of numpy buffers more.  Past the budget, K counts
+# through the tree instead, in memory that does not grow with the pairs.
+_K_PAIR_BUDGET = 2**20
+_K_PAIR_CHUNK = 2**14
+
+
+def _cell_index(
+    coord: np.ndarray, lo: float, extent: float, side: float, most: int
+) -> tuple[int, np.ndarray]:
+    """Along one axis, the number of cells at least `side` wide, from 1 to
+    `most`, and the cell of each coordinate."""
+    q = extent / side
+    if not q >= 2.0:  # q is NaN when both are inf
+        return 1, np.zeros(coord.size, dtype=np.int64)
+    k = int(min(q, most))
+    return k, np.clip((coord - lo) / (extent / k), 0, k - 1).astype(np.int64)
+
+
+def _neighbour_bound(pts: np.ndarray, region: Region, reach: float) -> int:
+    """An upper bound on the ordered pairs (i, j), i == j included, within
+    `reach`: each point times the points in its 3x3 block of cells.
+
+    Cells are wider than `reach` by a slack for rounding: relative, and
+    absolute where a squared distance is subnormal and the tree's own
+    comparison is coarse.  They are also at least sqrt(area / n) wide, so
+    there are at most n of them.
+    """
+    n = len(pts)
+    side = max(reach * (1.0 + 2**-20) + 2**-520, math.sqrt(region.area / n))
+    nx, ix = _cell_index(pts[:, 0], region.xmin, region.width, side, n)
+    ny, iy = _cell_index(pts[:, 1], region.ymin, region.height, side, n // nx)
+    counts = np.bincount(ix * ny + iy, minlength=nx * ny).reshape(nx, ny)
+    padded = np.pad(counts, 1)
+    near = sum(padded[a : a + nx, b : b + ny] for a in range(3) for b in range(3))
+    return int((counts * near).sum())
+
+
+def _pair_list_counts(
+    tree: cKDTree, radii: np.ndarray, reach: float, upto: np.ndarray
+) -> np.ndarray:
+    """Per radius j, the pairs (c, p) with j < upto[c] and dx*dx + dy*dy <=
+    r*r, from one list of the pairs within `reach`."""
+    xs, ys = tree.data.T
+    m = radii.size
+    with np.errstate(over="ignore"):  # an r*r that overflows is inf: every pair is in
+        r2 = radii * radii
+    ij = tree.query_pairs(reach, output_type="ndarray")
+    # a pair end c whose pair first counts at radius f adds one at f .. upto[c] - 1
+    steps = np.zeros(m + 1, dtype=np.int64)
+    for s in range(0, len(ij), _K_PAIR_CHUNK):
+        i, j = ij[s : s + _K_PAIR_CHUNK].T
+        dx = xs[i] - xs[j]
+        dy = ys[i] - ys[j]
+        with np.errstate(over="ignore"):
+            first = np.searchsorted(r2, dx * dx + dy * dy)
+        first = np.concatenate([first, first])
+        last = np.concatenate([upto[i], upto[j]])
+        counted = first < last
+        steps += np.bincount(first[counted], minlength=m + 1)
+        steps -= np.bincount(last[counted], minlength=m + 1)
+    return steps.cumsum()[:m]
+
+
 def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.ndarray:
     """Ripley's K: mean count of other points within r, over lambda-hat.
 
@@ -241,21 +315,32 @@ def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.nd
     lam = pattern.intensity
     pts = pattern.points
     n = len(pts)
+    m = radii.size
     tree = cKDTree(pts)
-    if correction == "none":
-        return (_pair_counts(tree, tree, radii) - n) / n / lam
     r = pattern.region
-    depth = np.minimum.reduce(
-        [pts[:, 0] - r.xmin, r.xmax - pts[:, 0], pts[:, 1] - r.ymin, r.ymax - pts[:, 1]]
-    )
-    # a point is kept at radii[j] exactly when j < upto (depth > radii[j]); the
-    # points sharing one upto form a band, counted in one pass over its radii
-    upto = np.searchsorted(radii, depth, "left")
-    total = np.zeros(radii.size, dtype=np.int64)
-    for u in np.unique(upto[upto > 0]):
-        band = pts[upto == u]
-        total[:u] += _pair_counts(cKDTree(band), tree, radii[:u]) - len(band)
-    kept = n - np.bincount(upto, minlength=radii.size + 1).cumsum()[:-1]
+    if correction == "none":
+        upto = np.full(n, m)
+    else:
+        depth = np.minimum.reduce(
+            [pts[:, 0] - r.xmin, r.xmax - pts[:, 0], pts[:, 1] - r.ymin, r.ymax - pts[:, 1]]
+        )
+        # a point is kept at radii[j] exactly when j < upto (depth > radii[j])
+        upto = np.searchsorted(radii, depth, "left")
+    reach = float(radii[-1]) * (1.0 + 2**-20)  # the tree's rounding drops no pair within r
+    # n * n bounds the ordered neighbours too, and costs nothing to check
+    if n * n <= _K_PAIR_BUDGET or _neighbour_bound(pts, r, reach) <= _K_PAIR_BUDGET:
+        total = _pair_list_counts(tree, radii, reach, upto)
+    elif correction == "none":
+        total = _pair_counts(tree, tree, radii) - n
+    else:
+        # the points sharing one upto form a band, counted in one pass over its radii
+        total = np.zeros(m, dtype=np.int64)
+        for u in np.unique(upto[upto > 0]):
+            band = pts[upto == u]
+            total[:u] += _pair_counts(cKDTree(band), tree, radii[:u]) - len(band)
+    if correction == "none":
+        return total / n / lam
+    kept = n - np.bincount(upto, minlength=m + 1).cumsum()[:-1]
     with np.errstate(invalid="ignore"):  # no kept point: 0 / 0 is NaN
         return total / kept / lam
 

@@ -479,6 +479,34 @@ class TestBadInputFiles:
         assert list(out.iterdir()) == []
 
 
+# valid regions whose width * height underflows to 0 or overflows to inf
+TINY, HUGE = "0,1e-170,0,1e-170", "0,1e200,0,1e200"
+BAD_AREAS = {
+    "k-area-0": ["analyze", "k", "--region", TINY, "--radii", "1e-171"],
+    "nni-area-0": ["analyze", "nni", "--region", TINY],
+    "g-envelope-area-0": ["analyze", "g", "--region", TINY, "--radii", "1e-171",
+                          "--envelope", 19],
+    "k-area-inf": ["analyze", "k", "--region", HUGE, "--radii", "0.1"],
+    "nni-area-inf": ["analyze", "nni", "--region", HUGE],
+    "csr-area-inf": ["simulate", "csr", "--rate", 1, "--region", HUGE],
+}
+
+
+class TestRegionArea:
+    @pytest.mark.parametrize("argv", BAD_AREAS.values(), ids=BAD_AREAS.keys())
+    def test_error_without_traceback(self, tmp_path, capsys, argv):
+        if argv[0] == "analyze":
+            src = tmp_path / "pts.csv"
+            src.write_text("x,y\n0,0\n2e-171,3e-171\n5e-171,1e-171\n")
+            argv = [*argv[:2], "--in", src, *argv[2:]]
+        out = tmp_path / "run"
+        assert run("--out", out, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: region area ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 # argv past the input flags -> an array dimension numpy cannot shape
 OVERSIZED = {
     "quadrat-nx": ["analyze", "quadrat", "--nx", "1000000000000000000000", "--ny", 1],

@@ -1,9 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial import cKDTree
 
 import _oracles as brute
 from pointproc import (
@@ -26,9 +30,12 @@ from pointproc import (
     quadrat_counts,
     ripleys_k,
     simulate_csr,
+    spatial,
 )
 
 UNIT = Region(0, 1, 0, 1)
+# valid regions whose area underflows to 0 or overflows to inf
+DEGENERATE_AREAS = [Region(0, 1e-170, 0, 1e-170), Region(0, 1e200, 0, 1e200)]
 
 
 def random_pattern(seed, n=None, region=UNIT):
@@ -68,6 +75,14 @@ class TestSimulateCsr:
     def test_rejects_bad_rate(self):
         with pytest.raises(ParameterError):
             simulate_csr(0.0, UNIT, RngStream(0))
+
+    @pytest.mark.parametrize("region", DEGENERATE_AREAS)
+    def test_rejects_an_area_of_zero_or_inf(self, region):
+        with pytest.raises(DegenerateDataError, match="region area"):
+            simulate_csr(1.0, region, RngStream(0))
+        pat = SpatialPattern([[0.0, 0.0], [1e-171, 1e-171]], region)
+        with pytest.raises(DegenerateDataError, match="region area"):
+            pat.intensity
 
 
 class TestKdeSurface:
@@ -402,6 +417,123 @@ class TestRipleysKTreeReference:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def k_on_path(pat, radii, corr, pair_list):
+    """K from the pair list, or from the bounded-memory band loop."""
+    with mock.patch.object(spatial, "_K_PAIR_BUDGET", 2**62 if pair_list else 0):
+        return ripleys_k(pat, radii, correction=corr)
+
+
+@st.composite
+def k_inputs(draw):
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 150))
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice"]))
+    if kind == "uniform":
+        pts = g.random((n, 2))
+    elif kind == "clustered":
+        parents = g.random((int(g.integers(1, 6)), 2))
+        pts = np.clip(parents[g.integers(len(parents), size=n)] + g.normal(0, 0.03, (n, 2)), 0, 1)
+    else:
+        pts = g.integers(0, 17, (n, 2)) / 16
+    radii = draw(
+        st.one_of(
+            st.just([0.1, 1e308]),  # 1e308 * 1e308 overflows
+            st.lists(st.integers(1, 24), min_size=1, max_size=10, unique=True).map(
+                lambda ks: [k / 16 for k in sorted(ks)]  # lattice spacings: ties
+            ),
+            st.lists(st.floats(1e-3, 1.6), min_size=1, max_size=10, unique=True).map(sorted),
+        )
+    )
+    return SpatialPattern(pts, UNIT), radii
+
+
+@st.composite
+def bound_inputs(draw):
+    scale = draw(st.sampled_from([1.0, 1e-170, 1e150]))
+    w, h = draw(st.sampled_from([(1.0, 1.0), (7.0, 0.5), (1e-3, 1.0), (1.0, 1e-3)]))
+    offset = draw(st.sampled_from([0.0, 1e15])) if min(w, h) >= 0.5 else 0.0
+    region = Region(offset * scale, (offset + w) * scale, offset * scale, (offset + h) * scale)
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    u = g.random((n, 2))
+    kind = draw(st.sampled_from(["uniform", "corners", "edges", "equal", "lattice"]))
+    if kind == "corners":
+        u = np.round(u)
+    elif kind == "edges":
+        u[:, int(g.integers(2))] = g.integers(0, 2, n)
+    elif kind == "equal":
+        u[:] = u[0]
+    elif kind == "lattice":
+        u = np.round(u * 8) / 8
+    pts = np.column_stack(
+        [
+            np.clip(region.xmin + u[:, 0] * region.width, region.xmin, region.xmax),
+            np.clip(region.ymin + u[:, 1] * region.height, region.ymin, region.ymax),
+        ]
+    )
+    # past the diagonal from a factor above 1
+    reach = math.hypot(region.width, region.height) * draw(st.floats(1e-4, 3.0))
+    return pts, region, reach
+
+
+class TestRipleysKPaths:
+    """The pair list and the bounded-memory band loop count the same pairs."""
+
+    @pytest.mark.parametrize("case", sorted(K_TREE_CASES))
+    @pytest.mark.parametrize("corr", ["none", "border"])
+    def test_tree_cases_agree(self, case, corr):
+        pat, radii = K_TREE_CASES[case]()
+        listed = k_on_path(pat, radii, corr, pair_list=True)
+        assert np.array_equal(listed, k_on_path(pat, radii, corr, pair_list=False), equal_nan=True)
+        assert np.array_equal(listed, brute.ripleys_k_tree(pat, radii, corr), equal_nan=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_inputs(), st.sampled_from(["none", "border"]))
+    def test_random_patterns_agree(self, inputs, corr):
+        pat, radii = inputs
+        assert np.array_equal(
+            k_on_path(pat, radii, corr, pair_list=True),
+            k_on_path(pat, radii, corr, pair_list=False),
+            equal_nan=True,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_inputs())
+    def test_bound_never_undercounts(self, inputs):
+        pts, region, reach = inputs
+        listed = cKDTree(pts).query_pairs(reach, output_type="ndarray")
+        assert spatial._neighbour_bound(pts, region, reach) >= 2 * len(listed) + len(pts)
+
+    @pytest.mark.parametrize(
+        "region", [*DEGENERATE_AREAS, Region(-1e308, 1e308, -1e308, 1e308)], ids=str
+    )
+    @pytest.mark.parametrize("reach", [1e-300, 1.0, 1e199, math.inf])
+    def test_bound_of_an_area_of_zero_or_inf(self, region, reach):
+        # no query to compare with: distances this large overflow in the tree
+        pts = np.array([[region.xmin, region.ymin], [region.xmax, region.ymax]] * 3)
+        assert 6 <= spatial._neighbour_bound(pts, region, reach) <= 36
+
+    @pytest.mark.parametrize("corr", ["none", "border"])
+    def test_pair_list_memory_is_bounded(self, corr):
+        # 1024 points in one cell: the bound is n**2, exactly the budget, and the
+        # list holds all 523,776 pairs, 8 MiB.  scipy owns the list's buffer, so
+        # tracemalloc sees only the numpy buffers that score it, in chunks
+        g = np.random.default_rng(3)
+        pat = SpatialPattern(0.5 + g.uniform(-0.01, 0.01, (1024, 2)), UNIT)
+        radii = [0.01, 0.02, 0.05]
+        ripleys_k(pat, radii[:1], correction=corr)  # scipy's import outside the trace
+        spy = mock.patch.object(spatial, "_pair_list_counts", wraps=spatial._pair_list_counts)
+        tracemalloc.start()
+        try:
+            with spy as listed:
+                ripleys_k(pat, radii, correction=corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        listed.assert_called_once()
+        assert peak < 2 * 2**20
 
 
 class TestCsrEnvelope:
