@@ -248,6 +248,10 @@ class GridSpec:
         if self.nx < 1 or self.ny < 1:
             raise ParameterError("grid must have at least one cell per axis")
         _check_array_size("grid", self.nx, self.ny)
+        # a valid region's width can overflow to inf, and a cell's can underflow to 0
+        w, h = self.cell_width, self.cell_height
+        if not (0.0 < w < math.inf and 0.0 < h < math.inf):
+            raise ParameterError(f"grid cells must be positive and finite, got {w} x {h}")
 
     @property
     def ncells(self) -> int:

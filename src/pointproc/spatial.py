@@ -13,11 +13,13 @@ each pair's first radius by that r*r rule, and counts both ends at once
 for every radius and border band.  A pair list grows with n^2 r^2, so a
 cell-count bound on its length is taken first: when the bound allows
 more than 2**19 pairs (8 MiB), K counts through `count_neighbors`
-instead, one tree per border band.
+instead, one tree per border band; with no correction, every point is in
+the one band.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -33,6 +35,7 @@ from .core import (
     Region,
     RngStream,
     SpatialPattern,
+    _check_array_size,
     _finite_area,
     _positive,
     aggregate_to_grid,
@@ -67,11 +70,27 @@ NNI_MAX_HEX = 2.0 * math.sqrt(2.0 / math.sqrt(3.0))
 
 def simulate_csr(rate: float, region: Region, rng: RngStream) -> SpatialPattern:
     """Complete spatial randomness: Poisson count, uniform placement."""
-    rate = _positive(rate)
-    n = rng.poisson(rate * _finite_area(region))
+    mean = _positive(rate) * _finite_area(region)
+    _check_array_size("CSR pattern of mean size", mean, 2)  # an inf mean too
+    n = rng.poisson(mean)
     xs = rng.uniforms(region.xmin, region.xmax, n)
     ys = rng.uniforms(region.ymin, region.ymax, n)
     return SpatialPattern(np.column_stack([xs, ys]), region)
+
+
+@contextlib.contextmanager
+def _tree_overflow():
+    """scipy's k-d tree refuses a pair or disc query when a squared distance
+    across the points' bounding box overflows: report that as an error of the
+    data."""
+    try:
+        yield
+    except ValueError as e:
+        if "overflow" not in str(e):
+            raise
+        raise DegenerateDataError(
+            "points too far apart for the k-d tree: a squared distance overflows"
+        ) from None
 
 
 def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Grid:
@@ -90,7 +109,8 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Gr
         counts = np.zeros(spec.ncells)
     else:
         tree = cKDTree(pattern.points)
-        counts = tree.query_ball_point(centres, bandwidth, return_length=True)
+        with _tree_overflow():
+            counts = tree.query_ball_point(centres, bandwidth, return_length=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = counts / (math.pi * np.float64(bandwidth) ** 2)  # inf where Python's ** raises
     if not np.all(np.isfinite(vals)):  # count / area overflows, or the area is 0
@@ -222,17 +242,6 @@ def nni(pattern: SpatialPattern) -> float:
     return d_obs / d_exp
 
 
-def _pair_counts(centres: cKDTree, tree: cKDTree, radii: np.ndarray) -> np.ndarray:
-    """Pairs (c, p), c a centre and p a tree point, with dx*dx + dy*dy <= r*r."""
-    counts = centres.count_neighbors(tree, radii)
-    # count_neighbors compares with pow(r, 2), one ulp off a finite r*r for about
-    # one radius in a thousand; those radii are counted per point, by the r*r rule
-    for j, r in enumerate(radii.tolist()):
-        if math.isfinite(r * r) and math.pow(r, 2) != r * r:
-            counts[j] = tree.query_ball_point(centres.data, r, return_length=True).sum()
-    return counts
-
-
 # `ripleys_k` lists its pairs only while at most this many ordered neighbours
 # (i == j included) can be within reach: under 2**19 pairs, so the (pairs, 2)
 # int64 list stays within 8 MiB.  Scoring the list, _K_PAIR_CHUNK pairs at a
@@ -240,18 +249,6 @@ def _pair_counts(centres: cKDTree, tree: cKDTree, radii: np.ndarray) -> np.ndarr
 # through the tree instead, in memory that does not grow with the pairs.
 _K_PAIR_BUDGET = 2**20
 _K_PAIR_CHUNK = 2**14
-
-
-def _cell_index(
-    coord: np.ndarray, lo: float, extent: float, side: float, most: int
-) -> tuple[int, np.ndarray]:
-    """Along one axis, the number of cells at least `side` wide, from 1 to
-    `most`, and the cell of each coordinate."""
-    q = extent / side
-    if not q >= 2.0:  # q is NaN when both are inf
-        return 1, np.zeros(coord.size, dtype=np.int64)
-    k = int(min(q, most))
-    return k, np.clip((coord - lo) / (extent / k), 0, k - 1).astype(np.int64)
 
 
 def _neighbour_bound(pts: np.ndarray, region: Region, reach: float) -> int:
@@ -265,8 +262,9 @@ def _neighbour_bound(pts: np.ndarray, region: Region, reach: float) -> int:
     """
     n = len(pts)
     side = max(reach * (1.0 + 2**-20) + 2**-520, math.sqrt(region.area / n))
-    nx, ix = _cell_index(pts[:, 0], region.xmin, region.width, side, n)
-    ny, iy = _cell_index(pts[:, 1], region.ymin, region.height, side, n // nx)
+    nx = max(1, int(min(region.width / side, n)))
+    ny = max(1, int(min(region.height / side, n // nx)))
+    ix, iy = GridSpec(region, nx, ny).cell_indices(pts[:, 0], pts[:, 1])
     counts = np.bincount(ix * ny + iy, minlength=nx * ny).reshape(nx, ny)
     padded = np.pad(counts, 1)
     near = sum(padded[a : a + nx, b : b + ny] for a in range(3) for b in range(3))
@@ -327,19 +325,25 @@ def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.nd
         # a point is kept at radii[j] exactly when j < upto (depth > radii[j])
         upto = np.searchsorted(radii, depth, "left")
     reach = float(radii[-1]) * (1.0 + 2**-20)  # the tree's rounding drops no pair within r
-    # n * n bounds the ordered neighbours too, and costs nothing to check
-    if n * n <= _K_PAIR_BUDGET or _neighbour_bound(pts, r, reach) <= _K_PAIR_BUDGET:
-        total = _pair_list_counts(tree, radii, reach, upto)
-    elif correction == "none":
-        total = _pair_counts(tree, tree, radii) - n
-    else:
-        # the points sharing one upto form a band, counted in one pass over its radii
-        total = np.zeros(m, dtype=np.int64)
-        for u in np.unique(upto[upto > 0]):
-            band = pts[upto == u]
-            total[:u] += _pair_counts(cKDTree(band), tree, radii[:u]) - len(band)
-    if correction == "none":
-        return total / n / lam
+    with _tree_overflow():
+        # n * n bounds the ordered neighbours too, and costs nothing to check
+        if n * n <= _K_PAIR_BUDGET or _neighbour_bound(pts, r, reach) <= _K_PAIR_BUDGET:
+            total = _pair_list_counts(tree, radii, reach, upto)
+        else:
+            # count_neighbors compares with pow(r, 2), one ulp off a finite r*r for about
+            # one radius in a thousand; those radii are counted per point, by the r*r rule
+            odd = [j for j, s in enumerate(radii.tolist())
+                   if math.isfinite(s * s) and math.pow(s, 2) != s * s]
+            # the points sharing one upto form a band, counted in one pass over its
+            # radii; with no correction, every point is in the one band
+            total = np.zeros(m, dtype=np.int64)
+            for u in np.unique(upto[upto > 0]):
+                band = pts[upto == u]
+                counts = cKDTree(band).count_neighbors(tree, radii[:u])
+                for j in odd:
+                    if j < u:
+                        counts[j] = tree.query_ball_point(band, radii[j], return_length=True).sum()
+                total[:u] += counts - len(band)
     kept = n - np.bincount(upto, minlength=m + 1).cumsum()[:-1]
     with np.errstate(invalid="ignore"):  # no kept point: 0 / 0 is NaN
         return total / kept / lam

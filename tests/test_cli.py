@@ -155,6 +155,14 @@ class TestSimulate:
         assert pts.shape[1] == 2
         assert np.all((pts >= 0) & (pts <= 1))
 
+    def test_csr_mean_too_large_for_an_array(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("--out", out, "simulate", "csr", "--rate", 1e20, "--region", "0,1,0,1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CSR pattern of mean size 1e+20 x 2 is too large")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
 
 class TestAnalyze:
     def test_kde(self, tmp_path):
@@ -505,6 +513,63 @@ class TestRegionArea:
         assert err.startswith("error: region area ")
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+# a valid region whose width overflows to inf: every grid cell on it is
+# infinitely wide, and a point's offset from xmin overflows too
+WIDE = "-1e308,1e308,0,1"
+INFINITE_CELLS = {
+    "quadrat": ["analyze", "quadrat", "--nx", 2, "--ny", 2],
+    "dispersion": ["analyze", "dispersion", "--nx", 2, "--ny", 2, "--blocks", 1],
+    "kde": ["analyze", "kde", "--nx", 2, "--ny", 2, "--bandwidth", 0.1],
+    "f": ["analyze", "f", "--radii", 0.1, "--probe-nx", 2, "--probe-ny", 2],
+    "gistar": ["detect", "gistar", "--nx", 2, "--ny", 2, "--radius", 0.5],
+    "scan": ["detect", "scan", "--horizon", 1, "--nx", 2, "--ny", 2, "--slices", 1,
+             "--radii", 0.5, "--durations", 1, "--nsim", 99],
+}
+
+
+class TestGridCells:
+    @pytest.mark.parametrize("argv", INFINITE_CELLS.values(), ids=INFINITE_CELLS.keys())
+    def test_infinite_cells_error_without_traceback(self, tmp_path, capsys, argv):
+        src = tmp_path / "in.csv"
+        rows = [(0, 0, 0.1), (-9e307, 0.5, 0.2), (9e307, 0.3, 0.5), (0.5, 0.9, 0.7)]
+        if argv[1] == "scan":
+            src.write_text("x,y,t\n" + "".join(f"{x},{y},{t}\n" for x, y, t in rows))
+        else:
+            src.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y, _ in rows))
+        out = tmp_path / "run"
+        assert run("--out", out, *argv[:2], "--in", src, f"--region={WIDE}", *argv[2:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid cells must be positive and finite, got inf x ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
+# points 1e199 apart in a region of finite area: the k-d tree refuses the pair
+# and disc queries, whose squared distances overflow, but not the nearest-neighbour ones
+FAR = "0,1e200,0,1e-100"
+FAR_APART = {
+    "k": (["analyze", "k", "--radii", "1e199"], 1),
+    "kde": (["analyze", "kde", "--nx", 2, "--ny", 2, "--bandwidth", "1e199"], 1),
+    "g": (["analyze", "g", "--radii", "1e199"], 0),
+    "f": (["analyze", "f", "--radii", "1e199", "--probe-nx", 2, "--probe-ny", 2], 0),
+    "nni": (["analyze", "nni"], 0),
+}
+
+
+class TestFarApartPoints:
+    @pytest.mark.parametrize("argv, code", FAR_APART.values(), ids=FAR_APART.keys())
+    def test_overflow_in_the_tree_is_an_error(self, tmp_path, capsys, argv, code):
+        src = tmp_path / "pts.csv"
+        src.write_text("x,y\n0,0\n1e199,0\n2e199,0\n")
+        out = tmp_path / "run"
+        assert run("--out", out, *argv[:2], "--in", src, "--region", FAR, *argv[2:]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert "error: points too far apart for the k-d tree" in err
+            assert list(out.iterdir()) == []
 
 
 # argv past the input flags -> an array dimension numpy cannot shape

@@ -251,6 +251,20 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(Region(0, 1, 0, 1), 0, 3)
 
+    @pytest.mark.parametrize(
+        "region, nx, ny",
+        [
+            (Region(-1e308, 1e308, 0, 1), 2, 1),  # the width overflows to inf
+            (Region(0, 1, -1e308, 1e308), 1, 2),
+            (Region(0, 1e-320, 0, 1), 10**4, 1),  # a cell's width underflows to 0
+            (Region(0, 1, 0, 1e-320), 1, 10**4),
+        ],
+        ids=["width-inf", "height-inf", "width-0", "height-0"],
+    )
+    def test_rejects_cells_not_positive_and_finite(self, region, nx, ny):
+        with pytest.raises(ParameterError, match="grid cells must be positive and finite"):
+            GridSpec(region, nx, ny)
+
     @given(
         st.lists(st.floats(0, 1), min_size=1, max_size=50),
         st.lists(st.floats(0, 1), min_size=1, max_size=50),

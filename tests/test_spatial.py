@@ -36,6 +36,9 @@ from pointproc import (
 UNIT = Region(0, 1, 0, 1)
 # valid regions whose area underflows to 0 or overflows to inf
 DEGENERATE_AREAS = [Region(0, 1e-170, 0, 1e-170), Region(0, 1e200, 0, 1e200)]
+# points 1e199 apart in a region of finite area: the k-d tree's squared
+# distances across them overflow
+FAR_APART = SpatialPattern([[0, 0], [1e199, 0], [2e199, 0]], Region(0, 1e200, 0, 1e-100))
 
 
 def random_pattern(seed, n=None, region=UNIT):
@@ -75,6 +78,12 @@ class TestSimulateCsr:
     def test_rejects_bad_rate(self):
         with pytest.raises(ParameterError):
             simulate_csr(0.0, UNIT, RngStream(0))
+
+    @pytest.mark.parametrize("rate, region", [(1e20, UNIT), (1e300, Region(0, 1e10, 0, 1e10))])
+    def test_rejects_a_mean_too_large_for_an_array(self, rate, region):
+        # the second mean overflows to inf; neither is drawn nor allocated
+        with pytest.raises(ParameterError, match="too large for an array"):
+            simulate_csr(rate, region, RngStream(0))
 
     @pytest.mark.parametrize("region", DEGENERATE_AREAS)
     def test_rejects_an_area_of_zero_or_inf(self, region):
@@ -143,6 +152,10 @@ class TestKdeSurface:
                 kde_surface(pat, spec, bw)
         else:
             assert np.all(np.isfinite(kde_surface(pat, spec, bw).values))
+
+    def test_rejects_points_too_far_apart_for_the_tree(self):
+        with pytest.raises(DegenerateDataError, match="too far apart"):
+            kde_surface(FAR_APART, GridSpec(FAR_APART.region, 2, 2), 1e199)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bw", [1e154, 1e308])
@@ -506,14 +519,27 @@ class TestRipleysKPaths:
         listed = cKDTree(pts).query_pairs(reach, output_type="ndarray")
         assert spatial._neighbour_bound(pts, region, reach) >= 2 * len(listed) + len(pts)
 
-    @pytest.mark.parametrize(
-        "region", [*DEGENERATE_AREAS, Region(-1e308, 1e308, -1e308, 1e308)], ids=str
-    )
+    @pytest.mark.parametrize("region", DEGENERATE_AREAS, ids=str)
     @pytest.mark.parametrize("reach", [1e-300, 1.0, 1e199, math.inf])
     def test_bound_of_an_area_of_zero_or_inf(self, region, reach):
         # no query to compare with: distances this large overflow in the tree
         pts = np.array([[region.xmin, region.ymin], [region.xmax, region.ymax]] * 3)
         assert 6 <= spatial._neighbour_bound(pts, region, reach) <= 36
+
+    @pytest.mark.parametrize("corr", ["none", "border"])
+    def test_a_width_that_overflows_never_reaches_the_bound(self, corr):
+        region = Region(-1e308, 1e308, -1e308, 1e308)  # its width overflows to inf
+        pts = [[region.xmin, region.ymin], [region.xmax, region.ymax]] * 3
+        with pytest.raises(DegenerateDataError, match="region area"):
+            ripleys_k(SpatialPattern(pts, region), [1.0], correction=corr)
+
+    @pytest.mark.parametrize("pair_list", [True, False])
+    def test_points_too_far_apart_for_the_tree(self, pair_list):
+        with pytest.raises(DegenerateDataError, match="too far apart"):
+            k_on_path(FAR_APART, [1e199], "none", pair_list)
+        # the nearest-neighbour queries are not refused on the same points
+        g_function(FAR_APART, [1e199])
+        nni(FAR_APART)
 
     @pytest.mark.parametrize("corr", ["none", "border"])
     def test_pair_list_memory_is_bounded(self, corr):
