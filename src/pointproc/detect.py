@@ -42,6 +42,11 @@ __all__ = [
     "space_time_scan",
 ]
 
+# Integers of magnitude up to 2**24 are exact in float32: a replicate of
+# fewer events than this sums its counts in float32.
+_F32_EXACT = 2**24
+
+
 def rss(a: Grid, b: Grid) -> float:
     """Residual sum of squares between two grids."""
     if a.spec != b.spec:
@@ -288,14 +293,14 @@ def _run_matrix(runs: np.ndarray, ny: int):
     return sparse.csr_matrix((data, indices, indptr), shape=(ndiscs, nx * (ny + 1)))
 
 
-def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """(ncells, n) values -> (nx * (ny + 1), n + 1) 2-D prefix sums.
+def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float) -> np.ndarray:
+    """(ncells, n) values -> (nx * (ny + 1), n + 1) 2-D prefix sums in `dtype`.
 
     Row ix * (ny + 1) + j, column s holds the sum over cells (ix, iy < j)
     and slices < s: cumulated along the slices, then down each column.
     """
     n = per_cell.shape[1]
-    out = np.zeros((nx, ny + 1, n + 1))
+    out = np.zeros((nx, ny + 1, n + 1), dtype=dtype)
     np.cumsum(per_cell.reshape(nx, ny, n).cumsum(axis=2), axis=1, out=out[:, 1:, 1:])
     return out.reshape(nx * (ny + 1), n + 1)
 
@@ -338,9 +343,12 @@ def space_time_scan(
 
     Each disc is held as one run of cells per grid column, so one sparse
     product of +1/-1 run ends with 2-D prefix sums gives every disc's
-    slice sums: of the counts, the mass and each replicate.  An integer
-    mass gives `expected` rounded once; a float mass may cancel by a few
-    eps of the total, never below 0, and gives 0 where none is positive.
+    slice sums: of the counts, the mass and each replicate.  A replicate's
+    counts, prefix sums, disc sums and every partial sum between are
+    integers in [-N, N]: float32 while N < 2**24, float64 from there on,
+    exact either way.  An integer mass gives `expected` rounded once; a
+    float mass may cancel by a few eps of the total, never below 0, and
+    gives 0 where none is positive.
     A cylinder whose positive mass is within that rounding of 0 is summed
     again over its (cell, slice) pairs, to a few eps of its own mass.
     A replicate's maximum LLR needs only the largest count among the
@@ -443,6 +451,7 @@ def space_time_scan(
     # two or more discs are made contiguous and the lone discs follow,
     # passed through: a reduceat over one-disc segments costs more than
     # the gather it saves, and a non-uniform baseline leaves most discs alone.
+    narrow = np.float32 if total < _F32_EXACT else np.float64
     order = np.lexsort(expected.T)
     ranked = expected[order]
     first = np.ones(len(order), dtype=bool)
@@ -452,7 +461,7 @@ def space_time_scan(
     order = np.concatenate([order[shared], order[~shared]])
     class_starts = np.flatnonzero(first[shared])
     n_shared = np.count_nonzero(shared)
-    class_discs = discs[order]
+    class_discs = discs[order].astype(narrow, copy=False)
     # (window, column) entries, a column being one class or one lone disc
     columns = np.concatenate([order[class_starts], order[n_shared:]])
     mu, group = np.unique(expected[columns].T.ravel(), return_inverse=True)
@@ -460,18 +469,22 @@ def space_time_scan(
     group_starts = np.searchsorted(group[by_group], np.arange(mu.size))
     width_rows = np.cumsum([0] + per_width).tolist()
     n_classes = len(class_starts)
-    # N categorical (cell, slice) draws: given N, the multinomial law; the
-    # sorted uniforms search the cumulative mass in order, to the same cells
+    # N categorical (cell, slice) draws: given N, the multinomial law.  The
+    # default mass sums to 1, 2, ..., M, so a draw u in [0, M) lands in cell
+    # floor(u); any other mass is searched with the uniforms sorted.
     cum_mass = np.cumsum(mass.ravel())
 
     def replicate(i: int) -> float:
-        u = np.sort(rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total))
-        cells = np.searchsorted(cum_mass, u, side="right")
+        u = rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total)
+        if baseline is None:
+            cells = u.astype(np.int64)
+        else:
+            cells = np.searchsorted(cum_mass, np.sort(u), side="right")
         sim = np.bincount(cells, minlength=mass.size).reshape(ncells, n_slices)
         # (slices + 1, ndiscs) slice sums: a width's window sums are one
         # strided difference, cut to each class's maximum
-        st = (class_discs @ _prefix_sums(sim, spec.nx, spec.ny)).T.copy()
-        best = np.empty((n_win, len(columns)))
+        st = (class_discs @ _prefix_sums(sim, spec.nx, spec.ny, narrow)).T.copy()
+        best = np.empty((n_win, len(columns)), dtype=narrow)
         for k, w in enumerate(widths):
             rows = slice(width_rows[k], width_rows[k + 1])
             sim_obs = st[w:] - st[:n_slices + 1 - w]

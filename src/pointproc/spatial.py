@@ -176,13 +176,23 @@ def dispersion_by_block(
     return out
 
 
+def _finite(d: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour distances, once none has overflowed to inf in the
+    k-d tree."""
+    if not np.all(np.isfinite(d)):
+        raise DegenerateDataError(
+            "points too far apart for the k-d tree: a nearest-neighbour distance overflows"
+        )
+    return d
+
+
 def _nn_distances(points: np.ndarray) -> np.ndarray:
     """Distance from each point to its nearest other point."""
     from scipy.spatial import cKDTree
 
     tree = cKDTree(points)
     d, _ = tree.query(points, k=2)
-    return d[:, 1]
+    return _finite(d[:, 1])
 
 
 def _validate_radii(radii, positive: bool = False) -> np.ndarray:
@@ -220,7 +230,7 @@ def f_function(pattern: SpatialPattern, probe_spec: GridSpec, radii) -> np.ndarr
     if len(pattern) == 0:
         raise InsufficientDataError("F needs at least one point")
     probes = probe_spec.centre_points()
-    d, _ = cKDTree(pattern.points).query(probes, k=1)
+    d = _finite(cKDTree(pattern.points).query(probes, k=1)[0])
     return (d[:, None] <= radii[None, :]).mean(axis=0)
 
 
@@ -326,8 +336,10 @@ def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.nd
         upto = np.searchsorted(radii, depth, "left")
     reach = float(radii[-1]) * (1.0 + 2**-20)  # the tree's rounding drops no pair within r
     with _tree_overflow():
+        if not upto.any():  # no point is kept at any radius: every K is NaN
+            total = np.zeros(m, dtype=np.int64)
         # n * n bounds the ordered neighbours too, and costs nothing to check
-        if n * n <= _K_PAIR_BUDGET or _neighbour_bound(pts, r, reach) <= _K_PAIR_BUDGET:
+        elif n * n <= _K_PAIR_BUDGET or _neighbour_bound(pts, r, reach) <= _K_PAIR_BUDGET:
             total = _pair_list_counts(tree, radii, reach, upto)
         else:
             # count_neighbors compares with pow(r, 2), one ulp off a finite r*r for about

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -536,6 +537,35 @@ class TestSpaceTimeScan:
         for cyl, ra in a.items():
             assert ra.llr == pytest.approx(b[cyl].llr, rel=1e-9, abs=1e-12)
             assert ra.observed == b[cyl].observed
+
+    def test_uniform_baseline_gives_the_default_columns_exactly(self):
+        # the explicit baseline searches the cumulative mass 1, 2, ..., M for
+        # each draw; the default truncates it: the same cells, the same bytes
+        ev = make_events(8)
+        uniform = [Grid(self.SPEC, np.ones((5, 5), dtype=int)) for _ in range(5)]
+        for a, b in zip(self.scan(ev).columns, self.scan(ev, baseline=uniform).columns):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+    @pytest.mark.parametrize("kind", ["default", "integer", "float"])
+    def test_float32_replicates_match_float64(self, kind):
+        g = np.random.default_rng(9)
+        baseline = {
+            "default": None,
+            "integer": [Grid(self.SPEC, g.integers(0, 4, (5, 5))) for _ in range(5)],
+            "float": [Grid(self.SPEC, g.random((5, 5)) + 0.1) for _ in range(5)],
+        }[kind]
+        ev = make_events(10)
+        runs = {}
+        for limit in (detect._F32_EXACT, 0):
+            spy = mock.patch.object(detect, "_prefix_sums", wraps=detect._prefix_sums)
+            with mock.patch.object(detect, "_F32_EXACT", limit), spy as prefix:
+                runs[limit] = self.scan(ev, baseline=baseline).columns
+            # the replicates' prefix sums are the calls that name a dtype
+            assert {c.args[3] for c in prefix.call_args_list if len(c.args) > 3} == {
+                np.float32 if limit else np.float64
+            }
+        for a, b in zip(*runs.values()):
+            np.testing.assert_array_equal(a, b, strict=True)
 
     def test_concentrated_baseline_absorbs_cluster(self):
         # all events in one corner cell: glaring under a uniform baseline,

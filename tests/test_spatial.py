@@ -537,9 +537,19 @@ class TestRipleysKPaths:
     def test_points_too_far_apart_for_the_tree(self, pair_list):
         with pytest.raises(DegenerateDataError, match="too far apart"):
             k_on_path(FAR_APART, [1e199], "none", pair_list)
-        # the nearest-neighbour queries are not refused on the same points
-        g_function(FAR_APART, [1e199])
-        nni(FAR_APART)
+        # every point lies on the boundary, so the border correction keeps none
+        # at any radius: K is NaN everywhere, with no query of the tree
+        spy = mock.patch.object(spatial, "_pair_list_counts", wraps=spatial._pair_list_counts)
+        with spy as listed:
+            assert np.isnan(k_on_path(FAR_APART, [1e199], "border", pair_list)).all()
+        listed.assert_not_called()
+        # the nearest-neighbour distances overflow to inf on the same points
+        with pytest.raises(DegenerateDataError, match="too far apart"):
+            g_function(FAR_APART, [1e199])
+        with pytest.raises(DegenerateDataError, match="too far apart"):
+            f_function(FAR_APART, GridSpec(FAR_APART.region, 2, 2), [1e199])
+        with pytest.raises(DegenerateDataError, match="too far apart"):
+            nni(FAR_APART)
 
     @pytest.mark.parametrize("corr", ["none", "border"])
     def test_pair_list_memory_is_bounded(self, corr):
