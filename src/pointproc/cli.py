@@ -22,6 +22,7 @@ import json
 import os
 import platform
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +225,7 @@ def _replay_args(parser: argparse.ArgumentParser, outer) -> argparse.Namespace:
     --out and --threads still apply, as neither changes the bytes written."""
     path = outer.manifest
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ParameterError(f"manifest not found: {path}")
     except (OSError, ValueError, RecursionError) as e:  # unreadable, not UTF-8, not JSON
@@ -452,11 +453,14 @@ def main(argv=None) -> int:
 
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        derived = _DISPATCH[args.command](args.subcommand, manifest["params"], seed,
-                                          max(1, args.threads or 1), out)
+        with warnings.catch_warnings():  # a library warning prints as one line too
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            derived = _DISPATCH[args.command](args.subcommand, manifest["params"], seed,
+                                              max(1, args.threads or 1), out)
         if derived:
             manifest["derived"] = derived
-        out("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        out("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                        encoding="utf-8", newline="\n")
     except (*_USER_ERRORS, OSError, MemoryError) as e:
         for path in written:
             with contextlib.suppress(OSError):  # missing, or a directory the run never wrote

@@ -413,11 +413,9 @@ def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> Grid:
         outside = _index_list(~spec.region.contains(pattern.x, pattern.y))
         raise ParameterError(f"grid region must cover the pattern region; "
                              f"points outside the grid at indices {outside}")
-    counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)
-    if len(pattern):
-        ix, iy = spec.cell_indices(pattern.x, pattern.y)
-        np.add.at(counts, (ix, iy), 1)
-    return Grid(spec, counts)
+    ix, iy = spec.cell_indices(pattern.x, pattern.y)
+    counts = np.bincount(ix * spec.ny + iy, minlength=spec.ncells)
+    return Grid(spec, counts.reshape(spec.nx, spec.ny))
 
 
 def indexed_map(fn, count: int, threads: int = 1) -> list:

@@ -386,8 +386,8 @@ def space_time_scan(
     ix, iy = spec.cell_indices(events.xy[:, 0], events.xy[:, 1])
     cell = ix * spec.ny + iy
     s_idx = np.minimum((events.t / slice_len).astype(np.int64), n_slices - 1)
-    counts = np.zeros((ncells, n_slices))
-    np.add.at(counts, (cell, s_idx), 1.0)
+    counts = np.bincount(cell * n_slices + s_idx, minlength=ncells * n_slices)
+    counts = counts.reshape(ncells, n_slices)
     total = float(len(events))
 
     # baseline mass per (cell, slice); cells and slices share one volume

@@ -40,7 +40,7 @@ def write_table(path, header: str, columns) -> None:
     if len({len(c) for c in cols}) > 1:
         raise ParameterError(f"table columns differ in length: {[len(c) for c in cols]}")
     line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{header}\n")
         for lo in range(0, len(cols[0]), 65536):  # no more than a block of rows as text
             block = [c[lo:lo + 65536].tolist() for c in cols]
@@ -54,7 +54,7 @@ def _read_table(path, header: str) -> tuple[np.ndarray, list[int]]:
     """The rows under a validated header as an (n, k) float array, with
     each row's 1-based line number; blank lines are skipped."""
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as e:
         raise ParameterError(f"{path}: not a text file: {e}") from None
     if not lines:
@@ -127,7 +127,7 @@ def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
     a numeric 't' property.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise ParameterError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
@@ -172,9 +172,10 @@ def write_grid_csv(path, grid, name: str = "value") -> None:
 
 def read_count_values(path, spec) -> np.ndarray:
     """Integer grid values from cell_x,cell_y,value rows; missing cells
-    are zero."""
+    are zero, and a cell may appear once."""
     table, linenos = _read_table(path, "cell_x,cell_y,value")
     counts = np.zeros((spec.nx, spec.ny), dtype=np.int64)
+    seen: dict[tuple[int, int], int] = {}  # cell -> its line
     for i, row in zip(linenos, table.tolist()):
         if not all(v.is_integer() for v in row):  # also rejects nan and inf
             raise ParameterError(f"{path}:{i}: cell indices and counts must be integers")
@@ -185,6 +186,9 @@ def read_count_values(path, spec) -> np.ndarray:
             raise ParameterError(f"{path}:{i}: counts must be non-negative")
         if v >= 2**63:
             raise ParameterError(f"{path}:{i}: count {v} does not fit in 64 bits")
+        first = seen.setdefault((ixv, iyv), i)
+        if first != i:
+            raise ParameterError(f"{path}:{i}: cell ({ixv}, {iyv}) repeats line {first}")
         counts[ixv, iyv] = v
     return counts
 

@@ -8,13 +8,14 @@ and F compare distances (d <= r); K, like the KDE's disc counts, counts
 a pair when dx*dx + dy*dy <= r*r, which can differ from d <= r at an
 exact tie.
 
-K lists the pairs within its largest radius once (`query_pairs`), finds
-each pair's first radius by that r*r rule, and counts both ends at once
-for every radius and border band.  A pair list grows with n^2 r^2, so a
-cell-count bound on its length is taken first: when the bound allows
-more than 2**19 pairs (8 MiB), K counts through `count_neighbors`
-instead, one tree per border band; with no correction, every point is in
-the one band.
+K counts in one of two ways.  It lists the pairs within its largest
+radius once (`query_pairs`), finds each pair's first radius by that r*r
+rule, and counts both ends at once for every radius and border band.  A
+pair list grows with n^2 r^2, so a cell-count bound on its length is
+taken first: when the bound allows more than 2**19 pairs (8 MiB), K
+counts through `count_neighbors` instead, one tree per border band.
+With no correction every point is in the one band; with no point kept
+at any radius there is no band, no query, and K is NaN throughout.
 """
 
 from __future__ import annotations
@@ -176,23 +177,17 @@ def dispersion_by_block(
     return out
 
 
-def _finite(d: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour distances, once none has overflowed to inf in the
-    k-d tree."""
+def _nearest(points: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each query point to its k-th nearest of `points`, once
+    none has overflowed to inf in the k-d tree."""
+    from scipy.spatial import cKDTree
+
+    d = cKDTree(points).query(query, k=[k])[0][:, 0]
     if not np.all(np.isfinite(d)):
         raise DegenerateDataError(
             "points too far apart for the k-d tree: a nearest-neighbour distance overflows"
         )
     return d
-
-
-def _nn_distances(points: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest other point."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(points)
-    d, _ = tree.query(points, k=2)
-    return _finite(d[:, 1])
 
 
 def _validate_radii(radii, positive: bool = False) -> np.ndarray:
@@ -215,7 +210,7 @@ def g_function(pattern: SpatialPattern, radii) -> np.ndarray:
     radii = _validate_radii(radii)
     if len(pattern) < 2:
         raise InsufficientDataError("G needs at least two points")
-    nnd = _nn_distances(pattern.points)
+    nnd = _nearest(pattern.points, pattern.points, 2)  # the first is the point itself
     return (nnd[:, None] <= radii[None, :]).mean(axis=0)
 
 
@@ -224,13 +219,10 @@ def f_function(pattern: SpatialPattern, probe_spec: GridSpec, radii) -> np.ndarr
 
     Probes are the centres of `probe_spec`.
     """
-    from scipy.spatial import cKDTree
-
     radii = _validate_radii(radii)
     if len(pattern) == 0:
         raise InsufficientDataError("F needs at least one point")
-    probes = probe_spec.centre_points()
-    d = _finite(cKDTree(pattern.points).query(probes, k=1)[0])
+    d = _nearest(pattern.points, probe_spec.centre_points(), 1)
     return (d[:, None] <= radii[None, :]).mean(axis=0)
 
 
@@ -238,7 +230,7 @@ def mean_min_distance(pattern: SpatialPattern) -> float:
     """Average nearest-neighbour distance."""
     if len(pattern) < 2:
         raise InsufficientDataError("mean nearest-neighbour distance needs >= 2 points")
-    return float(_nn_distances(pattern.points).mean())
+    return float(_nearest(pattern.points, pattern.points, 2).mean())
 
 
 def nni(pattern: SpatialPattern) -> float:
@@ -261,7 +253,7 @@ _K_PAIR_BUDGET = 2**20
 _K_PAIR_CHUNK = 2**14
 
 
-def _neighbour_bound(pts: np.ndarray, region: Region, reach: float) -> int:
+def _neighbour_bound(pattern: SpatialPattern, reach: float) -> int:
     """An upper bound on the ordered pairs (i, j), i == j included, within
     `reach`: each point times the points in its 3x3 block of cells.
 
@@ -270,12 +262,11 @@ def _neighbour_bound(pts: np.ndarray, region: Region, reach: float) -> int:
     comparison is coarse.  They are also at least sqrt(area / n) wide, so
     there are at most n of them.
     """
-    n = len(pts)
+    n, region = len(pattern), pattern.region
     side = max(reach * (1.0 + 2**-20) + 2**-520, math.sqrt(region.area / n))
     nx = max(1, int(min(region.width / side, n)))
     ny = max(1, int(min(region.height / side, n // nx)))
-    ix, iy = GridSpec(region, nx, ny).cell_indices(pts[:, 0], pts[:, 1])
-    counts = np.bincount(ix * ny + iy, minlength=nx * ny).reshape(nx, ny)
+    counts = aggregate_to_grid(pattern, GridSpec(region, nx, ny)).values
     padded = np.pad(counts, 1)
     near = sum(padded[a : a + nx, b : b + ny] for a in range(3) for b in range(3))
     return int((counts * near).sum())
@@ -336,10 +327,11 @@ def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.nd
         upto = np.searchsorted(radii, depth, "left")
     reach = float(radii[-1]) * (1.0 + 2**-20)  # the tree's rounding drops no pair within r
     with _tree_overflow():
-        if not upto.any():  # no point is kept at any radius: every K is NaN
-            total = np.zeros(m, dtype=np.int64)
-        # n * n bounds the ordered neighbours too, and costs nothing to check
-        elif n * n <= _K_PAIR_BUDGET or _neighbour_bound(pts, r, reach) <= _K_PAIR_BUDGET:
+        # n * n bounds the ordered neighbours too, and costs nothing to check; with
+        # no point kept at any radius, the band loop has no band and makes no query
+        if upto.any() and (
+            n * n <= _K_PAIR_BUDGET or _neighbour_bound(pattern, reach) <= _K_PAIR_BUDGET
+        ):
             total = _pair_list_counts(tree, radii, reach, upto)
         else:
             # count_neighbors compares with pow(r, 2), one ulp off a finite r*r for about

@@ -421,8 +421,8 @@ def simulate_hawkes(model: HawkesModel, horizon: float, rng: RngStream) -> Event
     draw = rng.uniform_draws().__next__
     while True:
         bound = model.mu + excitation
-        if not math.isfinite(bound) or bound <= 0.0:  # the excitation can overflow
-            _positive(bound)  # raises
+        if not 0.0 < bound < math.inf:  # mu > 0 and the excitation >= 0: it overflowed
+            raise ParameterError(f"the conditional intensity overflows at t = {s:.6g}")
         w = -math.log(draw()) / bound
         excitation *= math.exp(-beta * w)
         s += w

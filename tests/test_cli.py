@@ -147,6 +147,27 @@ class TestSimulate:
         assert doc["derived"]["n_star"] == 0.5
         assert doc["derived"]["regime"] == "subcritical"
 
+    @pytest.mark.filterwarnings("default:branching factor")
+    def test_hawkes_intensity_overflow(self, tmp_path, capsys):
+        # each accepted event adds 1e308, so the second one overflows the intensity
+        out = tmp_path / "run"
+        assert run("--out", out, "simulate", "hawkes", "--mu", 1, "--alpha", 1e308,
+                   "--beta", 1, "--horizon", 10) == 1
+        err = capsys.readouterr().err
+        assert "error: the conditional intensity overflows at t = " in err
+        assert "rate must be" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("default:branching factor")
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("--seed", 2, "--out", out, "simulate", "hawkes", "--mu", 0.1,
+                   "--alpha", 1.2, "--beta", 1, "--horizon", 5) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: branching factor 1.2 >= 1 (supercritical)")
+        assert len(err.splitlines()) == 1 and "cli.py" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["events.csv", "manifest.json"]
+
     def test_csr_writes_points(self, tmp_path):
         out = tmp_path / "run"
         assert run("--seed", 4, "--out", out, "simulate", "csr",
@@ -464,6 +485,8 @@ BAD_INPUTS = {
     "baseline-inf": ("base.csv", b"cell_x,cell_y,value\n0,0,1\n1,1,inf\n", "baseline"),
     "baseline-too-large": ("base.csv", b"cell_x,cell_y,value\n0,0,1e19\n", "baseline"),
     "baseline-not-utf8": ("base.csv", b"cell_x,cell_y,value\n0,0,\xfe\n", "baseline"),
+    "baseline-repeated-cell": ("base.csv", b"cell_x,cell_y,value\n0,0,5\n1,1,2\n0,0,3\n",
+                               "baseline"),
 }
 
 
@@ -986,7 +1009,7 @@ class TestTopLevel:
     @pytest.mark.parametrize("message", ["", "Unable to allocate 74.5 GiB"])
     def test_memory_error_is_an_error_line(self, tmp_path, capsys, monkeypatch, message):
         def exhausted(subcommand, p, seed, threads, out):
-            out("events.csv").write_text("t\n")
+            out("events.csv").write_text("t\n", encoding="utf-8")  # as the package writes
             raise MemoryError(message)
 
         monkeypatch.setitem(pointproc.cli._DISPATCH, "simulate", exhausted)
@@ -1011,6 +1034,22 @@ class TestTopLevel:
         )
         assert ver.returncode == 0
         assert ver.stdout.startswith("pointproc ")
+
+    def test_files_name_their_encoding(self, tmp_path):
+        # every read and write names UTF-8: one that falls back on the locale's
+        # encoding warns under this flag, and the warning is an error here
+        csr, quadrat, replay = (str(tmp_path / d) for d in ("csr", "quadrat", "replay"))
+        calls = [["--seed", "3", "--out", csr, "simulate", "csr", "--rate", "100",
+                  "--region", "0,1,0,1"],
+                 ["--seed", "3", "--out", quadrat, "analyze", "quadrat", "--in",
+                  f"{csr}/points.csv", "--region", "0,1,0,1", "--nx", "2", "--ny", "2"],
+                 ["--manifest", f"{quadrat}/manifest.json", "--out", replay]]
+        code = f"from pointproc.cli import main\nfor a in {calls!r}:\n    assert main(a) == 0"
+        res = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                              "-W", "error::EncodingWarning", "-c", code],
+                             capture_output=True, text=True, env=child_env(), timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert read_bytes_map(tmp_path / "quadrat") == read_bytes_map(tmp_path / "replay")
 
     @pytest.mark.parametrize("run_, needs", SCIPY_USE.values(), ids=list(SCIPY_USE))
     def test_loads_only_the_scipy_it_uses(self, tmp_path, run_, needs):

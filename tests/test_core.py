@@ -414,13 +414,6 @@ class TestIndexedMap:
         assert core.indexed_map(lambda i: i * i, count, threads) == [i * i for i in range(count)]
         assert seen == ([] if workers is None else [workers])
 
-def _hawkes_with_alpha(alpha):
-    # the kernel is validated at construction; set alpha afterwards so the
-    # thinning loop's own guard sees a bad bound after the first event
-    kernel = ExponentialKernel(0.5, 1.0)
-    object.__setattr__(kernel, "alpha", alpha)
-    return HawkesModel(0.5, kernel)
-
 
 _GRID = Grid(GridSpec(Region(0, 1, 0, 1), 2, 2), [[1, 2], [3, 4]])
 _PATTERN = SpatialPattern([[0.5, 0.5]], Region(0, 1, 0, 1))
@@ -454,9 +447,6 @@ SCALAR_SITES = [
     ("PowerLawKernel.delta", "delta", False, lambda v: PowerLawKernel(0.5, v, 1.0)),
     ("PowerLawKernel.eta", "eta", False, lambda v: PowerLawKernel(0.5, 1.0, v)),
     ("HawkesModel", "mu", True, lambda v: HawkesModel(v, _KERNEL)),
-    # a zero excitation leaves the bound at mu
-    ("simulate_hawkes.bound", "rate", True,
-     lambda v: simulate_hawkes(_hawkes_with_alpha(v), 100.0, RngStream(0))),
 ]
 
 

@@ -214,6 +214,14 @@ class TestGridCsv:
         with pytest.raises(ParameterError, match="non-negative"):
             read_count_values(p, spec)
 
+    def test_repeated_cell(self, tmp_path):
+        spec = GridSpec(UNIT, 2, 2)
+        p = tmp_path / "grid.csv"
+        p.write_text("cell_x,cell_y,value\n0,0,5\n1,1,2\n0,0,3\n")
+        with pytest.raises(ParameterError) as exc:
+            read_count_values(p, spec)
+        assert str(exc.value) == f"{p}:4: cell (0, 0) repeats line 2"
+
 
 class TestCurveCsv:
     def test_plain(self, tmp_path):

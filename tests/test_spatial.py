@@ -517,14 +517,15 @@ class TestRipleysKPaths:
     def test_bound_never_undercounts(self, inputs):
         pts, region, reach = inputs
         listed = cKDTree(pts).query_pairs(reach, output_type="ndarray")
-        assert spatial._neighbour_bound(pts, region, reach) >= 2 * len(listed) + len(pts)
+        bound = spatial._neighbour_bound(SpatialPattern(pts, region), reach)
+        assert bound >= 2 * len(listed) + len(pts)
 
     @pytest.mark.parametrize("region", DEGENERATE_AREAS, ids=str)
     @pytest.mark.parametrize("reach", [1e-300, 1.0, 1e199, math.inf])
     def test_bound_of_an_area_of_zero_or_inf(self, region, reach):
         # no query to compare with: distances this large overflow in the tree
         pts = np.array([[region.xmin, region.ymin], [region.xmax, region.ymax]] * 3)
-        assert 6 <= spatial._neighbour_bound(pts, region, reach) <= 36
+        assert 6 <= spatial._neighbour_bound(SpatialPattern(pts, region), reach) <= 36
 
     @pytest.mark.parametrize("corr", ["none", "border"])
     def test_a_width_that_overflows_never_reaches_the_bound(self, corr):

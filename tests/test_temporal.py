@@ -556,8 +556,18 @@ class TestSimulateHawkes:
         # each accepted event adds 1e308, so the second one overflows the bound to inf
         model = HawkesModel(1.0, ExponentialKernel(1e308, 1.0))
         with pytest.warns(RuntimeWarning, match="supercritical"):
-            with pytest.raises(ParameterError, match="rate must be positive and finite, got inf"):
+            with pytest.raises(ParameterError, match="conditional intensity overflows at t = "):
                 simulate_hawkes(model, 10.0, FiniteRng(0))
+
+    @pytest.mark.filterwarnings("ignore:branching factor")
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_kernel_altered_past_its_checks_stops(self, alpha):
+        # an alpha set after construction puts a bad bound in the thinning loop
+        # after the first event; a negative bound would otherwise never leave it
+        kernel = ExponentialKernel(0.5, 1.0)
+        object.__setattr__(kernel, "alpha", alpha)
+        with pytest.raises(ParameterError, match="conditional intensity overflows at t = "):
+            simulate_hawkes(HawkesModel(0.5, kernel), 100.0, RngStream(0))
 
     def test_zero_alpha_reduces_to_poisson(self):
         model = HawkesModel(2.0, ExponentialKernel(0.0, 1.0))
