@@ -302,26 +302,23 @@ def _cmd_simulate(subcommand, p, seed, threads, out) -> dict | None:
     return derived
 
 
-def _read_input(p, with_times: bool) -> np.ndarray:
-    """The --in file as x,y rows, or as x,y,t rows for a scan."""
-    path = p["input"]
+def _load(p, with_times: bool = False) -> SpatialPattern | SpaceTimeEvents:
+    """The --in file in its --region: a pattern, or a scan's events up to --horizon."""
+    path, region = p["input"], Region(*p["region"])
     if not path.endswith((".geojson", ".json")):
-        return io.read_space_time_csv(path) if with_times else io.read_points_csv(path)
+        if with_times:
+            return SpaceTimeEvents(io.read_space_time_csv(path), region, p["horizon"])
+        return SpatialPattern(io.read_points_csv(path), region)
     pts, times = io.read_geojson_points(path)
     if not with_times:
-        return pts
+        return SpatialPattern(pts, region)
     if times is None:
         raise ParameterError(f"{path}: scan needs a numeric 't' property per feature")
-    return np.column_stack([pts, times])
-
-
-def _load_pattern(p) -> SpatialPattern:
-    region = Region(*p["region"])
-    return SpatialPattern(_read_input(p, with_times=False), region)
+    return SpaceTimeEvents(np.column_stack([pts, times]), region, p["horizon"])
 
 
 def _cmd_analyze(kind, p, seed, threads, out) -> None:
-    pattern = _load_pattern(p)
+    pattern = _load(p)
     region = pattern.region
 
     if kind == "kde":
@@ -386,16 +383,15 @@ def _cmd_analyze(kind, p, seed, threads, out) -> None:
 
 def _cmd_detect(subcommand, p, seed, threads, out) -> None:
     if subcommand == "gistar":
-        pattern = _load_pattern(p)
+        pattern = _load(p)
         counts = aggregate_to_grid(pattern, GridSpec(pattern.region, p["nx"], p["ny"]))
         io.write_grid_csv(out("gistar.csv"), gi_star(counts, p["radius"]), "z")
         return
 
     if p.get("top") is not None and p["top"] < 1:
         raise ParameterError(f"--top must be positive, got {p['top']}")
-    region = Region(*p["region"])
-    events = SpaceTimeEvents(_read_input(p, with_times=True), region, p["horizon"])
-    spec = GridSpec(region, p["nx"], p["ny"])
+    events = _load(p, with_times=True)
+    spec = GridSpec(events.region, p["nx"], p["ny"])
     baseline = None
     if p.get("baseline"):
         baseline = [Grid(spec, io.read_count_values(f, spec)) for f in p["baseline"]]
@@ -461,7 +457,7 @@ def main(argv=None) -> int:
             manifest["derived"] = derived
         out("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                         encoding="utf-8", newline="\n")
-    except (*_USER_ERRORS, OSError, MemoryError) as e:
+    except (*_USER_ERRORS, OSError, MemoryError, Warning) as e:  # Warning: under -W error
         for path in written:
             with contextlib.suppress(OSError):  # missing, or a directory the run never wrote
                 path.unlink()

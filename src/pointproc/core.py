@@ -114,6 +114,14 @@ def _positive(value: float, name: str = "rate") -> float:
     return value
 
 
+def _positives(values, name: str) -> np.ndarray:
+    """The values as a flat float array, once known non-empty, finite and positive."""
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    if arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise ParameterError(f"{name} must be non-empty, finite and positive")
+    return arr
+
+
 def _non_negative(value: float, name: str) -> float:
     """The value as a float, once it is known to be >= 0 and finite."""
     value = float(value)
@@ -297,7 +305,7 @@ class GridSpec:
         # the closing edges belong to the last row/column
         ix = np.where((ix >= self.nx) & (x <= r.xmax), self.nx - 1, ix)
         iy = np.where((iy >= self.ny) & (y <= r.ymax), self.ny - 1, iy)
-        bad = ~self.region.contains(x, y) | ~np.isfinite(x) | ~np.isfinite(y)
+        bad = ~self.region.contains(x, y)  # nan and +-inf too: the bounds are finite
         if np.any(bad):
             raise ParameterError(f"points outside grid region at indices {_index_list(bad)}")
         return ix, iy
@@ -342,7 +350,7 @@ class SpatialPattern:
 
 
 class SpaceTimeEvents:
-    """Events with planar coordinates and occurrence times in [0, horizon]."""
+    """A spatial point pattern whose events also carry times in [0, horizon]."""
 
     def __init__(self, events, region: Region, horizon: float):
         arr = np.array(events, dtype=float)
@@ -351,20 +359,13 @@ class SpaceTimeEvents:
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ParameterError(f"events must be (n, 3) as (x, y, t), got shape {arr.shape}")
         horizon = _positive(horizon, "horizon")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("event coordinates must be finite")
-        if arr.shape[0]:
-            outside = ~region.contains(arr[:, 0], arr[:, 1])
-            if np.any(outside):
-                raise ParameterError(f"events outside region at indices {_index_list(outside)}")
-            t = arr[:, 2]
-            bad = (t < 0.0) | (t > horizon)
-            if np.any(bad):
-                raise ParameterError(
-                    f"event times outside [0, horizon] at indices {_index_list(bad)}")
-        arr.setflags(write=False)
-        self.xy = arr[:, :2]
-        self.t = arr[:, 2]
+        self._pattern = SpatialPattern(arr[:, :2], region)
+        self.t = arr[:, 2].copy()  # the points were copied too, so arr is not kept
+        self.t.setflags(write=False)
+        bad = ~((self.t >= 0.0) & (self.t <= horizon))  # nan too
+        if np.any(bad):
+            raise ParameterError(f"event times outside [0, horizon] at indices {_index_list(bad)}")
+        self.xy = self._pattern.points
         self.region = region
         self.horizon = horizon
 
@@ -375,8 +376,8 @@ class SpaceTimeEvents:
         return f"SpaceTimeEvents(n={len(self)}, horizon={self.horizon})"
 
     def spatial(self) -> SpatialPattern:
-        """Drop the time marks."""
-        return SpatialPattern(self.xy, self.region)
+        """The pattern without the times."""
+        return self._pattern
 
 
 class Grid:
@@ -403,8 +404,9 @@ class Grid:
         return f"Grid({self.spec.nx}x{self.spec.ny}, {self.values.dtype})"
 
 
-def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> Grid:
-    """Bin points into grid cells (half-open cells, closed final edges).
+def _grid_cells(pattern: SpatialPattern, spec: GridSpec) -> np.ndarray:
+    """Each point's flat cell index, ix * ny + iy: the one binning of a
+    pattern, for `aggregate_to_grid` and the scan.
 
     The grid region must cover the pattern region, even where every
     point falls inside the grid; the error lists the points outside it.
@@ -414,7 +416,12 @@ def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> Grid:
         raise ParameterError(f"grid region must cover the pattern region; "
                              f"points outside the grid at indices {outside}")
     ix, iy = spec.cell_indices(pattern.x, pattern.y)
-    counts = np.bincount(ix * spec.ny + iy, minlength=spec.ncells)
+    return ix * spec.ny + iy
+
+
+def aggregate_to_grid(pattern: SpatialPattern, spec: GridSpec) -> Grid:
+    """Count the points per grid cell, binned as `_grid_cells` bins them."""
+    counts = np.bincount(_grid_cells(pattern, spec), minlength=spec.ncells)
     return Grid(spec, counts.reshape(spec.nx, spec.ny))
 
 

@@ -27,7 +27,9 @@ from .core import (
     RngStream,
     SpaceTimeEvents,
     _check_array_size,
+    _grid_cells,
     _positive,
+    _positives,
     aggregate_to_grid,
     indexed_map,
 )
@@ -370,21 +372,14 @@ def space_time_scan(
     _check_array_size("cells x slices", spec.ncells, n_slices)
     if nsim < 99:
         raise ParameterError(f"nsim must be at least 99, got {nsim}")
-    radii_arr = np.asarray(radii, dtype=float).reshape(-1)
-    if radii_arr.size == 0 or np.any(~np.isfinite(radii_arr)) or np.any(radii_arr <= 0.0):
-        raise ParameterError("radii must be non-empty, finite and positive")
-    dur_arr = np.asarray(durations, dtype=float).reshape(-1)
-    if dur_arr.size == 0 or np.any(~np.isfinite(dur_arr)) or np.any(dur_arr <= 0.0):
-        raise ParameterError("durations must be non-empty, finite and positive")
-    if not spec.region.covers(events.region):
-        raise ParameterError("grid region must cover the event region")
+    radii_arr = _positives(radii, "radii")
+    dur_arr = _positives(durations, "durations")
 
     ncells = spec.ncells
     slice_len = events.horizon / n_slices
 
     # observed (cell, slice) counts
-    ix, iy = spec.cell_indices(events.xy[:, 0], events.xy[:, 1])
-    cell = ix * spec.ny + iy
+    cell = _grid_cells(events.spatial(), spec)
     s_idx = np.minimum((events.t / slice_len).astype(np.int64), n_slices - 1)
     counts = np.bincount(cell * n_slices + s_idx, minlength=ncells * n_slices)
     counts = counts.reshape(ncells, n_slices)

@@ -168,6 +168,19 @@ class TestSimulate:
         assert len(err.splitlines()) == 1 and "cli.py" not in err
         assert sorted(p.name for p in out.iterdir()) == ["events.csv", "manifest.json"]
 
+    def test_warning_as_error_is_an_error_line(self, tmp_path):
+        # the interpreter's -W error, not pytest's filter, turns the warning into an error
+        out = tmp_path / "run"
+        res = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pointproc.cli", "simulate", "hawkes",
+             "--mu", "0.1", "--alpha", "1.2", "--beta", "1", "--horizon", "5", "--out", str(out)],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: branching factor 1.2 >= 1 (supercritical)")
+        assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+        assert list(out.iterdir()) == []
+
     def test_csr_writes_points(self, tmp_path):
         out = tmp_path / "run"
         assert run("--seed", 4, "--out", out, "simulate", "csr",

@@ -244,8 +244,9 @@ class TestGridSpec:
 
     def test_out_of_bounds_lists_indices(self):
         spec = GridSpec(Region(0, 1, 0, 1), 2, 2)
-        with pytest.raises(ParameterError, match=r"\[1, 3\]"):
-            spec.cell_indices([0.5, 1.5, 0.2, -0.1], [0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ParameterError, match=r"\[1, 3, 5, 6, 7\]"):
+            spec.cell_indices([0.5, 1.5, 0.2, -0.1, 0.5, np.nan, np.inf, -np.inf],
+                              [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ParameterError):
@@ -304,12 +305,24 @@ class TestSpaceTimeEvents:
         assert len(ev.spatial()) == 2
 
     def test_rejects_time_outside(self):
-        with pytest.raises(ParameterError, match=r"\[0\]"):
-            SpaceTimeEvents([[0.5, 0.5, 3.0]], Region(0, 1, 0, 1), 2.0)
+        for t in (3.0, -1.0, np.nan, np.inf, -np.inf):  # nan and +-inf are outside too
+            with pytest.raises(ParameterError,
+                               match=r"^event times outside \[0, horizon\] at indices \[1\]$"):
+                SpaceTimeEvents([[0.5, 0.5, 1.0], [0.5, 0.5, t]], Region(0, 1, 0, 1), 2.0)
 
     def test_rejects_space_outside(self):
-        with pytest.raises(ParameterError):
-            SpaceTimeEvents([[2.0, 0.5, 1.0]], Region(0, 1, 0, 1), 2.0)
+        # the coordinates are checked as a SpatialPattern checks them, with its wording
+        cases = [((2.0, 0.5), r"^points outside region at indices \[1\]$"),
+                 *(((x, 0.5), "^point coordinates must be finite$")
+                   for x in (np.nan, np.inf, -np.inf))]
+        for xy, message in cases:
+            with pytest.raises(ParameterError, match=message):
+                SpaceTimeEvents([[0.5, 0.5, 1.0], [*xy, 1.0]], Region(0, 1, 0, 1), 2.0)
+
+    def test_spatial_is_the_pattern_it_holds(self):
+        ev = SpaceTimeEvents([[0.1, 0.2, 0.5], [0.5, 0.5, 1.0]], Region(0, 1, 0, 1), 2.0)
+        assert ev.spatial() is ev.spatial()
+        assert ev.spatial().points is ev.xy
 
 
 UNIT_SQUARE = Region(0, 1, 0, 1)

@@ -619,6 +619,13 @@ class TestSpaceTimeScan:
                 SpaceTimeEvents([], UNIT, 1.0), self.SPEC, 5, [0.1], [0.2], 99, RngStream(0)
             )
 
+    def test_grid_must_cover_the_events(self):
+        # the scan bins through aggregate_to_grid's check, which lists the outside events
+        ev = SpaceTimeEvents([[0.1, 0.1, 0.5], [0.9, 0.2, 0.5], [0.3, 0.4, 0.5]], UNIT, 1.0)
+        small = GridSpec(Region(0, 0.5, 0, 0.5), 5, 5)
+        with pytest.raises(ParameterError, match=r"cover.*at indices \[1\]$"):
+            space_time_scan(ev, small, 5, [0.1], [0.2], 99, RngStream(0))
+
     def test_baseline_validation(self):
         ev = make_events(0)
         short = [Grid(self.SPEC, np.ones((5, 5), dtype=int))] * 4
