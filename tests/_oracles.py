@@ -11,7 +11,7 @@ np.hypot(k * cell_width, l * cell_height) < r for its offset of (k, l)
 cells, at every (centre, cell) pair.
 
 `read_table_rows` parses a CSV one line, then one field, at a time, the
-reference for the reader's one `float()` pass, and `dense_discs` is the
+reference for the reader's numpy parse and its `float()` pass, and `dense_discs` is the
 dense-mask disc builder, the reference for the scan's sparse one.
 """
 
@@ -263,8 +263,8 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
 
 def read_table_rows(path, header: str):
     """`pointproc.io._read_table` parsing one line, then one field, at a
-    time: the rows as an (n, k) array and their line numbers, or the
-    ParameterError that names the first bad line."""
+    time: the rows as an (n, k) array, or the ParameterError that names
+    the first bad line."""
     from pointproc import ParameterError
 
     try:
@@ -276,11 +276,11 @@ def read_table_rows(path, header: str):
     if lines[0].strip() != header:
         raise ParameterError(f"{path}:1: expected header {header!r}, got {lines[0].strip()!r}")
     k = header.count(",") + 1
-    rows, linenos = [], []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")  # float() strips what it strips: not "\x1f"
         if len(fields) != k:
             raise ParameterError(f"{path}:{lineno}: expected {k} fields, got {len(fields)}")
         row = []
@@ -288,7 +288,7 @@ def read_table_rows(path, header: str):
             try:
                 row.append(float(f))
             except ValueError:
-                raise ParameterError(f"{path}:{lineno}: column {col}: not a number: {f!r}") from None
+                raise ParameterError(
+                    f"{path}:{lineno}: column {col}: not a number: {f.strip()!r}") from None
         rows.append(row)
-        linenos.append(lineno)
-    return np.array(rows, dtype=float).reshape(-1, k), linenos
+    return np.array(rows, dtype=float).reshape(-1, k)
