@@ -197,6 +197,8 @@ class ScanResults(Sequence):
         """The columns of the best k rows in rank order: `columns` cut to k
         rows, but unless they are already ranked, only the rows with the
         k-th LLR or above are sorted."""
+        if k < 0:
+            raise ParameterError(f"top k must be >= 0, got {k}")
         cols = self._columns
         if self._ranked or not 0 < k < len(self):
             return tuple(c[:k] for c in self.columns)

@@ -6,9 +6,10 @@ writer emits UTF-8 with LF line endings and prints a float column as
 '%s'; given identical inputs the bytes are identical.  It formats the
 integers, and the floats that '%.17g' prints without an exponent, in numpy
 a block of cells at a time, to the bytes '%' gives; every other cell goes
-through '%'.  The reader validates the header, parses the rows with
-numpy's parser, and falls back to one `float()` pass, which accepts what
-`float()` accepts or reports the first malformed line as file:line.
+through '%'.  The reader reads the file once as `str.splitlines()` lines,
+validates the header, and parses the rows with numpy's parser, or else in
+one `float()` loop, which accepts what `float()` accepts or reports the
+first malformed line as file:line.
 """
 
 from __future__ import annotations
@@ -198,12 +199,13 @@ def write_table(path, header: str, columns) -> None:
     Integers, and the floats that '%.17g' prints without an exponent, are
     formatted in numpy, a block of cells at a time, to the same bytes."""
     cols = [np.asarray(c) for c in columns]
+    names = header.split(",")
     if not cols:
         raise ParameterError(f"table {header!r} has no columns")
-    for j, c in enumerate(cols):
+    if len(names) != len(cols):
+        raise ParameterError(f"table {header!r} names {len(names)} columns, got {len(cols)}")
+    for name, c in zip(names, cols):
         if c.ndim != 1:
-            names = header.split(",")
-            name = names[j] if len(names) == len(cols) else f"#{j + 1}"
             raise ParameterError(f"table column {name!r} is {c.ndim}-D, not 1-D")
     if len({len(c) for c in cols}) > 1:
         raise ParameterError(f"table columns differ in length: {[len(c) for c in cols]}")
@@ -214,59 +216,46 @@ def write_table(path, header: str, columns) -> None:
             f.write(_rows([c[lo:lo + rows] for c in cols]))
 
 
-# A file holding any of these is not for numpy's parser: str.splitlines()
-# breaks lines at all but "\x1f" (and at "\n", into which reading a file as
-# text has turned "\r\n" and "\r"), and numpy strips "\x1f" around a
-# number, which float() refuses.
-_NOT_FOR_NUMPY = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
-
-
 def _read_table(path, header: str) -> np.ndarray:
     """The rows under a validated header as an (n, k) float array; blank
     lines are skipped.
 
-    numpy's parser reads the file when it can.  It refuses lines of only
-    spaces, '1_0' and non-ASCII digits, which float() takes; then one
-    float() pass reads the file, or names its first line with a bad count
-    or field."""
-    with open(path, encoding="utf-8") as f:
+    The file is read once and split by str.splitlines().  numpy's parser
+    reads the lines when it can.  It refuses lines of only spaces, '1_0'
+    and non-ASCII digits, which float() takes; then one float() loop reads
+    them, or names the first line with a bad count or field."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParameterError(f"{path}: not a text file: {e}") from None
+    if not text:
+        raise ParameterError(f"{path}: empty file, expected header {header!r}")
+    head, *body = text.splitlines()
+    if head.strip() != header:
+        raise ParameterError(f"{path}:1: expected header {header!r}, got {head.strip()!r}")
+    k = header.count(",") + 1
+    if not any(line.strip() for line in body):  # no rows: numpy's parser would warn
+        return np.empty((0, k))
+    if "\x1f" not in text:  # numpy's parser strips it around a number; float() refuses it
         try:
-            text = f.read()
-        except UnicodeDecodeError as e:
-            raise ParameterError(f"{path}: not a text file: {e}") from None
-        if not text:
-            raise ParameterError(f"{path}: empty file, expected header {header!r}")
-        for_numpy = not any(c in text for c in _NOT_FOR_NUMPY)
-        head, _, body = (text if for_numpy else "\n".join(text.splitlines())).partition("\n")
-        if head.strip() != header:
-            raise ParameterError(f"{path}:1: expected header {header!r}, got {head.strip()!r}")
-        k = header.count(",") + 1
-        if not body or body.isspace():  # no rows, which numpy's parser would warn about
-            return np.empty((0, k))
-        if for_numpy:
-            f.seek(0)
-            try:
-                table = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2, comments=None)
-                if table.shape[1] == k:
-                    return table
-            except ValueError:
-                pass
-    rows = [(i, line) for i, line in enumerate(body.splitlines(), start=2) if line.strip()]
-    try:  # one float() pass over every field, once each line has k of them
-        if all(line.count(",") == k - 1 for _, line in rows):
-            fields = ",".join(line for _, line in rows).split(",")
-            return np.fromiter(map(float, fields), float, k * len(rows)).reshape(-1, k)
-    except ValueError:
-        pass
-    for i, line in rows:  # the pass failed: name the first line with a bad count or field
+            table = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+            if table.shape[1] == k:
+                return table
+        except ValueError:
+            pass
+    values = []
+    for i, line in enumerate(body, start=2):
+        if not line.strip():
+            continue
         fields = line.split(",")
         if len(fields) != k:
             raise ParameterError(f"{path}:{i}: expected {k} fields, got {len(fields)}")
         for col, f in enumerate(fields, start=1):
             try:
-                float(f)
+                values.append(float(f))
             except ValueError:
                 raise ParameterError(f"{path}:{i}: column {col}: not a number: {f.strip()!r}") from None
+    return np.array(values).reshape(-1, k)
 
 
 def write_event_times(path, events: EventTimes) -> None:

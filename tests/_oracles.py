@@ -11,7 +11,7 @@ np.hypot(k * cell_width, l * cell_height) < r for its offset of (k, l)
 cells, at every (centre, cell) pair.
 
 `read_table_rows` parses a CSV one line, then one field, at a time, the
-reference for the reader's numpy parse and its `float()` pass, and `dense_discs` is the
+reference for the reader's numpy parse and its `float()` loop, and `dense_discs` is the
 dense-mask disc builder, the reference for the scan's sparse one.
 """
 

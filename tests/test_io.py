@@ -464,7 +464,7 @@ class TestWriterFormat:
             return guesses[-1]
 
         monkeypatch.setattr(pio, "_exponent_guess", guess)
-        assert written("x", [values, -values]) == percent_table("x", [values, -values])
+        assert written("x,y", [values, -values]) == percent_table("x,y", [values, -values])
         assert guesses  # the writer took the wrong guesses
 
     def test_other_columns_as_percent(self):
@@ -496,9 +496,14 @@ class TestWriterFormat:
             write_table(p, "x,y", [[1.0, 2.0], [[1.0], [2.0]]])
         with pytest.raises(ParameterError, match="column 'x' is 0-D"):
             write_table(p, "x", [3.0])
+        with pytest.raises(ParameterError, match="'a,b' names 2 columns, got 1"):
+            write_table(p, "a,b", [np.arange(3)])
         assert not p.exists()
 
 
+# the line breaks of str.splitlines() other than LF; reading a file as text
+# turns CR and CR LF into LF
+LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
 INT64 = st.integers(-(2**63), 2**63 - 1)
 
@@ -533,13 +538,29 @@ class TestCodec:
         assert table.shape == cols.shape
         assert table.tobytes() == cols.tobytes()
 
-    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\n\n  \n\t"])
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\n\n  \n\t", "a,b\n" + LINE_BREAKS])
     def test_header_only_reads_without_warning(self, tmp_path, text):
         p = tmp_path / "t.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _read_table(p, "a,b").shape == (0, 2)
+
+    @pytest.mark.parametrize("newline", LINE_BREAKS)
+    def test_every_line_break_goes_through_numpy(self, tmp_path, monkeypatch, newline):
+        p = tmp_path / "t.csv"
+        p.write_text(newline.join(["a,b", "1,2.5", "", "-3,1e300", "4,5"]), encoding="utf-8")
+        want, calls = brute.read_table_rows(p, "a,b"), []
+
+        def loadtxt(*args, real=np.loadtxt, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        got = _read_table(p, "a,b")
+        assert len(calls) == 1
+        assert got.shape == want.shape == (3, 2)
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -601,7 +622,7 @@ class TestCodec:
     # a comment sign, quotes and a trailing comma are fields like any other
     @example(k=2, data=["#1,2", '"1",2', "1,2,"], newline="\n", final_newline=True)
     @example(k=2, data=["1_000,\u0661"], newline="\n", final_newline=True)
-    # a line break of str.splitlines() that numpy's parser does not split at
+    # a line break of str.splitlines() other than LF
     @example(k=2, data=["1,\x1c2"], newline="\n", final_newline=True)
     @example(k=1, data=["1\u20282"], newline="\n", final_newline=False)
     # numpy's parser strips "\x1f" around a number; float() refuses it
@@ -616,7 +637,7 @@ class TestCodec:
         valid = st.lists(self.VALID, min_size=k, max_size=k).map(",".join)
         if isinstance(data, list):
             lines = data
-        else:  # half the texts are valid throughout, so the one pass answers
+        else:  # half the texts are valid throughout, so a parse returns an array
             lines = data.draw(st.lists(data.draw(st.sampled_from([line, valid])), max_size=8))
         text = newline.join([header, *lines]) + (newline if final_newline else "")
         with tempfile.TemporaryDirectory() as d:
