@@ -100,10 +100,7 @@ class RngStream:
         return int(self._gen.poisson(mean))
 
     def substream(self, index: int) -> "RngStream":
-        index = int(index)
-        if index < 0:
-            raise ParameterError(f"substream index must be >= 0, got {index}")
-        return RngStream(self.seed, (*self._path, index))
+        return RngStream(self.seed, (*self._path, _count(index, "substream index")))
 
 
 def _positive(value: float, name: str = "rate") -> float:
@@ -128,6 +125,16 @@ def _non_negative(value: float, name: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ParameterError(f"{name} must be >= 0 and finite, got {value}")
     return value
+
+
+def _count(value, name: str, minimum: int = 0) -> int:
+    """The value as an int, once it is known to equal an integer >= minimum."""
+    try:
+        if int(value) == value and value >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
+        pass
+    raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def exponential_draw(rng: RngStream, rate: float) -> float:
@@ -251,10 +258,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nx", int(self.nx))
-        object.__setattr__(self, "ny", int(self.ny))
-        if self.nx < 1 or self.ny < 1:
-            raise ParameterError("grid must have at least one cell per axis")
+        object.__setattr__(self, "nx", _count(self.nx, "nx", 1))
+        object.__setattr__(self, "ny", _count(self.ny, "ny", 1))
         _check_array_size("grid", self.nx, self.ny)
         # a valid region's width can overflow to inf, and a cell's can underflow to 0
         w, h = self.cell_width, self.cell_height

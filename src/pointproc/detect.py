@@ -27,6 +27,7 @@ from .core import (
     RngStream,
     SpaceTimeEvents,
     _check_array_size,
+    _count,
     _grid_cells,
     _positive,
     _positives,
@@ -146,8 +147,9 @@ class Cylinder:
         for name in ("cx", "cy", "t_start", "t_end"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "radius", _positive(self.radius, "radius"))
-        if not self.t_end > self.t_start:
-            raise ParameterError("cylinder must have t_end > t_start")
+        finite = all(map(math.isfinite, (self.cx, self.cy, self.t_start, self.t_end)))
+        if not (finite and self.t_end > self.t_start):
+            raise ParameterError("cylinder needs a finite centre and finite t_end > t_start")
 
 
 @dataclass(frozen=True)
@@ -197,8 +199,7 @@ class ScanResults(Sequence):
         """The columns of the best k rows in rank order: `columns` cut to k
         rows, but unless they are already ranked, only the rows with the
         k-th LLR or above are sorted."""
-        if k < 0:
-            raise ParameterError(f"top k must be >= 0, got {k}")
+        k = _count(k, "top k")
         cols = self._columns
         if self._ranked or not 0 < k < len(self):
             return tuple(c[:k] for c in self.columns)
@@ -365,15 +366,11 @@ def space_time_scan(
     on first use.  Each replicate uses substream i+1 of `rng`, so the
     output is independent of `threads`.
     """
-    n_slices = int(n_slices)
-    nsim = int(nsim)
     if len(events) == 0:
         raise ParameterError("scan needs at least one event")
-    if n_slices < 1:
-        raise ParameterError("n_slices must be at least 1")
+    n_slices = _count(n_slices, "n_slices", 1)
     _check_array_size("cells x slices", spec.ncells, n_slices)
-    if nsim < 99:
-        raise ParameterError(f"nsim must be at least 99, got {nsim}")
+    nsim = _count(nsim, "nsim", 99)
     radii_arr = _positives(radii, "radii")
     dur_arr = _positives(durations, "durations")
 

@@ -37,6 +37,7 @@ from .core import (
     RngStream,
     SpatialPattern,
     _check_array_size,
+    _count,
     _finite_area,
     _positive,
     aggregate_to_grid,
@@ -162,8 +163,8 @@ def dispersion_by_block(
     base = aggregate_to_grid(pattern, spec).values
     out = []
     for b in block_sizes:
-        b = int(b)
-        if b < 1 or spec.nx % b or spec.ny % b:
+        b = _count(b, "block size", 1)
+        if spec.nx % b or spec.ny % b:
             raise ParameterError(
                 f"block size {b} must divide grid dimensions ({spec.nx}, {spec.ny})"
             )
@@ -393,29 +394,25 @@ def csr_envelope(
 ) -> EnvelopeResult:
     """Pointwise min/max envelope of a summary statistic under CSR.
 
-    Replicates are CSR with the pattern's empirical intensity; each uses
-    substream i+1 of `rng`, so results do not depend on thread count.
-    With the minimum nsim=19, a pointwise exceedance is a 2/20 = 0.1
-    two-sided test at each radius.
+    Replicates are CSR with the pattern's empirical intensity, drawn again
+    while the statistic refuses one as too small; each uses substream i+1
+    of `rng`, so results do not depend on thread count.  With the minimum
+    nsim=19, a pointwise exceedance is a 2/20 = 0.1 two-sided test at each radius.
     """
     statistic = str(statistic).lower()
     if statistic not in ("g", "f", "k"):
         raise ParameterError(f"statistic must be one of 'g', 'f', 'k', got {statistic!r}")
-    nsim = int(nsim)
-    if nsim < 19:
-        raise ParameterError(f"nsim must be at least 19, got {nsim}")
-    radii_arr = _validate_radii(radii, positive=(statistic == "k"))
+    nsim = _count(nsim, "nsim", 19)
     if statistic == "f" and probe_spec is None:
         raise ParameterError("the F statistic needs a probe_spec")
-    if len(pattern) == 0:
-        raise InsufficientDataError("envelope needs a non-empty pattern")
+    radii = np.asarray(radii, dtype=float).reshape(-1)
 
     def evaluate(pat: SpatialPattern) -> np.ndarray:
         if statistic == "g":
-            return g_function(pat, radii_arr)
+            return g_function(pat, radii)
         if statistic == "f":
-            return f_function(pat, probe_spec, radii_arr)
-        return ripleys_k(pat, radii_arr, correction=correction)
+            return f_function(pat, probe_spec, radii)
+        return ripleys_k(pat, radii, correction=correction)
 
     observed = evaluate(pattern)
     lam = pattern.intensity
@@ -424,12 +421,8 @@ def csr_envelope(
     def replicate(i: int) -> np.ndarray:
         sub = rng.substream(i + 1)
         while True:
-            pat = simulate_csr(lam, region, sub)
-            # a replicate too small for the statistic is redrawn
-            if len(pat) >= 2 or statistic == "f" and len(pat) >= 1:
-                return evaluate(pat)
+            with contextlib.suppress(InsufficientDataError):
+                return evaluate(simulate_csr(lam, region, sub))
 
     curves = np.stack(indexed_map(replicate, nsim, threads))
-    return EnvelopeResult(
-        radii_arr, observed, curves.min(axis=0), curves.max(axis=0), nsim
-    )
+    return EnvelopeResult(radii, observed, curves.min(axis=0), curves.max(axis=0), nsim)

@@ -23,6 +23,7 @@ from .core import (
     ParameterError,
     RngStream,
     _check_array_size,
+    _count,
     _non_negative,
     _positive,
 )
@@ -52,19 +53,24 @@ _SINUSOID_SEGMENTS = 16
 def poisson_count_pmf(rate: float, a: float, b: float, n: int) -> float:
     """P(N has exactly n points in (a, b]) for a homogeneous process.
 
-    Evaluated in log space, so large means and counts do not overflow.
+    Evaluated in log space, so large means and counts do not overflow; a
+    mean that rounds to 0 or inf, or n past lgamma's range, gives the limit.
     """
     rate = _positive(rate)
     a, b = float(a), float(b)
     if not (0.0 <= a < b) or not math.isfinite(b):
         raise ParameterError(f"interval must satisfy 0 <= a < b, got ({a}, {b})")
-    if n != int(n) or n < 0:
-        raise ParameterError(f"count must be a non-negative integer, got {n}")
-    n = int(n)
+    n = _count(n, "count")
     mu = rate * (b - a)
     if n == 0:
         return math.exp(-mu)
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+    if not 0.0 < mu < math.inf:
+        return 0.0
+    try:
+        log_factorial = math.lgamma(n + 1)
+    except OverflowError:  # n! past every float, where the pmf is below 1e-152
+        return 0.0
+    return math.exp(n * math.log(mu) - mu - log_factorial)
 
 
 def simulate_hpp(rate: float, horizon: float, rng: RngStream) -> EventTimes:

@@ -12,7 +12,9 @@ cells, at every (centre, cell) pair.
 
 `read_table_rows` parses a CSV one line, then one field, at a time, the
 reference for the reader's numpy parse and its `float()` loop, and `dense_discs` is the
-dense-mask disc builder, the reference for the scan's sparse one.
+dense-mask disc builder, the reference for the scan's sparse one.  `csr_envelope`
+redraws a replicate by an explicit minimum size, the reference for the envelope,
+which leaves that rule to the statistic.
 """
 
 import math
@@ -105,6 +107,34 @@ def ripleys_k_tree(pattern, radii, correction="none") -> np.ndarray:
         else:
             out[j] = neighbours.mean() / lam
     return out
+
+
+def csr_envelope(pattern, statistic, radii, nsim, rng, probe_spec=None, correction="none"):
+    """Reference envelope curves, (observed, replicates, redraws), with the
+    redraw rule spelled out: replicate i draws CSR from substream i + 1
+    until it holds at least 2 points for G and K, or 1 for F, and the dense
+    statistic above gives every curve, one row per replicate.  `redraws`
+    counts the draws refused.
+    """
+    from pointproc import simulate_csr
+
+    def curve(pat):
+        if statistic == "g":
+            return g_function(pat.points, radii)
+        if statistic == "f":
+            return f_function(pat.points, probe_spec.centre_points(), radii)
+        return ripleys_k(pat.points, pat.region, radii, correction)
+
+    need = 1 if statistic == "f" else 2
+    curves, redraws = [], 0
+    for i in range(nsim):
+        sub = rng.substream(i + 1)
+        pat = simulate_csr(pattern.intensity, pattern.region, sub)
+        while len(pat) < need:
+            redraws += 1
+            pat = simulate_csr(pattern.intensity, pattern.region, sub)
+        curves.append(curve(pat))
+    return curve(pattern), np.stack(curves), redraws
 
 
 def kde_values(points: np.ndarray, centres: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from pointproc import (
     simulate_nhpp,
 )
 
+# not whole numbers, or not numbers: refused wherever a count is asked for
+NOT_COUNTS = [2.5, math.nan, math.inf, -math.inf, "3"]
+
 
 class TestRngStream:
     def test_same_seed_same_draws(self):
@@ -54,14 +58,18 @@ class TestRngStream:
         direct = np.random.Generator(np.random.PCG64(1000))
         assert np.array_equal(RngStream(1000).uniforms(0, 1, 50), direct.random(50))
 
-    def test_substream_is_a_spawn_key(self):
+    @pytest.mark.parametrize("index", [5, np.int64(5), 5.0])
+    def test_substream_is_a_spawn_key(self, index):
         tree = np.random.SeedSequence(1000, spawn_key=(5,))
         direct = np.random.Generator(np.random.PCG64(tree))
-        assert np.array_equal(RngStream(1000).substream(5).uniforms(0, 1, 50), direct.random(50))
+        sub = RngStream(1000).substream(index)
+        assert repr(sub) == "RngStream(seed=1000, path=(5,))"
+        assert np.array_equal(sub.uniforms(0, 1, 50), direct.random(50))
 
-    @pytest.mark.parametrize("index", [-1, -(2**64)])
+    @pytest.mark.parametrize("index", [-1, -(2**64), *NOT_COUNTS])
     def test_negative_substream_index_rejected(self, index):
-        with pytest.raises(ParameterError, match="substream index must be >= 0"):
+        message = f"substream index must be an integer >= 0, got {index!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             RngStream(7).substream(index)
 
     def test_substreams_leave_parent_untouched(self):
@@ -248,9 +256,17 @@ class TestGridSpec:
             spec.cell_indices([0.5, 1.5, 0.2, -0.1, 0.5, np.nan, np.inf, -np.inf],
                               [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
 
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ParameterError):
-            GridSpec(Region(0, 1, 0, 1), 0, 3)
+    @pytest.mark.parametrize("bad", [0, -1, *NOT_COUNTS])
+    def test_rejects_cell_counts_that_are_not_whole(self, bad):
+        for nx, ny, name in ((bad, 3, "nx"), (3, bad, "ny")):
+            message = f"{name} must be an integer >= 1, got {bad!r}"
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                GridSpec(Region(0, 1, 0, 1), nx, ny)
+
+    def test_whole_cell_counts_become_ints(self):
+        spec = GridSpec(Region(0, 1, 0, 1), np.int64(3), 3.0)
+        assert spec == GridSpec(Region(0, 1, 0, 1), 3, 3)
+        assert type(spec.nx) is int and type(spec.ny) is int
 
     @pytest.mark.parametrize(
         "region, nx, ny",

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +29,9 @@ from pointproc import (
 )
 from pointproc import detect
 from pointproc.detect import _poisson_llr
+
+# not whole numbers, or not numbers: refused wherever a count is asked for
+NOT_COUNTS = [2.5, math.nan, math.inf, -math.inf, "3"]
 
 UNIT = Region(0, 1, 0, 1)
 
@@ -619,6 +623,25 @@ class TestSpaceTimeScan:
                 SpaceTimeEvents([], UNIT, 1.0), self.SPEC, 5, [0.1], [0.2], 99, RngStream(0)
             )
 
+    @pytest.mark.parametrize("bad", NOT_COUNTS)
+    def test_counts_must_be_whole(self, bad):
+        ev = make_events(0)
+        for name, minimum, value in (("n_slices", 1, bad), ("n_slices", 1, 0),
+                                     ("nsim", 99, bad), ("nsim", 99, 99.5), ("nsim", 99, 98)):
+            message = f"{name} must be an integer >= {minimum}, got {value!r}"
+            args = {"n_slices": 5, "nsim": 99, name: value}
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                space_time_scan(ev, self.SPEC, args["n_slices"], [0.15], [0.2], args["nsim"],
+                                RngStream(0))
+
+    def test_whole_counts_of_any_type(self):
+        ev = make_events(0)
+        want = space_time_scan(ev, self.SPEC, 5, [0.15], [0.2], 99, RngStream(0)).columns
+        for n_slices, nsim in ((np.int64(5), np.int64(99)), (5.0, 99.0)):
+            got = space_time_scan(ev, self.SPEC, n_slices, [0.15], [0.2], nsim, RngStream(0))
+            for a, b in zip(got.columns, want, strict=True):
+                np.testing.assert_array_equal(a, b, strict=True)
+
     def test_grid_must_cover_the_events(self):
         # the scan bins through aggregate_to_grid's check, which lists the outside events
         ev = SpaceTimeEvents([[0.1, 0.1, 0.5], [0.9, 0.2, 0.5], [0.3, 0.4, 0.5]], UNIT, 1.0)
@@ -938,10 +961,16 @@ class TestScanResults:
         assert np.sum(full[7] > 0) < 300 < len(full[7])
         assert all(np.array_equal(a, b[:k]) for a, b in zip(top, full, strict=True))
 
-    @pytest.mark.parametrize("k", [-1, -3, -450])
+    @pytest.mark.parametrize("k", [-1, -3, -450, *NOT_COUNTS])
     def test_negative_top_rejected(self, res, k):
-        with pytest.raises(ParameterError, match=f"top k must be >= 0, got {k}"):
+        message = f"top k must be an integer >= 0, got {k!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             res.top(k)
+
+    def test_top_takes_whole_numbers_of_any_type(self, res):
+        want = res.top(3)
+        for k in (np.int64(3), 3.0):
+            assert all(np.array_equal(a, b) for a, b in zip(res.top(k), want, strict=True))
 
     def test_columns_given_in_any_order_are_ranked(self, res):
         shuffled = np.random.default_rng(0).permutation(len(res))
@@ -959,6 +988,13 @@ class TestCylinder:
             Cylinder(0.5, 0.5, 0.0, 0.0, 1.0)
         with pytest.raises(ParameterError):
             Cylinder(0.5, 0.5, 0.1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["cx", "cy", "t_start", "t_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_centre_and_times_must_be_finite(self, field, value):
+        args = {"cx": 0.5, "cy": 0.5, "radius": 0.1, "t_start": 0.0, "t_end": 1.0, field: value}
+        with pytest.raises(ParameterError, match="^cylinder needs a finite centre and finite"):
+            Cylinder(**args)
 
     def test_fields(self):
         c = Cylinder(0.5, 0.5, 0.1, 0.2, 0.6)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -34,6 +35,8 @@ from pointproc import (
 )
 
 UNIT = Region(0, 1, 0, 1)
+# not whole numbers, or not numbers: refused wherever a count is asked for
+NOT_COUNTS = [2.5, math.nan, math.inf, -math.inf, "3"]
 # valid regions whose area underflows to 0 or overflows to inf
 DEGENERATE_AREAS = [Region(0, 1e-170, 0, 1e-170), Region(0, 1e200, 0, 1e200)]
 # points 1e199 apart in a region of finite area: the k-d tree's squared
@@ -224,6 +227,18 @@ class TestDispersion:
         pat = random_pattern(5)
         with pytest.raises(ParameterError, match="divide"):
             dispersion_by_block(pat, GridSpec(UNIT, 4, 4), [3])
+
+    @pytest.mark.parametrize("b", [0, -2, *NOT_COUNTS])
+    def test_block_size_must_be_whole(self, b):
+        message = f"block size must be an integer >= 1, got {b!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            dispersion_by_block(random_pattern(5), GridSpec(UNIT, 4, 4), [1, b])
+
+    def test_whole_block_sizes_of_any_type(self):
+        pat, spec = random_pattern(7, n=160), GridSpec(UNIT, 4, 4)
+        out = dispersion_by_block(pat, spec, [np.int64(2), 2.0])
+        assert out == dispersion_by_block(pat, spec, [2, 2])
+        assert all(type(b) is int for b, _ in out)
 
     def test_csr_near_one_on_average(self):
         spec = GridSpec(UNIT, 8, 8)
@@ -606,9 +621,58 @@ class TestCsrEnvelope:
         )
         assert env.observed.shape == (2,)
 
-    def test_min_nsim_enforced(self):
-        with pytest.raises(ParameterError, match="19"):
-            csr_envelope(random_pattern(0), "g", [0.1], 18, RngStream(0))
+    @pytest.mark.parametrize("nsim", [18, 19.5, *NOT_COUNTS])
+    def test_min_nsim_enforced(self, nsim):
+        message = f"nsim must be an integer >= 19, got {nsim!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            csr_envelope(random_pattern(0), "g", [0.1], nsim, RngStream(0))
+
+    def test_whole_nsim_of_any_type(self):
+        pat = random_pattern(0, n=50)
+        want = csr_envelope(pat, "g", [0.05, 0.1], 19, RngStream(0))
+        for nsim in (np.int64(19), 19.0):
+            env = csr_envelope(pat, "g", [0.05, 0.1], nsim, RngStream(0))
+            assert np.array_equal(env.lower, want.lower) and np.array_equal(env.upper, want.upper)
+            assert type(env.nsim) is int
+
+    @pytest.mark.parametrize("statistic, n, seed", [
+        ("g", 3, 3), ("g", 4, 3), ("g", 5, 3),
+        ("f", 3, 2), ("f", 4, 5), ("f", 5, 7),
+        ("k", 3, 3), ("k", 4, 3), ("k", 5, 3),
+    ])
+    def test_small_replicates_redrawn_from_their_stream(self, statistic, n, seed):
+        # mean counts of 3 to 5: some replicates hold fewer points than G
+        # and K (2) or F (1) need, and are drawn again from the same substream
+        pat = random_pattern(seed, n=n)
+        radii = np.array([0.05, 0.1, 0.2, 0.3])
+        kw = {"g": {}, "f": {"probe_spec": GridSpec(UNIT, 6, 6)}, "k": {"correction": "border"}}
+        name = {"g": "g_function", "f": "f_function", "k": "ripleys_k"}[statistic]
+        real, curves = getattr(spatial, name), []
+
+        def recorded(*args, **kwargs):  # the curves the statistic returns, in order
+            curves.append(real(*args, **kwargs))
+            return curves[-1]
+
+        with mock.patch.object(spatial, name, recorded):
+            env = csr_envelope(pat, statistic, radii, 39, RngStream(seed), **kw[statistic])
+        observed, replicates, redraws = brute.csr_envelope(
+            pat, statistic, radii, 39, RngStream(seed), **kw[statistic])
+        assert redraws > 0
+        np.testing.assert_array_equal(np.stack(curves), np.vstack([observed, replicates]))
+        np.testing.assert_array_equal(env.observed, observed)
+        np.testing.assert_array_equal(env.lower, replicates.min(axis=0))
+        np.testing.assert_array_equal(env.upper, replicates.max(axis=0))
+
+    @pytest.mark.parametrize("statistic, message", [
+        ("g", "G needs at least two points"),
+        ("f", "F needs at least one point"),
+        ("k", "K needs at least two points"),
+    ])
+    def test_empty_pattern_refused_by_the_statistic(self, statistic, message):
+        empty = SpatialPattern([], UNIT)
+        with pytest.raises(InsufficientDataError, match=f"^{message}$"):
+            csr_envelope(empty, statistic, [0.1], 19, RngStream(0),
+                         probe_spec=GridSpec(UNIT, 4, 4))
 
     def test_unknown_statistic(self):
         with pytest.raises(ParameterError):

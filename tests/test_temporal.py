@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,11 +109,34 @@ class TestPoissonCountPmf:
         )
 
     @pytest.mark.parametrize(
-        "args", [(0.0, 0.0, 1.0, 1), (2.0, 1.0, 1.0, 1), (2.0, -1.0, 1.0, 1), (2.0, 0.0, 1.0, -1), (2.0, 0.0, 1.0, 1.5)]
+        "args", [(0.0, 0.0, 1.0, 1), (2.0, 1.0, 1.0, 1), (2.0, -1.0, 1.0, 1), (2.0, 0.0, 1.0, -1),
+                 (2.0, 0.0, 1.0, 1.5), (2.0, 0.0, 1.0, math.nan), (2.0, 0.0, 1.0, math.inf)]
     )
     def test_rejects_bad_args(self, args):
         with pytest.raises(ParameterError):
             poisson_count_pmf(*args)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf, -math.inf, "3"])
+    def test_count_refused_in_one_wording(self, n):
+        message = f"count must be an integer >= 0, got {n!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            poisson_count_pmf(2.0, 0.0, 1.0, n)
+
+    def test_whole_count_of_any_type(self):
+        want = poisson_count_pmf(2.0, 0.0, 1.0, 3)
+        assert poisson_count_pmf(2.0, 0.0, 1.0, np.int64(3)) == want
+        assert poisson_count_pmf(2.0, 0.0, 1.0, 3.0) == want
+
+    @pytest.mark.parametrize("args, limit", [
+        ((1e200, 0.0, 1e200, 3), 0.0),  # the mean overflows to inf
+        ((1e200, 0.0, 1e200, 0), 0.0),
+        ((5e-324, 0.0, 1e-10, 1), 0.0),  # the mean underflows to 0
+        ((5e-324, 0.0, 1e-10, 0), 1.0),
+        ((1.0, 0.0, 1.0, 10**400), 0.0),  # a count past every float
+        ((1.0, 0.0, 1.0, 10**306), 0.0),  # log(n!) past every float
+    ])
+    def test_limits_of_extreme_means_and_counts(self, args, limit):
+        assert poisson_count_pmf(*args) == limit
 
 
 class TestSimulateHpp:
