@@ -438,7 +438,7 @@ def indexed_map(fn, count: int, threads: int = 1) -> list:
     pool never has more workers than calls, nor more than the standard
     library's default of min(32, cpus + 4).
     """
-    workers = min(int(threads), count, min(32, (os.cpu_count() or 1) + 4))
+    workers = min(_count(threads, "threads", 1), count, min(32, (os.cpu_count() or 1) + 4))
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

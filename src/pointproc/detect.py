@@ -97,8 +97,6 @@ def gi_star(grid: Grid, neighbourhood_radius: float) -> Grid:
     radius = _positive(neighbourhood_radius, "neighbourhood radius")
     spec = grid.spec
     nx, ny, n = spec.nx, spec.ny, spec.ncells
-    if n < 2:
-        raise ParameterError("GI* needs at least two cells")
     x = grid.values.ravel().astype(float)
     s = x.std()  # population sd, matching the n-1 variance factor above
     if s == 0.0:

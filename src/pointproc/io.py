@@ -177,18 +177,17 @@ def _rows(cols: list[np.ndarray]) -> np.ndarray | bytes:
     out, show = out.view(np.uint8).reshape(n, k, -1), np.take(_MASKS, key, axis=0)
     if not text.any():
         return out[show]
-    # a '%' cell shows its separator alone, and its text goes in before it
-    show[text] = np.arange(4 * _WORDS) == 48
+    # a '%' cell shows byte 0, the NUL of _PREFIX that no numeric cell shows,
+    # and byte 48, its separator: split at NUL, the bytes are the pieces before
+    # each '%' cell in row order, and each piece takes that cell's text
+    show[text] = np.arange(4 * _WORDS) % 48 == 0
     r, c = np.nonzero(text.T)[::-1]  # the '%' cells, column by column
     strs = [(("%.17g" if cols[j].dtype.kind == "f" else "%s") % (v,)).encode()
             for j in np.unique(c).tolist() for v in cols[j][text[:, j]].tolist()]
-    shown = show.sum(axis=-1).ravel()
-    start = (np.cumsum(shown) - shown)[r * k + c].tolist()  # where each text goes
-    data, pieces, prev = memoryview(out[show]), [], 0
-    for i in np.lexsort((c, r)).tolist():  # row by row
-        pieces += [data[prev:start[i]], strs[i]]
-        prev = start[i]
-    return b"".join([*pieces, data[prev:]])
+    pieces = out[show].tobytes().split(b"\0")
+    for p, i in enumerate(np.lexsort((c, r)).tolist()):  # row by row
+        pieces[p] += strs[i]
+    return b"".join(pieces)
 
 
 def write_table(path, header: str, columns) -> None:

@@ -215,8 +215,6 @@ class IntensityFn:
 
 def _sin_sup(a: float, b: float) -> float:
     """sup of sin over [a, b]."""
-    if b - a >= 2.0 * math.pi:
-        return 1.0
     k = math.ceil((a - 0.5 * math.pi) / (2.0 * math.pi))
     peak = 0.5 * math.pi + 2.0 * math.pi * k
     if peak <= b:
@@ -352,8 +350,6 @@ def hawkes_intensity(model: HawkesModel, history: EventTimes, t: float) -> float
     if not t >= 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")
     past = history.times[history.times < t]
-    if past.size == 0:
-        return model.mu
     return model.mu + float(np.sum(model.kernel.evaluate(t - past)))
 
 

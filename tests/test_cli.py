@@ -131,6 +131,16 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (out / "events.csv").exists()
 
+    @pytest.mark.parametrize("missing", ["base", "amplitude", "period"])
+    def test_nhpp_sinusoid_names_a_missing_param(self, tmp_path, capsys, missing):
+        shape = {"base": 3.0, "amplitude": 2.0, "period": 24.0}
+        del shape[missing]
+        out = tmp_path / "run"
+        assert run("--out", out, "simulate", "nhpp", "--intensity", "sinusoid", "--horizon", 48.0,
+                   *(f"--{k}={v}" for k, v in shape.items())) == 1
+        assert capsys.readouterr().err == f"error: sinusoid intensity needs --{missing}\n"
+        assert list(out.iterdir()) == []
+
     def test_nhpp_missing_params_fails_cleanly(self, tmp_path):
         out = tmp_path / "run"
         assert run("--out", out, "simulate", "nhpp",
@@ -364,6 +374,14 @@ class TestDetect:
         assert lines[0] == "cell_x,cell_y,z"
         assert len(lines) == 26
 
+    def test_gistar_one_cell_is_degenerate(self, tmp_path, capsys):
+        src = write_pattern(tmp_path, n=20)
+        out = tmp_path / "run"
+        assert run("--out", out, "detect", "gistar", "--in", src, "--region", "0,1,0,1",
+                   "--nx", 1, "--ny", 1, "--radius", 0.25) == 1
+        assert capsys.readouterr().err == "error: GI* is undefined when every cell count is equal\n"
+        assert list(out.iterdir()) == []
+
     def test_scan(self, tmp_path):
         src = write_space_time(tmp_path)
         out = tmp_path / "run"
@@ -455,6 +473,23 @@ class TestDetect:
                    "--radii", "0.2", "--durations", "0.4",
                    "--nsim", 99) == 1
 
+    def test_scan_geojson_matches_csv(self, tmp_path):
+        src = write_space_time(tmp_path)
+        rows = np.loadtxt(src, delimiter=",", skiprows=1)
+        features = [{"type": "Feature", "geometry": {"type": "Point", "coordinates": [x, y]},
+                     "properties": {"t": t}} for x, y, t in rows.tolist()]
+        geo = tmp_path / "ev.geojson"
+        geo.write_bytes(feature_collection(features))
+        scans = []
+        for name, events in (("csv", src), ("geojson", geo)):
+            out = tmp_path / name
+            assert run("--seed", 5, "--out", out, "detect", "scan", "--in", events,
+                       "--region", "0,1,0,1", "--horizon", 1.0, "--nx", 3, "--ny", 3,
+                       "--slices", 3, "--radii", "0.2", "--durations", "0.4",
+                       "--nsim", 99) == 0
+            scans.append((out / "scan.csv").read_bytes())
+        assert scans[0] == scans[1]
+
     def test_scan_with_baseline_files(self, tmp_path):
         src = write_space_time(tmp_path)
         bases = []
@@ -482,6 +517,7 @@ POINT = {"type": "Feature", "properties": {},
 
 # name -> (file name, bytes, what reads it)
 BAD_INPUTS = {
+    "csv-empty": ("pts.csv", b"", "in"),
     "csv-not-utf8": ("pts.csv", b"x,y\n0.5,0.5\n0.25,\xff\n", "in"),
     "geojson-not-utf8": ("pts.geojson", feature_collection([POINT]) + b"\xff", "in"),
     "features-not-a-list": ("pts.geojson", feature_collection(5), "in"),
@@ -494,6 +530,10 @@ BAD_INPUTS = {
         [{**POINT, "geometry": {"type": "Point", "coordinates": [10**400, 0.5]}}]), "in"),
     "coordinate-a-bool": ("pts.geojson", feature_collection(
         [{**POINT, "geometry": {"type": "Point", "coordinates": [True, 0.5]}}]), "in"),
+    "coordinates-one-number": ("pts.geojson", feature_collection(
+        [{**POINT, "geometry": {"type": "Point", "coordinates": [0.5]}}]), "in"),
+    "coordinates-an-object": ("pts.geojson", feature_collection(
+        [{**POINT, "geometry": {"type": "Point", "coordinates": {"x": 0.5, "y": 0.5}}}]), "in"),
     "baseline-nan": ("base.csv", b"cell_x,cell_y,value\n0,0,nan\n", "baseline"),
     "baseline-inf": ("base.csv", b"cell_x,cell_y,value\n0,0,1\n1,1,inf\n", "baseline"),
     "baseline-too-large": ("base.csv", b"cell_x,cell_y,value\n0,0,1e19\n", "baseline"),
@@ -782,6 +822,20 @@ class TestManifestReplay:
         out = tmp_path / "run"
         assert run_code("--manifest", m, "--out", out) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "command": "--seed"}, "unknown command --seed scan"),
+        (lambda doc: {**doc, "subcommand": 5}, "unknown command detect 5"),
+        (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items() if k != "top"}},
+         "manifest params missing ['top']"),
+    ], ids=["command-a-flag", "command-not-text", "param-missing"])
+    def test_unknown_command_or_missing_param_named(self, recorded, tmp_path, capsys, edit,
+                                                    message):
+        m, out = tmp_path / "m.json", tmp_path / "run"
+        m.write_text(json.dumps(edit(recorded["scan"])), encoding="utf-8")
+        assert run("--manifest", m, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {m}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}", None],

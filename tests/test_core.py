@@ -223,6 +223,12 @@ class TestRegion:
         with pytest.raises(ParameterError):
             Region(*bounds)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 1, 0, 1), (0, math.inf, 0, 1),
+                                        (0, 1, -math.inf, 1), (0, 1, 0, math.nan)])
+    def test_rejects_non_finite(self, bounds):
+        with pytest.raises(ParameterError, match="^region bounds must be finite$"):
+            Region(*bounds)
+
     def test_covers(self):
         assert Region(0, 2, 0, 2).covers(Region(0.5, 1.5, 0, 2))
         assert not Region(0, 1, 0, 1).covers(Region(0, 2, 0, 1))
@@ -335,6 +341,11 @@ class TestSpaceTimeEvents:
             with pytest.raises(ParameterError, match=message):
                 SpaceTimeEvents([[0.5, 0.5, 1.0], [*xy, 1.0]], Region(0, 1, 0, 1), 2.0)
 
+    @pytest.mark.parametrize("events", [[[0.5, 0.5]], [0.5, 0.5, 1.0], [[[0.5, 0.5, 1.0]]]])
+    def test_rejects_bad_shape(self, events):
+        with pytest.raises(ParameterError, match=r"^events must be \(n, 3\) as \(x, y, t\)"):
+            SpaceTimeEvents(events, Region(0, 1, 0, 1), 2.0)
+
     def test_spatial_is_the_pattern_it_holds(self):
         ev = SpaceTimeEvents([[0.1, 0.2, 0.5], [0.5, 0.5, 1.0]], Region(0, 1, 0, 1), 2.0)
         assert ev.spatial() is ev.spatial()
@@ -421,6 +432,8 @@ class TestIndexedMap:
         (1, 4, 10, 4),  # the stdlib default still allows a real pool on one CPU
         (2, 1, 10, None),  # one thread: no pool
         (2, 4, 1, None),  # one call: no pool
+        (2, np.int64(2), 10, 2),  # a whole number of any type
+        (2, 2.0, 10, 2),
     ])
     def test_pool_size_is_capped(self, monkeypatch, cpus, threads, count, workers):
         seen = []
@@ -442,6 +455,12 @@ class TestIndexedMap:
         monkeypatch.setattr(core.os, "cpu_count", lambda: cpus)
         assert core.indexed_map(lambda i: i * i, count, threads) == [i * i for i in range(count)]
         assert seen == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("threads", [0, 2.9, *NOT_COUNTS])
+    def test_threads_must_be_whole(self, threads):
+        message = f"threads must be an integer >= 1, got {threads!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            core.indexed_map(lambda i: i, 4, threads)
 
 
 _GRID = Grid(GridSpec(Region(0, 1, 0, 1), 2, 2), [[1, 2], [3, 4]])

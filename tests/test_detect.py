@@ -96,7 +96,8 @@ COLLIDED = GridSpec(Region(1e16, 1e16 + 64, 0, 1), 64, 2)  # x centres collide i
 LATTICE_GEOMETRIES = pytest.mark.parametrize("spec", [
     GridSpec(UNIT, 10, 10), GridSpec(UNIT, 17, 23), COLLIDED, GridSpec(UNIT, 1, 7),
     GridSpec(UNIT, 23, 1), GridSpec(Region(-3.25, 9.75, 2.5, 11.5), 13, 9),
-], ids=["10-10", "17-23", "collided", "1x7", "23x1", "offset-13x9"])
+    GridSpec(UNIT, 1, 11),  # a rounded chord falls a row short: the template steps up
+], ids=["10-10", "17-23", "collided", "1x7", "23x1", "offset-13x9", "1x11"])
 
 
 def tie_radii(spec):
@@ -159,9 +160,10 @@ class TestGiStar:
         assert zg.values[0, 0] < 0
 
     def test_uniform_counts_degenerate(self):
-        spec = GridSpec(UNIT, 4, 4)
-        with pytest.raises(DegenerateDataError, match="equal"):
-            gi_star(Grid(spec, np.full((4, 4), 3, dtype=int)), 0.3)
+        for n in (4, 1):  # one cell's counts are all equal too
+            with pytest.raises(DegenerateDataError,
+                               match="^GI\\* is undefined when every cell count is equal$"):
+                gi_star(Grid(GridSpec(UNIT, n, n), np.full((n, n), 3, dtype=int)), 0.3)
 
     def test_radius_covering_grid_degenerate(self):
         spec = GridSpec(UNIT, 3, 3)

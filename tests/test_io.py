@@ -481,6 +481,13 @@ class TestWriterFormat:
         header = ",".join("abcdefgh")
         assert written(header, cols) == percent_table(header, cols)
 
+    def test_no_numeric_cell_shows_a_nul(self):
+        # bytes 0, 25-27 and 49-51 of a slot are NUL in every cell: the prefix's
+        # first byte and the tails of the point and separator words.  A '%'
+        # cell shows byte 0, and the writer splits the shown bytes there
+        nul = np.isin(np.arange(4 * pio._WORDS), [0, 25, 26, 27, 49, 50, 51])
+        assert not (pio._MASKS & nul).any()
+
     def test_blocks_of_cells(self, monkeypatch):
         monkeypatch.setattr(pio, "_BLOCK_CELLS", 7)  # 4 columns: a row per block
         g = np.random.default_rng(3)

@@ -326,6 +326,16 @@ class TestDistanceStatistics:
             ripleys_k(pat, [0.0, 0.1])  # K needs strictly positive radii
         with pytest.raises(ParameterError):
             g_function(pat, [])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="^radii must be finite$"):
+                g_function(pat, [0.1, bad])
+
+    def test_other_tree_errors_pass_through(self):
+        # only an overflow in the k-d tree is the data's fault
+        with pytest.raises(ValueError, match="^bad query$") as info:
+            with spatial._tree_overflow():
+                raise ValueError("bad query")
+        assert type(info.value) is ValueError
 
 
 class TestNni:

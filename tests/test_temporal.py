@@ -28,6 +28,7 @@ from pointproc import (
     simulate_hawkes,
     simulate_hpp,
     simulate_nhpp,
+    temporal,
 )
 
 
@@ -210,6 +211,32 @@ class TestIntensityFn:
     def test_rejects_gap(self):
         with pytest.raises(ParameterError, match="gap"):
             IntensityFn(lambda t: 1.0, [(0, 1, 2.0), (1.5, 2, 2.0)])
+
+    @pytest.mark.parametrize("envelope, message", [
+        ([], "envelope must have at least one segment"),
+        ([(0, 1, 2.0), (1, 2, math.nan)], "envelope bound 1 must be finite and >= 0"),
+        ([(0, 1, -1.0)], "envelope bound 0 must be finite and >= 0"),
+        ([(0, 1, math.inf)], "envelope bound 0 must be finite and >= 0"),
+    ], ids=["empty", "nan-bound", "negative-bound", "inf-bound"])
+    def test_rejects_bad_envelope(self, envelope, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            IntensityFn(lambda t: 1.0, envelope)
+
+    @pytest.mark.parametrize("base, amplitude", [(math.nan, 1.0), (3.0, math.inf)])
+    def test_rejects_non_finite_sinusoid(self, base, amplitude):
+        with pytest.raises(ParameterError, match="^base and amplitude must be finite$"):
+            IntensityFn.sinusoid(base, amplitude, 24.0, 24.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(0.0, 2.0 * math.pi / temporal._SINUSOID_SEGMENTS))
+    def test_sin_sup_bounds_a_dense_sample(self, a, width):
+        # the sinusoid's segments are a sixteenth of a turn or less
+        b = a + width
+        sup = temporal._sin_sup(a, b)
+        assert sup >= max(map(math.sin, np.linspace(a, b, 1001).tolist()))  # a and b too
+        last = math.floor((b - 0.5 * math.pi) / (2.0 * math.pi))  # the last peak up to b
+        if 0.5 * math.pi + 2.0 * math.pi * last >= a:
+            assert sup == 1.0
 
     def test_rejects_nonzero_start(self):
         with pytest.raises(ParameterError, match="start"):
@@ -491,6 +518,15 @@ class TestHawkesIntensity:
         history = EventTimes([3.0, 4.0, 9.0, 10.0], horizon=12.0)
         assert hawkes_intensity(model, history, 0.0) == 1.0
         assert hawkes_intensity(model, history, 2.9) == pytest.approx(1.0)
+        # no past events: the kernel sum is empty, and exactly mu remains
+        for kernel in (ExponentialKernel(0.5, 1.0), PowerLawKernel(1.0, 1.0, 1.0)):
+            model = HawkesModel(1.25, kernel)
+            assert hawkes_intensity(model, EventTimes([], horizon=5.0), 2.0) == 1.25
+            assert hawkes_intensity(model, history, 3.0) == 1.25
+
+    def test_rejects_unsupported_kernel(self):
+        with pytest.raises(ParameterError, match="^unsupported kernel type str$"):
+            HawkesModel(1.0, "exponential")
 
     def test_hand_computed_values(self):
         model = HawkesModel(1.0, ExponentialKernel(0.5, 1.0))
