@@ -197,7 +197,7 @@ _RUN_KEYS = ("command", "subcommand", "seed", "out", "threads", "manifest")
 
 def _resolve_seed(value) -> int:
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("POINTPROC_SEED")
     if env is not None:
         try:

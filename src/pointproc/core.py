@@ -66,7 +66,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
-        self.seed = int(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._path = _path
         tree = np.random.SeedSequence(self.seed, spawn_key=_path)
         self._gen = np.random.Generator(np.random.PCG64(tree))

@@ -234,7 +234,6 @@ def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
     but zero expectation come out +inf.
     """
     n = np.asarray(n, dtype=float)
-    mu = np.asarray(mu, dtype=float)
     rem = total - n
     rem_mu = total - mu
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -369,6 +368,7 @@ def space_time_scan(
     n_slices = _count(n_slices, "n_slices", 1)
     _check_array_size("cells x slices", spec.ncells, n_slices)
     nsim = _count(nsim, "nsim", 99)
+    threads = _count(threads, "threads", 1)
     radii_arr = _positives(radii, "radii")
     dur_arr = _positives(durations, "durations")
 
@@ -396,7 +396,7 @@ def space_time_scan(
                 raise ParameterError(f"baseline grid {s} does not match the scan grid")
             if np.any(g.values < 0):
                 raise ParameterError(f"baseline grid {s} has a negative value")
-            mass[:, s] = g.values.ravel().astype(float)
+            mass[:, s] = g.values.ravel()
     mass_total = mass.sum()
     if mass_total <= 0.0:
         raise DegenerateDataError("baseline has zero total mass")

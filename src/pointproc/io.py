@@ -220,9 +220,9 @@ def _read_table(path, header: str) -> np.ndarray:
     lines are skipped.
 
     The file is read once and split by str.splitlines().  numpy's parser
-    reads the lines when it can.  It refuses lines of only spaces, '1_0'
-    and non-ASCII digits, which float() takes; then one float() loop reads
-    them, or names the first line with a bad count or field."""
+    reads the lines, less any blank ones (it skips only empty lines).  It
+    refuses '1_0' and non-ASCII digits, which float() takes; then one float()
+    loop reads them, or names the first line with a bad count or field."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -236,8 +236,10 @@ def _read_table(path, header: str) -> np.ndarray:
     if not any(line.strip() for line in body):  # no rows: numpy's parser would warn
         return np.empty((0, k))
     if "\x1f" not in text:  # numpy's parser strips it around a number; float() refuses it
+        # an ASCII blank line is empty, which numpy skips, unless it holds a space or a tab
+        lines = filter(str.strip, body) if " " in text or "\t" in text or not text.isascii() else body
         try:
-            table = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
             if table.shape[1] == k:
                 return table
         except ValueError:
@@ -331,7 +333,7 @@ def read_geojson_points(path) -> tuple[np.ndarray, np.ndarray | None]:
                 raise ParameterError(
                     f"{path}: feature {i}: property 't' is not a number"
                 ) from None
-    points = np.array(pts, dtype=float) if pts else np.empty((0, 2))
+    points = np.array(pts, dtype=float).reshape(-1, 2)
     if times and len(times) != len(pts):
         raise ParameterError(f"{path}: property 't' present on only some features")
     return points, (np.array(times, dtype=float) if times else None)

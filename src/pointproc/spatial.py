@@ -106,13 +106,9 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Gr
     from scipy.spatial import cKDTree
 
     bandwidth = _positive(bandwidth, "bandwidth")
-    centres = spec.centre_points()
-    if len(pattern) == 0:
-        counts = np.zeros(spec.ncells)
-    else:
-        tree = cKDTree(pattern.points)
-        with _tree_overflow():
-            counts = tree.query_ball_point(centres, bandwidth, return_length=True)
+    tree = cKDTree(pattern.points)
+    with _tree_overflow():
+        counts = tree.query_ball_point(spec.centre_points(), bandwidth, return_length=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = counts / (math.pi * np.float64(bandwidth) ** 2)  # inf where Python's ** raises
     if not np.all(np.isfinite(vals)):  # count / area overflows, or the area is 0
@@ -403,6 +399,7 @@ def csr_envelope(
     if statistic not in ("g", "f", "k"):
         raise ParameterError(f"statistic must be one of 'g', 'f', 'k', got {statistic!r}")
     nsim = _count(nsim, "nsim", 19)
+    threads = _count(threads, "threads", 1)
     if statistic == "f" and probe_spec is None:
         raise ParameterError("the F statistic needs a probe_spec")
     radii = np.asarray(radii, dtype=float).reshape(-1)

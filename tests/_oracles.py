@@ -298,7 +298,7 @@ def read_table_rows(path, header: str):
     from pointproc import ParameterError
 
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as e:
         raise ParameterError(f"{path}: not a text file: {e}") from None
     if not lines:

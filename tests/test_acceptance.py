@@ -406,10 +406,12 @@ def test_c14_envelope_null_calibration(note):
 def test_c12_cli_reproducibility(tmp_path, note):
     g = np.random.default_rng(12)
     pts = tmp_path / "pts.csv"
-    pts.write_text("\n".join(["x,y"] + [f"{x},{y}" for x, y in g.random((100, 2))]) + "\n")
+    pts.write_text("\n".join(["x,y"] + [f"{x},{y}" for x, y in g.random((100, 2))]) + "\n",
+                   encoding="utf-8")
     st = tmp_path / "st.csv"
     rows = np.column_stack([g.random(60), g.random(60), g.random(60)])
-    st.write_text("\n".join(["x,y,t"] + [f"{x},{y},{t}" for x, y, t in rows]) + "\n")
+    st.write_text("\n".join(["x,y,t"] + [f"{x},{y},{t}" for x, y, t in rows]) + "\n",
+                  encoding="utf-8")
 
     commands = {
         "sim-hpp": ["simulate", "hpp", "--rate", "2", "--horizon", "50"],

@@ -55,7 +55,7 @@ def write_pattern(tmp_path, seed=0, n=120, name="pts.csv"):
     g = np.random.default_rng(seed)
     lines = ["x,y"] + [f"{x},{y}" for x, y in g.random((n, 2))]
     p = tmp_path / name
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return p
 
 
@@ -64,7 +64,7 @@ def write_space_time(tmp_path, seed=0, n=80, name="events.csv"):
     rows = np.column_stack([g.random(n), g.random(n), g.random(n)])
     lines = ["x,y,t"] + [f"{x},{y},{t}" for x, y, t in rows]
     p = tmp_path / name
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return p
 
 
@@ -76,7 +76,7 @@ class TestSimulate:
         got = read_event_times(out / "events.csv", horizon=50.0)
         want = simulate_hpp(2.0, 50.0, RngStream(3))
         assert np.array_equal(got.times, want.times)
-        doc = json.loads((out / "manifest.json").read_text())
+        doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert doc["command"] == "simulate"
         assert doc["subcommand"] == "hpp"
         assert doc["seed"] == 3
@@ -153,7 +153,7 @@ class TestSimulate:
         assert run("--seed", 2, "--out", out, "simulate", "hawkes",
                    "--mu", 1.0, "--alpha", 0.5, "--beta", 1.0,
                    "--horizon", 100.0) == 0
-        doc = json.loads((out / "manifest.json").read_text())
+        doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert doc["derived"]["n_star"] == 0.5
         assert doc["derived"]["regime"] == "subcritical"
 
@@ -184,7 +184,7 @@ class TestSimulate:
         res = subprocess.run(
             [sys.executable, "-W", "error", "-m", "pointproc.cli", "simulate", "hawkes",
              "--mu", "0.1", "--alpha", "1.2", "--beta", "1", "--horizon", "5", "--out", str(out)],
-            capture_output=True, text=True, env=child_env(), timeout=120,
+            capture_output=True, encoding="utf-8", env=child_env(), timeout=120,
         )
         assert res.returncode == 1
         assert res.stderr.startswith("error: branching factor 1.2 >= 1 (supercritical)")
@@ -215,18 +215,19 @@ class TestAnalyze:
         assert run("--out", out, "analyze", "kde", "--in", src,
                    "--region", "0,1,0,1", "--nx", 5, "--ny", 5,
                    "--bandwidth", 0.1) == 0
-        lines = (out / "kde.csv").read_text().splitlines()
+        lines = (out / "kde.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "cell_x,cell_y,value"
         assert len(lines) == 26
 
     def test_kde_empty_input_gives_zero_surface(self, tmp_path):
         src = tmp_path / "empty.csv"
-        src.write_text("x,y\n")
+        src.write_text("x,y\n", encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, "analyze", "kde", "--in", src,
                    "--region", "0,1,0,1", "--nx", 3, "--ny", 3,
                    "--bandwidth", 0.1) == 0
-        vals = [float(l.split(",")[2]) for l in (out / "kde.csv").read_text().splitlines()[1:]]
+        lines = (out / "kde.csv").read_text(encoding="utf-8").splitlines()
+        vals = [float(l.split(",")[2]) for l in lines[1:]]
         assert vals == [0.0] * 9
 
     def test_g_plain_and_with_envelope(self, tmp_path):
@@ -234,11 +235,11 @@ class TestAnalyze:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run("--out", out1, "analyze", "g", "--in", src,
                    "--region", "0,1,0,1", "--radii", "0.02,0.05,0.1") == 0
-        assert (out1 / "g.csv").read_text().splitlines()[0] == "r,observed"
+        assert (out1 / "g.csv").read_text(encoding="utf-8").splitlines()[0] == "r,observed"
         assert run("--seed", 9, "--out", out2, "analyze", "g", "--in", src,
                    "--region", "0,1,0,1", "--radii", "0.02,0.05,0.1",
                    "--envelope", 19) == 0
-        lines = (out2 / "g.csv").read_text().splitlines()
+        lines = (out2 / "g.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "r,observed,lower,upper"
         assert len(lines) == 4
 
@@ -248,7 +249,7 @@ class TestAnalyze:
         out = tmp_path / "run"
         assert run("--seed", 9, "--out", out, "analyze", "k", "--in", src,
                    "--region", "0,1,0,1", "--radii", "0.1,1e308", *envelope) == 0
-        last = (out / "k.csv").read_text().splitlines()[-1].split(",")
+        last = (out / "k.csv").read_text(encoding="utf-8").splitlines()[-1].split(",")
         assert float(last[1]) == 119 / 120  # (n - 1) / lambda, 120 points on the unit square
 
     def test_f_requires_probe_grid(self, tmp_path):
@@ -265,17 +266,17 @@ class TestAnalyze:
         assert run("--out", out, "analyze", "k", "--in", src,
                    "--region", "0,1,0,1", "--radii", "0.05,0.1",
                    "--correction", "border") == 0
-        doc = json.loads((out / "manifest.json").read_text())
+        doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert doc["params"]["correction"] == "border"
 
     def test_nni_coincident_points_is_zero(self, tmp_path):
         src = tmp_path / "dup.csv"
-        src.write_text("x,y\n0.5,0.5\n0.5,0.5\n0.5,0.5\n")
+        src.write_text("x,y\n0.5,0.5\n0.5,0.5\n0.5,0.5\n", encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, "analyze", "nni", "--in", src,
                    "--region", "0,1,0,1") == 0
         rows = dict(
-            l.split(",") for l in (out / "nni.csv").read_text().splitlines()[1:]
+            l.split(",") for l in (out / "nni.csv").read_text(encoding="utf-8").splitlines()[1:]
         )
         assert float(rows["nni"]) == 0.0
         assert float(rows["mean_min_distance"]) == 0.0
@@ -286,11 +287,13 @@ class TestAnalyze:
         assert run("--out", out, "analyze", "quadrat", "--in", src,
                    "--region", "0,1,0,1", "--nx", 4, "--ny", 4) == 0
         test_rows = dict(
-            l.split(",") for l in (out / "quadrat_test.csv").read_text().splitlines()[1:]
+            l.split(",")
+            for l in (out / "quadrat_test.csv").read_text(encoding="utf-8").splitlines()[1:]
         )
         assert int(test_rows["dof"]) == 15
         assert 0.0 <= float(test_rows["p_value"]) <= 1.0
-        counts = [int(l.split(",")[2]) for l in (out / "quadrat.csv").read_text().splitlines()[1:]]
+        lines = (out / "quadrat.csv").read_text(encoding="utf-8").splitlines()
+        counts = [int(l.split(",")[2]) for l in lines[1:]]
         assert sum(counts) == 120
 
     def test_dispersion(self, tmp_path):
@@ -299,7 +302,7 @@ class TestAnalyze:
         assert run("--out", out, "analyze", "dispersion", "--in", src,
                    "--region", "0,1,0,1", "--nx", 8, "--ny", 8,
                    "--blocks", "1,2") == 0
-        lines = (out / "dispersion.csv").read_text().splitlines()
+        lines = (out / "dispersion.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "block_size,index"
         assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]
 
@@ -316,21 +319,21 @@ class TestAnalyze:
             ],
         }
         src = tmp_path / "pts.geojson"
-        src.write_text(json.dumps(fc))
+        src.write_text(json.dumps(fc), encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, "analyze", "nni", "--in", src,
                    "--region", "0,1,0,1") == 0
 
     def test_point_outside_region_fails(self, tmp_path):
         src = tmp_path / "pts.csv"
-        src.write_text("x,y\n2.0,0.5\n0.1,0.1\n")
+        src.write_text("x,y\n2.0,0.5\n0.1,0.1\n", encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, "analyze", "nni", "--in", src,
                    "--region", "0,1,0,1") == 1
 
     def test_malformed_csv_reports_file_and_line(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
-        src.write_text("x,y\n0.5,0.5\nnope,0.2\n")
+        src.write_text("x,y\n0.5,0.5\nnope,0.2\n", encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, "analyze", "nni", "--in", src,
                    "--region", "0,1,0,1") == 1
@@ -359,7 +362,7 @@ class TestDetect:
                 calls.append([*argv, "--threads", threads, "--out", str(outs[-1])])
             code = f"from pointproc.cli import main\nfor a in {calls!r}:\n    assert main(a) == 0"
             res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, timeout=120)
+                                 encoding="utf-8", timeout=120)
             assert res.returncode == 0, res.stderr
         digests = {hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() for out in outs}
         assert len(digests) == 1
@@ -370,7 +373,7 @@ class TestDetect:
         assert run("--out", out, "detect", "gistar", "--in", src,
                    "--region", "0,1,0,1", "--nx", 5, "--ny", 5,
                    "--radius", 0.25) == 0
-        lines = (out / "gistar.csv").read_text().splitlines()
+        lines = (out / "gistar.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "cell_x,cell_y,z"
         assert len(lines) == 26
 
@@ -390,7 +393,7 @@ class TestDetect:
                    "--nx", 5, "--ny", 5, "--slices", 5,
                    "--radii", "0.15,0.3", "--durations", "0.2,0.4",
                    "--nsim", 99) == 0
-        lines = (out / "scan.csv").read_text().splitlines()
+        lines = (out / "scan.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("cx,cy,radius")
         llrs = [float(l.split(",")[7]) for l in lines[1:]]
         assert llrs == sorted(llrs, reverse=True)
@@ -415,7 +418,7 @@ class TestDetect:
                    "--nx", 5, "--ny", 5, "--slices", 5,
                    "--radii", "0.15,0.3", "--durations", "0.2,0.4",
                    "--nsim", 99, "--top", 3) == 0
-        assert len((out / "scan.csv").read_text().splitlines()) == 4
+        assert len((out / "scan.csv").read_text(encoding="utf-8").splitlines()) == 4
 
     @pytest.mark.parametrize("replay", [False, True], ids=["argv", "manifest"])
     def test_scan_bad_top_rejected_before_scanning(self, tmp_path, monkeypatch, capsys, replay):
@@ -426,9 +429,9 @@ class TestDetect:
         if replay:
             assert run("--seed", 5, "--out", tmp_path / "a", *argv, "--top", 3) == 0
             manifest = tmp_path / "a" / "manifest.json"
-            doc = json.loads(manifest.read_text())
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
             doc["params"]["top"] = 0
-            manifest.write_text(json.dumps(doc))
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
             argv = ["--manifest", manifest]
         else:
             argv = [*argv, "--top", 0]
@@ -465,7 +468,7 @@ class TestDetect:
             ],
         }
         src = tmp_path / "ev.geojson"
-        src.write_text(json.dumps(fc))
+        src.write_text(json.dumps(fc), encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, "detect", "scan", "--in", src,
                    "--region", "0,1,0,1", "--horizon", 1.0,
@@ -475,7 +478,7 @@ class TestDetect:
 
     def test_scan_geojson_matches_csv(self, tmp_path):
         src = write_space_time(tmp_path)
-        rows = np.loadtxt(src, delimiter=",", skiprows=1)
+        rows = np.loadtxt(src, delimiter=",", skiprows=1, encoding="utf-8")
         features = [{"type": "Feature", "geometry": {"type": "Point", "coordinates": [x, y]},
                      "properties": {"t": t}} for x, y, t in rows.tolist()]
         geo = tmp_path / "ev.geojson"
@@ -497,7 +500,7 @@ class TestDetect:
             b = tmp_path / f"base{s}.csv"
             lines = ["cell_x,cell_y,value"]
             lines += [f"{i},{j},2" for i in range(3) for j in range(3)]
-            b.write_text("\n".join(lines) + "\n")
+            b.write_text("\n".join(lines) + "\n", encoding="utf-8")
             bases.append(str(b))
         out = tmp_path / "run"
         assert run("--seed", 1, "--out", out, "detect", "scan", "--in", src,
@@ -581,7 +584,7 @@ class TestRegionArea:
     def test_error_without_traceback(self, tmp_path, capsys, argv):
         if argv[0] == "analyze":
             src = tmp_path / "pts.csv"
-            src.write_text("x,y\n0,0\n2e-171,3e-171\n5e-171,1e-171\n")
+            src.write_text("x,y\n0,0\n2e-171,3e-171\n5e-171,1e-171\n", encoding="utf-8")
             argv = [*argv[:2], "--in", src, *argv[2:]]
         out = tmp_path / "run"
         assert run("--out", out, *argv) == 1
@@ -611,9 +614,10 @@ class TestGridCells:
         src = tmp_path / "in.csv"
         rows = [(0, 0, 0.1), (-9e307, 0.5, 0.2), (9e307, 0.3, 0.5), (0.5, 0.9, 0.7)]
         if argv[1] == "scan":
-            src.write_text("x,y,t\n" + "".join(f"{x},{y},{t}\n" for x, y, t in rows))
+            src.write_text("x,y,t\n" + "".join(f"{x},{y},{t}\n" for x, y, t in rows),
+                           encoding="utf-8")
         else:
-            src.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y, _ in rows))
+            src.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y, _ in rows), encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, *argv[:2], "--in", src, f"--region={WIDE}", *argv[2:]) == 1
         err = capsys.readouterr().err
@@ -639,7 +643,7 @@ class TestFarApartPoints:
     @pytest.mark.parametrize("argv", FAR_APART.values(), ids=FAR_APART.keys())
     def test_overflow_in_the_tree_is_an_error(self, tmp_path, capsys, argv):
         src = tmp_path / "pts.csv"
-        src.write_text("x,y\n0,0\n1e199,0\n2e199,0\n")
+        src.write_text("x,y\n0,0\n1e199,0\n2e199,0\n", encoding="utf-8")
         out = tmp_path / "run"
         assert run("--out", out, *argv[:2], "--in", src, "--region", FAR, *argv[2:]) == 1
         err = capsys.readouterr().err
@@ -680,7 +684,7 @@ class TestSeedResolution:
         monkeypatch.delenv("POINTPROC_SEED")
         run("--seed", 11, "--out", b, "simulate", "hpp", "--rate", 1.0, "--horizon", 30.0)
         assert (a / "events.csv").read_bytes() == (b / "events.csv").read_bytes()
-        assert json.loads((a / "manifest.json").read_text())["seed"] == 11
+        assert json.loads((a / "manifest.json").read_text(encoding="utf-8"))["seed"] == 11
 
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -693,7 +697,7 @@ class TestSeedResolution:
     def test_default_seed_is_zero(self, tmp_path):
         out = tmp_path / "run"
         run("--out", out, "simulate", "hpp", "--rate", 1.0, "--horizon", 10.0)
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["seed"] == 0
 
     def test_bad_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("POINTPROC_SEED", "pi")
@@ -716,7 +720,7 @@ def recorded(tmp_path_factory):
     docs = {}
     for name, argv in runs.items():
         assert run("--seed", 7, "--out", d / name, *argv) == 0
-        docs[name] = json.loads((d / name / "manifest.json").read_text())
+        docs[name] = json.loads((d / name / "manifest.json").read_text(encoding="utf-8"))
     return docs
 
 
@@ -758,7 +762,7 @@ def small_argv(tmp_path_factory):
     bases = []
     for s in range(2):
         b = d / f"base{s}.csv"
-        b.write_text("cell_x,cell_y,value\n0,0,1\n1,1,2\n")
+        b.write_text("cell_x,cell_y,value\n0,0,1\n1,1,2\n", encoding="utf-8")
         bases.append(str(b))
     return {
         ("simulate", "hpp"): [("--rate", 2), ("--horizon", 5)],
@@ -818,7 +822,7 @@ class TestManifestReplay:
     @pytest.mark.parametrize("kind,edit", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
     def test_bad_manifest_is_a_usage_error(self, recorded, tmp_path, capsys, kind, edit):
         m = tmp_path / "m.json"
-        m.write_text(json.dumps(edit(recorded[kind])))
+        m.write_text(json.dumps(edit(recorded[kind])), encoding="utf-8")
         out = tmp_path / "run"
         assert run_code("--manifest", m, "--out", out) == 2
         assert "error:" in capsys.readouterr().err
@@ -857,7 +861,7 @@ class TestManifestReplay:
         doc["params"][data.draw(st.sampled_from(sorted(doc["params"])))] = data.draw(ODD_VALUES)
         with tempfile.TemporaryDirectory() as d:
             m, out = Path(d) / "m.json", Path(d) / "run"
-            m.write_text(json.dumps(doc))
+            m.write_text(json.dumps(doc), encoding="utf-8")
             code = run_code("--manifest", m, "--out", out)
             assert code in (0, 1, 2)
             if code:
@@ -865,11 +869,11 @@ class TestManifestReplay:
 
     def test_replay_normalises_values(self, recorded, tmp_path):
         m = tmp_path / "m.json"
-        m.write_text(json.dumps(with_param(top="2")(recorded["scan"])))
+        m.write_text(json.dumps(with_param(top="2")(recorded["scan"])), encoding="utf-8")
         out = tmp_path / "run"
         assert run("--manifest", m, "--out", out) == 0
-        assert json.loads((out / "manifest.json").read_text())["params"]["top"] == 2
-        assert len((out / "scan.csv").read_text().splitlines()) == 3
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["params"]["top"] == 2
+        assert len((out / "scan.csv").read_text(encoding="utf-8").splitlines()) == 3
 
     @pytest.mark.parametrize("case", ["segments", "baseline", "top", "negative-region"])
     def test_replay_round_trip(self, tmp_path, case):
@@ -880,7 +884,7 @@ class TestManifestReplay:
         for s in range(3):
             b = tmp_path / f"base{s}.csv"
             cells = [f"{i},{j},{(i + 2 * j + s) % 4}" for i in range(3) for j in range(3)]
-            b.write_text("\n".join(["cell_x,cell_y,value", *cells]) + "\n")
+            b.write_text("\n".join(["cell_x,cell_y,value", *cells]) + "\n", encoding="utf-8")
             bases.append(str(b))
         argv = {
             "segments": ["simulate", "nhpp", "--intensity", "piecewise", "--horizon", 30.0,
@@ -938,7 +942,7 @@ class TestManifestReplay:
             res = subprocess.run(
                 [sys.executable, "-m", "pointproc.cli", *seed,
                  "--out", str(tmp_path / "fresh" / name), *map(str, argv)],
-                capture_output=True, text=True, env=child_env())
+                capture_output=True, encoding="utf-8", env=child_env())
             assert res.returncode == 0, res.stderr
         for name in runs:
             assert read_bytes_map(tmp_path / "one" / name) == read_bytes_map(tmp_path / "fresh" / name)
@@ -976,7 +980,7 @@ class TestManifestReplay:
     def test_other_format_is_a_usage_error(self, recorded, tmp_path, capsys, edit, found):
         assert recorded["hpp"]["format"] == 3
         m, out = tmp_path / "m.json", tmp_path / "run"
-        m.write_text(json.dumps(edit(recorded["hpp"])))
+        m.write_text(json.dumps(edit(recorded["hpp"])), encoding="utf-8")
         assert run("--manifest", m, "--out", out) == 2
         err = capsys.readouterr().err
         assert err == (f"error: {m}: manifest format {found} cannot be replayed; "
@@ -996,19 +1000,20 @@ class TestManifestReplay:
         doc = recorded["scan"]
         a, m, b = tmp_path / "a", tmp_path / "m.json", tmp_path / "b"
         edited = {k: v for k, v in doc.items() if k != "versions"}
-        m.write_text(json.dumps(edited if versions is None else {**edited, "versions": versions}))
+        m.write_text(json.dumps(edited if versions is None else {**edited, "versions": versions}),
+                     encoding="utf-8")
         assert run("--manifest", m, "--out", b) == 0
         assert capsys.readouterr().err == (
             f"warning: {m}: recorded with {versions}, replayed with {doc['versions']}; "
             "outputs may differ\n")
-        (tmp_path / "same.json").write_text(json.dumps(doc))
+        (tmp_path / "same.json").write_text(json.dumps(doc), encoding="utf-8")
         assert run("--manifest", tmp_path / "same.json", "--out", a) == 0
         assert "warning" not in capsys.readouterr().err
         assert read_bytes_map(a) == read_bytes_map(b)
 
     def test_manifest_missing_field(self, tmp_path, capsys):
         m = tmp_path / "m.json"
-        m.write_text(json.dumps({"command": "simulate", "subcommand": "hpp"}))
+        m.write_text(json.dumps({"command": "simulate", "subcommand": "hpp"}), encoding="utf-8")
         assert run("--manifest", m, "--out", tmp_path) == 2
         assert "missing" in capsys.readouterr().err
 
@@ -1041,7 +1046,7 @@ def scipy_loaded(code: str) -> set[str]:
     """The SCIPY_SUBMODULES that a fresh interpreter holds after running `code`."""
     probe = f"{code}\nimport sys\nprint(*(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))"
     res = subprocess.run([sys.executable, "-c", probe],
-                         capture_output=True, text=True, env=child_env())
+                         capture_output=True, encoding="utf-8", env=child_env())
     assert res.returncode == 0, res.stderr
     return set(res.stdout.splitlines()[-1].split())
 
@@ -1060,10 +1065,10 @@ class TestTopLevel:
 
     def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "taken"
-        out.write_text("keep\n")
+        out.write_text("keep\n", encoding="utf-8")
         assert run("--out", out, "simulate", "hpp", "--rate", 1.0, "--horizon", 5.0) == 1
         assert "error:" in capsys.readouterr().err
-        assert out.read_text() == "keep\n"
+        assert out.read_text(encoding="utf-8") == "keep\n"
 
     def test_output_name_taken_by_a_directory(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -1091,13 +1096,13 @@ class TestTopLevel:
             [sys.executable, "-m", "pointproc.cli", "--seed", "1",
              "--out", str(tmp_path), "simulate", "csr",
              "--rate", "50", "--region", "0,1,0,1"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, encoding="utf-8", env=env,
         )
         assert res.returncode == 0
         assert (tmp_path / "points.csv").exists()
         ver = subprocess.run(
             [sys.executable, "-m", "pointproc.cli", "--version"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, encoding="utf-8", env=env,
         )
         assert ver.returncode == 0
         assert ver.stdout.startswith("pointproc ")
@@ -1114,7 +1119,7 @@ class TestTopLevel:
         code = f"from pointproc.cli import main\nfor a in {calls!r}:\n    assert main(a) == 0"
         res = subprocess.run([sys.executable, "-X", "warn_default_encoding",
                               "-W", "error::EncodingWarning", "-c", code],
-                             capture_output=True, text=True, env=child_env(), timeout=120)
+                             capture_output=True, encoding="utf-8", env=child_env(), timeout=120)
         assert res.returncode == 0, res.stderr
         assert read_bytes_map(tmp_path / "quadrat") == read_bytes_map(tmp_path / "replay")
 
@@ -1150,7 +1155,7 @@ class TestTopLevel:
         )
         ver = subprocess.run(
             [sys.executable, "-c", wrapper, "--version"],
-            capture_output=True, text=True, env=child_env(),
+            capture_output=True, encoding="utf-8", env=child_env(),
         )
         assert ver.returncode == 0
         assert ver.stdout.startswith("pointproc ")
@@ -1161,7 +1166,7 @@ class TestTopLevel:
     )
     def test_installed_console_script(self):
         ver = subprocess.run(
-            ["pointproc", "--version"], capture_output=True, text=True
+            ["pointproc", "--version"], capture_output=True, encoding="utf-8"
         )
         assert ver.returncode == 0
         assert ver.stdout.startswith("pointproc ")

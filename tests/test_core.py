@@ -22,6 +22,7 @@ from pointproc import (
     SpaceTimeEvents,
     SpatialPattern,
     core,
+    detect,
     exponential_draw,
     gi_star,
     inter_arrival_times,
@@ -31,6 +32,7 @@ from pointproc import (
     simulate_hawkes,
     simulate_hpp,
     simulate_nhpp,
+    spatial,
 )
 
 # not whole numbers, or not numbers: refused wherever a count is asked for
@@ -71,6 +73,16 @@ class TestRngStream:
         message = f"substream index must be an integer >= 0, got {index!r}"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             RngStream(7).substream(index)
+
+    @pytest.mark.parametrize("seed, masked",
+                             [(-1, 2**64 - 1), (2**64 + 5, 5), (np.int64(-2), 2**64 - 2)])
+    def test_seed_is_taken_modulo_two_to_the_64(self, seed, masked):
+        rng = RngStream(seed)
+        assert type(rng.seed) is int and rng.seed == masked
+        same = RngStream(masked)
+        assert np.array_equal(rng.uniforms(0, 1, 50), same.uniforms(0, 1, 50))
+        sub, same_sub = rng.substream(3), same.substream(3)
+        assert np.array_equal(sub.uniforms(0, 1, 50), same_sub.uniforms(0, 1, 50))
 
     def test_substreams_leave_parent_untouched(self):
         a, b = RngStream(9), RngStream(9)
@@ -461,6 +473,31 @@ class TestIndexedMap:
         message = f"threads must be an integer >= 1, got {threads!r}"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             core.indexed_map(lambda i: i, 4, threads)
+
+    @pytest.mark.parametrize("threads", [0, 2.9, math.nan, "3"])
+    @pytest.mark.parametrize("entry", ["csr_envelope", "space_time_scan"])
+    def test_entry_points_refuse_threads_before_any_work(self, monkeypatch, entry, threads):
+        reached = []
+        for module, name in ((spatial, "g_function"), (detect, "_candidate_discs")):
+            def spy(*args, real=getattr(module, name), name=name, **kwargs):
+                reached.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        region = Region(0, 1, 0, 1)
+        xy = RngStream(5).uniforms(0, 1, 40).reshape(20, 2)
+        run = {
+            "csr_envelope": lambda t: spatial.csr_envelope(
+                SpatialPattern(xy, region), "g", [0.1, 0.2], 19, RngStream(0), threads=t),
+            "space_time_scan": lambda t: detect.space_time_scan(
+                SpaceTimeEvents(np.column_stack([xy, xy[:, 0]]), region, 1.0),
+                GridSpec(region, 4, 4), 2, [0.3], [0.5], 99, RngStream(0), threads=t),
+        }[entry]
+        message = f"threads must be an integer >= 1, got {threads!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            run(threads)
+        assert reached == []
+        run(1)  # a valid call passes the spy
+        assert reached
 
 
 _GRID = Grid(GridSpec(Region(0, 1, 0, 1), 2, 2), [[1, 2], [3, 4]])

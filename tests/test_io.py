@@ -74,35 +74,35 @@ class TestEventTimesRoundTrip:
     def test_header_only_file(self, tmp_path):
         p = tmp_path / "ev.csv"
         write_event_times(p, EventTimes([], 4.0))
-        assert p.read_text() == "t\n"
+        assert p.read_text(encoding="utf-8") == "t\n"
 
     def test_empty_without_horizon(self, tmp_path):
         p = tmp_path / "ev.csv"
-        p.write_text("t\n")
+        p.write_text("t\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="horizon"):
             read_event_times(p)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "ev.csv"
-        p.write_text("time\n1.0\n")
+        p.write_text("time\n1.0\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="header"):
             read_event_times(p)
 
     def test_bad_value_reports_line(self, tmp_path):
         p = tmp_path / "ev.csv"
-        p.write_text("t\n1.0\nbogus\n")
+        p.write_text("t\n1.0\nbogus\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r":3:"):
             read_event_times(p)
 
     def test_unsorted_rejected(self, tmp_path):
         p = tmp_path / "ev.csv"
-        p.write_text("t\n2.0\n1.0\n")
+        p.write_text("t\n2.0\n1.0\n", encoding="utf-8")
         with pytest.raises(ParameterError):
             read_event_times(p)
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "ev.csv"
-        p.write_text("t\n1.0\n\n2.0\n")
+        p.write_text("t\n1.0\n\n2.0\n", encoding="utf-8")
         assert np.array_equal(read_event_times(p, horizon=3.0).times, [1.0, 2.0])
 
 
@@ -126,13 +126,13 @@ class TestPointsRoundTrip:
 
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "pts.csv"
-        p.write_text("x,y\n0.5,0.5\n0.25\n")
+        p.write_text("x,y\n0.5,0.5\n0.25\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r":3:"):
             read_points_csv(p)
 
     def test_bad_column_named(self, tmp_path):
         p = tmp_path / "pts.csv"
-        p.write_text("x,y\n0.5,oops\n")
+        p.write_text("x,y\n0.5,oops\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="column 2"):
             read_points_csv(p)
 
@@ -151,7 +151,7 @@ class TestSpaceTimeRoundTrip:
     def test_header(self, tmp_path):
         p = tmp_path / "st.csv"
         write_space_time_csv(p, SpaceTimeEvents([[0.5, 0.5, 1.0]], UNIT, 2.0))
-        assert p.read_text().splitlines()[0] == "x,y,t"
+        assert p.read_text(encoding="utf-8").splitlines()[0] == "x,y,t"
 
     def test_empty(self, tmp_path):
         p = tmp_path / "st.csv"
@@ -171,13 +171,14 @@ class TestGridCsv:
         spec = GridSpec(UNIT, 2, 1)
         p = tmp_path / "grid.csv"
         write_grid_csv(p, Grid(spec, np.array([[4], [0]])), "count")
-        assert p.read_text().splitlines() == ["cell_x,cell_y,count", "0,0,4", "1,0,0"]
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert lines == ["cell_x,cell_y,count", "0,0,4", "1,0,0"]
 
     def test_float_values(self, tmp_path):
         spec = GridSpec(UNIT, 2, 1)
         p = tmp_path / "grid.csv"
         write_grid_csv(p, Grid(spec, np.array([[0.1], [1 / 3]])), "z")
-        lines = p.read_text().splitlines()
+        lines = p.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "cell_x,cell_y,z"
         assert float(lines[1].split(",")[2]) == 0.1
         assert float(lines[2].split(",")[2]) == 1 / 3
@@ -186,40 +187,40 @@ class TestGridCsv:
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
         write_grid_csv(p, Grid(spec, np.arange(4).reshape(2, 2)), "count")
-        cells = [tuple(l.split(",")[:2]) for l in p.read_text().splitlines()[1:]]
+        cells = [tuple(l.split(",")[:2]) for l in p.read_text(encoding="utf-8").splitlines()[1:]]
         assert cells == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
 
     def test_missing_cells_read_as_zero(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,value\n1,1,9\n")
+        p.write_text("cell_x,cell_y,value\n1,1,9\n", encoding="utf-8")
         assert np.array_equal(read_count_values(p, spec), [[0, 0], [0, 9]])
 
     def test_out_of_range_cell(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,value\n5,0,1\n")
+        p.write_text("cell_x,cell_y,value\n5,0,1\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="outside"):
             read_count_values(p, spec)
 
     def test_non_integer_count(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,value\n0,0,1.5\n")
+        p.write_text("cell_x,cell_y,value\n0,0,1.5\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="integers"):
             read_count_values(p, spec)
 
     def test_negative_count(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,value\n0,0,-2\n")
+        p.write_text("cell_x,cell_y,value\n0,0,-2\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="non-negative"):
             read_count_values(p, spec)
 
     def test_repeated_cell(self, tmp_path):
         spec = GridSpec(UNIT, 2, 2)
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,value\n0,0,5\n1,1,2\n0,0,3\n")
+        p.write_text("cell_x,cell_y,value\n0,0,5\n1,1,2\n0,0,3\n", encoding="utf-8")
         with pytest.raises(ParameterError) as exc:
             read_count_values(p, spec)
         assert str(exc.value) == f"{p}:4: cell (0, 0) repeats line 2"
@@ -231,7 +232,7 @@ class TestGridCsv:
     ])
     def test_lines_named_past_blank_lines(self, tmp_path, text, want):
         p = tmp_path / "grid.csv"
-        p.write_text("cell_x,cell_y,value\n" + text)
+        p.write_text("cell_x,cell_y,value\n" + text, encoding="utf-8")
         with pytest.raises(ParameterError) as exc:
             read_count_values(p, GridSpec(UNIT, 2, 2))
         assert str(exc.value) == f"{p}{want}"
@@ -241,7 +242,7 @@ class TestCurveCsv:
     def test_plain(self, tmp_path):
         p = tmp_path / "c.csv"
         write_curve_csv(p, [0.1, 0.2], [0.3, 0.9])
-        assert p.read_text() == (
+        assert p.read_text(encoding="utf-8") == (
             "r,observed\n"
             "0.10000000000000001,0.29999999999999999\n"
             "0.20000000000000001,0.90000000000000002\n"
@@ -250,14 +251,14 @@ class TestCurveCsv:
     def test_envelope_columns(self, tmp_path):
         p = tmp_path / "c.csv"
         write_curve_csv(p, [1.0], [2.0], lower=[1.5], upper=[2.5])
-        lines = p.read_text().splitlines()
+        lines = p.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "r,observed,lower,upper"
         assert lines[1] == "1,2,1.5,2.5"
 
     def test_nan_survives(self, tmp_path):
         p = tmp_path / "c.csv"
         write_curve_csv(p, [1.0], [float("nan")])
-        val = p.read_text().splitlines()[1].split(",")[1]
+        val = p.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
         assert math.isnan(float(val))
 
     def test_length_mismatch(self, tmp_path):
@@ -293,7 +294,7 @@ class TestScanCsv:
         ))
         p = tmp_path / "scan.csv"
         write_scan_csv(p, res)
-        lines = p.read_text().splitlines()
+        lines = p.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "cx,cy,radius,t_start,t_end,observed,expected,llr,p_value"
         first = lines[1].split(",")
         assert first[5] == "12"
@@ -312,14 +313,14 @@ class TestScanCsv:
     def test_top_is_a_prefix(self, scan, tmp_path, top):
         write_scan_csv(tmp_path / "all.csv", scan)
         write_scan_csv(tmp_path / "top.csv", scan, top=top)
-        full = (tmp_path / "all.csv").read_text().splitlines(keepends=True)
-        assert (tmp_path / "top.csv").read_text() == "".join(full[: 1 + top])
+        full = (tmp_path / "all.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert (tmp_path / "top.csv").read_text(encoding="utf-8") == "".join(full[: 1 + top])
 
 
 class TestGeoJson:
     def write(self, tmp_path, obj):
         p = tmp_path / "pts.geojson"
-        p.write_text(json.dumps(obj))
+        p.write_text(json.dumps(obj), encoding="utf-8")
         return p
 
     def feature(self, x, y, props=None):
@@ -377,7 +378,7 @@ class TestGeoJson:
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "pts.geojson"
-        p.write_text("{not json")
+        p.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParameterError, match="JSON"):
             read_geojson_points(p)
 
@@ -406,7 +407,7 @@ class TestGeoJson:
     def test_empty_collection(self, tmp_path):
         fc = {"type": "FeatureCollection", "features": []}
         xy, t = read_geojson_points(self.write(tmp_path, fc))
-        assert xy.shape == (0, 2)
+        assert xy.shape == (0, 2) and xy.dtype == np.float64
         assert t is None
 
 
@@ -569,6 +570,25 @@ class TestCodec:
         assert got.shape == want.shape == (3, 2)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("header, rows", [("a,b", ["1,2.5", "-3,1e300", "4,5"]),
+                                              ("t", ["1", "-3", "1e300"])])
+    @pytest.mark.parametrize("blank", ["  ", "\t", " \t ", "\u3000", "\xa0"])
+    def test_lines_of_spaces_stay_with_numpy(self, tmp_path, monkeypatch, header, rows, blank):
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join([header, blank, rows[0], "", rows[1], blank, rows[2], blank]),
+                     encoding="utf-8")
+        want, tables = brute.read_table_rows(p, header), []
+
+        def loadtxt(*args, real=np.loadtxt, **kwargs):
+            tables.append(real(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        got = _read_table(p, header)
+        assert got is tables[0] and len(tables) == 1
+        assert got.shape == want.shape == (3, header.count(",") + 1)
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.lists(st.tuples(FINITE, FINITE), max_size=6),
@@ -584,7 +604,7 @@ class TestCodec:
             lines.insert(at, text)
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "t.csv"
-            p.write_text("\n".join(lines) + "\n")
+            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
             if bad is None:
                 table = _read_table(p, "a,b")
                 assert table.tolist() == [list(r) for r in rows]
