@@ -220,9 +220,9 @@ def _read_table(path, header: str) -> np.ndarray:
     lines are skipped.
 
     The file is read once and split by str.splitlines().  numpy's parser
-    reads the lines, less any blank ones (it skips only empty lines).  It
-    refuses '1_0' and non-ASCII digits, which float() takes; then one float()
-    loop reads them, or names the first line with a bad count or field."""
+    reads the lines when it can.  It refuses '1_0' and non-ASCII digits,
+    which float() takes; then one float() loop reads them, or names the
+    first line with a bad count or field."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -236,14 +236,13 @@ def _read_table(path, header: str) -> np.ndarray:
     if not any(line.strip() for line in body):  # no rows: numpy's parser would warn
         return np.empty((0, k))
     if "\x1f" not in text:  # numpy's parser strips it around a number; float() refuses it
-        # an ASCII blank line is empty, which numpy skips, unless it holds a space or a tab
-        lines = filter(str.strip, body) if " " in text or "\t" in text or not text.isascii() else body
-        try:
-            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-            if table.shape[1] == k:
-                return table
-        except ValueError:
-            pass
+        for lines in (body, filter(str.strip, body)):  # numpy skips empty lines, not blank ones
+            try:
+                table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+                if table.shape[1] == k:
+                    return table
+            except ValueError:
+                pass
     values = []
     for i, line in enumerate(body, start=2):
         if not line.strip():

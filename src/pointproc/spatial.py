@@ -106,9 +106,13 @@ def kde_surface(pattern: SpatialPattern, spec: GridSpec, bandwidth: float) -> Gr
     from scipy.spatial import cKDTree
 
     bandwidth = _positive(bandwidth, "bandwidth")
-    tree = cKDTree(pattern.points)
-    with _tree_overflow():
-        counts = tree.query_ball_point(spec.centre_points(), bandwidth, return_length=True)
+    centres = spec.centre_points()
+    if len(pattern) == 0:  # an empty tree's query is unchecked on the oldest supported scipy
+        counts = np.zeros(spec.ncells)
+    else:
+        tree = cKDTree(pattern.points)
+        with _tree_overflow():
+            counts = tree.query_ball_point(centres, bandwidth, return_length=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = counts / (math.pi * np.float64(bandwidth) ** 2)  # inf where Python's ** raises
     if not np.all(np.isfinite(vals)):  # count / area overflows, or the area is 0

@@ -474,7 +474,7 @@ class TestIndexedMap:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             core.indexed_map(lambda i: i, 4, threads)
 
-    @pytest.mark.parametrize("threads", [0, 2.9, math.nan, "3"])
+    @pytest.mark.parametrize("threads", [0, 2.9, *NOT_COUNTS])
     @pytest.mark.parametrize("entry", ["csr_envelope", "space_time_scan"])
     def test_entry_points_refuse_threads_before_any_work(self, monkeypatch, entry, threads):
         reached = []
