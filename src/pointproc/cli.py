@@ -44,15 +44,13 @@ from .core import (
 )
 from .detect import gi_star, space_time_scan
 from .spatial import (
+    _curve,
+    _nni,
     csr_envelope,
     dispersion_by_block,
-    f_function,
-    g_function,
     kde_surface,
     mean_min_distance,
-    nni,
     quadrat_counts,
-    ripleys_k,
     simulate_csr,
 )
 from .temporal import (
@@ -90,6 +88,14 @@ def _list_arg(item, count=None):
     return parse
 
 
+def _count_arg(s: str) -> int:
+    """An argparse type: an integer >= 1, as `int` reads it."""
+    with contextlib.suppress(ValueError):
+        if (n := int(s)) >= 1:
+            return n
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s!r}")
+
+
 def _segment(s: str) -> list[float]:
     bits = s.split(":")
     if len(bits) != 3:
@@ -110,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for flag, type_, help_ in (("--seed", int, "RNG seed (env POINTPROC_SEED)"),
                                ("--out", str, "output directory (default .)"),
-                               ("--threads", int, "worker threads")):
+                               ("--threads", _count_arg, "worker threads")):
         p.add_argument(flag, type=type_, default=None, help=help_)
         common.add_argument(flag, type=type_, default=argparse.SUPPRESS)
     p.add_argument("--manifest", default=None, help="replay a recorded run")
@@ -156,25 +162,25 @@ def build_parser() -> argparse.ArgumentParser:
     need(csr, _region_arg, "--region")
 
     kde = command(anasub, "kde", "disc-count density surface", "x,y")
-    need(kde, int, "--nx", "--ny")
+    need(kde, _count_arg, "--nx", "--ny")
     need(kde, float, "--bandwidth")
     curve("g", "nearest-neighbour distance CDF")
-    need(curve("f", "empty-space distance CDF"), int, "--probe-nx", "--probe-ny")
+    need(curve("f", "empty-space distance CDF"), _count_arg, "--probe-nx", "--probe-ny")
     k = curve("k", "Ripley's K")
     k.add_argument("--correction", choices=("none", "border"), default="none")
     command(anasub, "nni", "nearest-neighbour index", "x,y")
     need(command(anasub, "quadrat", "cell counts and chi-square CSR test", "x,y"),
-         int, "--nx", "--ny")
+         _count_arg, "--nx", "--ny")
     disp = command(anasub, "dispersion", "variance/mean by block size", "x,y")
-    need(disp, int, "--nx", "--ny")
+    need(disp, _count_arg, "--nx", "--ny")
     need(disp, _list_arg(int), "--blocks")
 
     gis = command(detsub, "gistar", "Getis-Ord GI* z-scores", "x,y")
-    need(gis, int, "--nx", "--ny")
+    need(gis, _count_arg, "--nx", "--ny")
     need(gis, float, "--radius")
     scan = command(detsub, "scan", "space-time scan statistic", "x,y,t")
     need(scan, float, "--horizon")
-    need(scan, int, "--nx", "--ny", "--slices")
+    need(scan, _count_arg, "--nx", "--ny", "--slices")
     need(scan, _floats_arg, "--radii", "--durations")
     scan.add_argument("--nsim", type=int, default=999)
     scan.add_argument("--baseline", type=_list_arg(str), default=None,
@@ -321,8 +327,29 @@ def _cmd_analyze(kind, p, seed, threads, out) -> None:
     pattern = _load(p)
     region = pattern.region
 
+    if kind in ("g", "f", "k"):
+        radii = p["radii"]
+        probe = GridSpec(region, p["probe_nx"], p["probe_ny"]) if kind == "f" else None
+        correction = p.get("correction", "none")
+        if p.get("envelope") is None:
+            io.write_curve_csv(out(f"{kind}.csv"), radii,
+                               _curve(pattern, kind, radii, correction, probe))
+            return
+        env = csr_envelope(pattern, kind, radii, p["envelope"], RngStream(seed),
+                           correction=correction, probe_spec=probe, threads=threads)
+        io.write_curve_csv(out(f"{kind}.csv"), env.radii, env.observed, env.lower, env.upper)
+        return
+
+    if kind == "nni":
+        d = mean_min_distance(pattern)
+        io.write_table(out("nni.csv"), "statistic,value", [
+            ["nni", "mean_min_distance", "intensity"],
+            [_nni(d, pattern.intensity), d, pattern.intensity],
+        ])
+        return
+
+    spec = GridSpec(region, p["nx"], p["ny"])
     if kind == "kde":
-        spec = GridSpec(region, p["nx"], p["ny"])
         if p["bandwidth"] > 0.5 * min(region.width, region.height):
             print(
                 "note: bandwidth exceeds half the region extent; "
@@ -332,42 +359,6 @@ def _cmd_analyze(kind, p, seed, threads, out) -> None:
         io.write_grid_csv(out("kde.csv"), kde_surface(pattern, spec, p["bandwidth"]))
         return
 
-    if kind in ("g", "f", "k"):
-        radii = p["radii"]
-        probe = (
-            GridSpec(region, p["probe_nx"], p["probe_ny"]) if kind == "f" else None
-        )
-        correction = p.get("correction", "none")
-        if p.get("envelope") is not None:
-            env = csr_envelope(
-                pattern,
-                kind,
-                radii,
-                p["envelope"],
-                RngStream(seed),
-                correction=correction,
-                probe_spec=probe,
-                threads=threads,
-            )
-            io.write_curve_csv(out(f"{kind}.csv"), env.radii, env.observed, env.lower, env.upper)
-        else:
-            if kind == "g":
-                curve = g_function(pattern, radii)
-            elif kind == "f":
-                curve = f_function(pattern, probe, radii)
-            else:
-                curve = ripleys_k(pattern, radii, correction=correction)
-            io.write_curve_csv(out(f"{kind}.csv"), radii, curve)
-        return
-
-    if kind == "nni":
-        io.write_table(out("nni.csv"), "statistic,value", [
-            ["nni", "mean_min_distance", "intensity"],
-            [nni(pattern), mean_min_distance(pattern), pattern.intensity],
-        ])
-        return
-
-    spec = GridSpec(region, p["nx"], p["ny"])
     if kind == "quadrat":
         res = quadrat_counts(pattern, spec)
         io.write_grid_csv(out("quadrat.csv"), res.grid)
@@ -452,7 +443,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # a library warning prints as one line too
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             derived = _DISPATCH[args.command](args.subcommand, manifest["params"], seed,
-                                              max(1, args.threads or 1), out)
+                                              args.threads or 1, out)
         if derived:
             manifest["derived"] = derived
         out("manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",

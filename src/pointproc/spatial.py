@@ -240,9 +240,12 @@ def nni(pattern: SpatialPattern) -> float:
 
     1 is random, 0 fully clustered, ~2.149 a perfect hexagonal lattice.
     """
-    d_obs = mean_min_distance(pattern)
-    d_exp = 1.0 / (2.0 * math.sqrt(pattern.intensity))
-    return d_obs / d_exp
+    return _nni(mean_min_distance(pattern), pattern.intensity)
+
+
+def _nni(d_obs: float, intensity: float) -> float:
+    """The index of an observed mean NN distance at the given intensity."""
+    return d_obs / (1.0 / (2.0 * math.sqrt(intensity)))
 
 
 # `ripleys_k` lists its pairs only while at most this many ordered neighbours
@@ -354,6 +357,16 @@ def ripleys_k(pattern: SpatialPattern, radii, correction: str = "none") -> np.nd
         return total / kept / lam
 
 
+def _curve(pattern: SpatialPattern, statistic: str, radii, correction: str,
+           probe_spec: GridSpec | None) -> np.ndarray:
+    """The curve `statistic` names: G, F over `probe_spec`'s centres, or K."""
+    if statistic == "g":
+        return g_function(pattern, radii)
+    if statistic == "f":
+        return f_function(pattern, probe_spec, radii)
+    return ripleys_k(pattern, radii, correction=correction)
+
+
 @dataclass(frozen=True)
 class EnvelopeResult:
     """Observed summary curve with pointwise simulation extremes."""
@@ -407,15 +420,7 @@ def csr_envelope(
     if statistic == "f" and probe_spec is None:
         raise ParameterError("the F statistic needs a probe_spec")
     radii = np.asarray(radii, dtype=float).reshape(-1)
-
-    def evaluate(pat: SpatialPattern) -> np.ndarray:
-        if statistic == "g":
-            return g_function(pat, radii)
-        if statistic == "f":
-            return f_function(pat, probe_spec, radii)
-        return ripleys_k(pat, radii, correction=correction)
-
-    observed = evaluate(pattern)
+    observed = _curve(pattern, statistic, radii, correction, probe_spec)
     lam = pattern.intensity
     region = pattern.region
 
@@ -423,7 +428,8 @@ def csr_envelope(
         sub = rng.substream(i + 1)
         while True:
             with contextlib.suppress(InsufficientDataError):
-                return evaluate(simulate_csr(lam, region, sub))
+                return _curve(simulate_csr(lam, region, sub), statistic, radii, correction,
+                              probe_spec)
 
     curves = np.stack(indexed_map(replicate, nsim, threads))
     return EnvelopeResult(radii, observed, curves.min(axis=0), curves.max(axis=0), nsim)

@@ -20,7 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointproc
-from pointproc import Region, RngStream, simulate_hpp
+from pointproc import (
+    GridSpec,
+    Region,
+    RngStream,
+    SpatialPattern,
+    f_function,
+    g_function,
+    ripleys_k,
+    simulate_hpp,
+    spatial,
+)
 from pointproc.cli import main
 from pointproc.io import read_event_times, read_points_csv
 
@@ -280,6 +290,47 @@ class TestAnalyze:
         )
         assert float(rows["nni"]) == 0.0
         assert float(rows["mean_min_distance"]) == 0.0
+
+    def test_nni_queries_the_tree_once(self, tmp_path, monkeypatch):
+        src = write_pattern(tmp_path)
+        calls = []
+        nearest = spatial._nearest
+
+        def spy(*args):
+            calls.append(args)
+            return nearest(*args)
+
+        monkeypatch.setattr(spatial, "_nearest", spy)
+        out = tmp_path / "run"
+        assert run("--out", out, "analyze", "nni", "--in", src, "--region", "0,1,0,1") == 0
+        assert len(calls) == 1
+        rows = dict(
+            l.split(",") for l in (out / "nni.csv").read_text(encoding="utf-8").splitlines()[1:]
+        )
+        pattern = SpatialPattern(read_points_csv(src), Region(0, 1, 0, 1))
+        assert float(rows["nni"]) == spatial.nni(pattern)
+        assert float(rows["mean_min_distance"]) == spatial.mean_min_distance(pattern)
+
+    @pytest.mark.parametrize("kind, flags, curve", [
+        ("g", [], g_function),
+        ("f", ["--probe-nx", 6, "--probe-ny", 5],
+         lambda pat, radii: f_function(pat, GridSpec(pat.region, 6, 5), radii)),
+        ("k", [], ripleys_k),
+        ("k", ["--correction", "border"],
+         lambda pat, radii: ripleys_k(pat, radii, correction="border")),
+    ], ids=["g", "f", "k", "k-border"])
+    def test_plain_and_envelope_observed_are_the_library_curve(self, tmp_path, kind, flags,
+                                                               curve):
+        src = write_pattern(tmp_path)
+        argv = ["analyze", kind, "--in", src, "--region", "0,1,0,1",
+                "--radii", "0.02,0.05,0.1", *flags]
+        observed = {}
+        for name, envelope in (("plain", []), ("envelope", ["--envelope", 19])):
+            assert run("--seed", 3, "--out", tmp_path / name, *argv, *envelope) == 0
+            lines = (tmp_path / name / f"{kind}.csv").read_text(encoding="utf-8").splitlines()
+            observed[name] = [float(l.split(",")[1]) for l in lines[1:]]
+        want = curve(SpatialPattern(read_points_csv(src), Region(0, 1, 0, 1)), [0.02, 0.05, 0.1])
+        assert observed["plain"] == observed["envelope"] == want.tolist()
 
     def test_quadrat_outputs(self, tmp_path):
         src = write_pattern(tmp_path)
@@ -816,6 +867,60 @@ class TestArgv:
             assert "Traceback" not in err.getvalue()
             if code:
                 assert not out.exists() or list(out.iterdir()) == []
+
+
+# every flag that takes a count, by a command that has it
+COUNT_FLAGS = [
+    (("analyze", "kde"), "--nx"), (("analyze", "kde"), "--ny"),
+    (("analyze", "f"), "--probe-nx"), (("analyze", "f"), "--probe-ny"),
+    (("analyze", "quadrat"), "--nx"), (("analyze", "quadrat"), "--ny"),
+    (("analyze", "dispersion"), "--nx"), (("analyze", "dispersion"), "--ny"),
+    (("detect", "gistar"), "--nx"), (("detect", "gistar"), "--ny"),
+    (("detect", "scan"), "--nx"), (("detect", "scan"), "--ny"), (("detect", "scan"), "--slices"),
+    (("simulate", "hpp"), "--threads"),
+]
+
+
+@pytest.fixture(scope="module")
+def count_manifests(small_argv, tmp_path_factory):
+    """The manifest of one small run per command in COUNT_FLAGS."""
+    d = tmp_path_factory.mktemp("counts")
+    paths = {}
+    for command in dict(COUNT_FLAGS):
+        paths[command] = d / "-".join(command) / "manifest.json"
+        argv = [a for pair in small_argv[command] for a in pair]
+        assert run("--seed", 7, "--out", paths[command].parent, *command, *argv) == 0
+    return paths
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("command, flag", COUNT_FLAGS,
+                         ids=[f"{c[1]}{f}" for c, f in COUNT_FLAGS])
+class TestCountFlags:
+    """A count below 1 is an argparse error that names its flag, from argv
+    and from a replayed manifest alike."""
+
+    def check(self, argv, capsys, tmp_path, flag, value):
+        out = tmp_path / "run"
+        assert run_code("--out", out, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer >= 1, got '{value}'" in err
+        assert not out.exists()
+
+    def test_argv(self, small_argv, tmp_path, capsys, command, flag, value):
+        pairs = [(f, v) for f, v in small_argv[command] if f != flag] + [(flag, value)]
+        self.check([*command, *(a for pair in pairs for a in pair)], capsys, tmp_path, flag, value)
+
+    def test_manifest(self, count_manifests, tmp_path, capsys, command, flag, value):
+        doc = json.loads(count_manifests[command].read_text(encoding="utf-8"))
+        m = tmp_path / "m.json"
+        if flag == "--threads":  # not recorded: the outer flag applies to the replay
+            argv = ["--manifest", m, flag, value]
+        else:
+            doc["params"][flag[2:].replace("-", "_")] = value
+            argv = ["--manifest", m]
+        m.write_text(json.dumps(doc), encoding="utf-8")
+        self.check(argv, capsys, tmp_path, flag, value)
 
 
 class TestManifestReplay:
