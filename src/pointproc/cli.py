@@ -42,8 +42,9 @@ from .core import (
     SpatialPattern,
     aggregate_to_grid,
 )
-from .detect import gi_star, space_time_scan
+from .detect import _SCAN_NSIM_MIN, gi_star, space_time_scan
 from .spatial import (
+    _ENVELOPE_NSIM_MIN,
     _curve,
     _nni,
     csr_envelope,
@@ -88,12 +89,14 @@ def _list_arg(item, count=None):
     return parse
 
 
-def _count_arg(s: str) -> int:
-    """An argparse type: an integer >= 1, as `int` reads it."""
-    with contextlib.suppress(ValueError):
-        if (n := int(s)) >= 1:
-            return n
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s!r}")
+def _int_arg(minimum: int):
+    """An argparse type: an integer >= `minimum`, as `int` reads it."""
+    def parse(s: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (n := int(s)) >= minimum:
+                return n
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {s!r}")
+    return parse
 
 
 def _segment(s: str) -> list[float]:
@@ -105,6 +108,7 @@ def _segment(s: str) -> list[float]:
 
 _region_arg = _list_arg(float, 4)
 _floats_arg = _list_arg(float)
+_count_arg = _int_arg(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     def curve(name, help_):
         q = command(anasub, name, help_, "x,y")
         need(q, _floats_arg, "--radii")
-        q.add_argument("--envelope", type=int, default=None, metavar="NSIM")
+        q.add_argument("--envelope", type=_int_arg(_ENVELOPE_NSIM_MIN), default=None,
+                       metavar="NSIM")
         return q
 
     need(command(simsub, "hpp", "homogeneous Poisson events"), float, "--rate", "--horizon")
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     need(scan, float, "--horizon")
     need(scan, _count_arg, "--nx", "--ny", "--slices")
     need(scan, _floats_arg, "--radii", "--durations")
-    scan.add_argument("--nsim", type=int, default=999)
+    scan.add_argument("--nsim", type=_int_arg(_SCAN_NSIM_MIN), default=999)
     scan.add_argument("--baseline", type=_list_arg(str), default=None,
                       help="per-slice count grids, comma separated")
     scan.add_argument("--top", type=int, default=None, help="keep only the best N")

@@ -5,7 +5,9 @@ space-time scan with a Poisson likelihood ratio and Monte Carlo
 significance.  The scan evaluates everything at cell-by-time-slice
 resolution — observed counts, baseline mass, and the null replicates all
 live on the same discrete aggregation, so the rank-based p-value is exact
-under the null.  No scan sum calls BLAS, so no thread count changes it.
+under the null.  The scan's whole-number sums are exact in any order, so
+no BLAS kernel or thread count changes them; a float baseline mass is
+summed by cumsums in one fixed order.
 A replicate takes the sums of each window width as one strided difference
 of its discs' slice sums, and cuts the discs with equal expected counts to
 their largest count before any likelihood ratio.
@@ -13,6 +15,7 @@ their largest count before any likelihood ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,6 +51,11 @@ __all__ = [
 # Integers of magnitude up to 2**24 are exact in float32: a replicate of
 # fewer events than this sums its counts in float32.
 _F32_EXACT = 2**24
+# The longest grid column or slice axis whose prefix sums come from 0/1
+# triangle products; past it two cumsums cost less.
+_TRIANGLE_MAX = 256
+# The fewest Monte Carlo replicates `space_time_scan` takes: p-values to 0.01.
+_SCAN_NSIM_MIN = 99
 
 
 def rss(a: Grid, b: Grid) -> float:
@@ -295,13 +303,33 @@ def _run_matrix(runs: np.ndarray, ny: int):
     return sparse.csr_matrix((data, indices, indptr), shape=(ndiscs, nx * (ny + 1)))
 
 
+@functools.lru_cache(maxsize=8)
+def _triangle(n: int, dtype) -> np.ndarray:
+    """The read-only (n, n + 1) 0/1 matrix with 1 where row < column."""
+    tri = np.triu(np.ones((n, n + 1), dtype=dtype), 1)
+    tri.setflags(write=False)
+    return tri
+
+
 def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float) -> np.ndarray:
     """(ncells, n) values -> (nx * (ny + 1), n + 1) 2-D prefix sums in `dtype`.
 
     Row ix * (ny + 1) + j, column s holds the sum over cells (ix, iy < j)
-    and slices < s: cumulated along the slices, then down each column.
+    and slices < s: summed along the slices, then down each column.
+    Integer or bool input takes two products with 0/1 triangles, each
+    built once per size and dtype.  The caller keeps the input's total
+    below `dtype`'s exact integers (2**24 in float32, 2**53 in float64),
+    so every partial sum is exact and any BLAS kernel, thread count or
+    blocking gives the bits of the cumsums.  Float input keeps the
+    cumsums: a product would round its partial sums in another order.
+    So does a column or slice axis past `_TRIANGLE_MAX`, where the
+    product, quadratic in that length, costs more.
     """
     n = per_cell.shape[1]
+    if per_cell.dtype.kind in "biu" and max(ny, n) <= _TRIANGLE_MAX:
+        along = per_cell.astype(dtype) @ _triangle(n, dtype)
+        out = _triangle(ny, dtype).T @ along.reshape(nx, ny, n + 1)
+        return out.reshape(nx * (ny + 1), n + 1)
     out = np.zeros((nx, ny + 1, n + 1), dtype=dtype)
     np.cumsum(per_cell.reshape(nx, ny, n).cumsum(axis=2), axis=1, out=out[:, 1:, 1:])
     return out.reshape(nx * (ny + 1), n + 1)
@@ -348,7 +376,13 @@ def space_time_scan(
     slice sums: of the counts, the mass and each replicate.  A replicate's
     counts, prefix sums, disc sums and every partial sum between are
     integers in [-N, N]: float32 while N < 2**24, float64 from there on,
-    exact either way.  An integer mass gives `expected` rounded once; a
+    exact either way.  So the prefix sums of the counts, of each replicate
+    and of where the mass is positive come from BLAS products with 0/1
+    triangles while the grid columns and the slices are at most
+    `_TRIANGLE_MAX` long: the same bits under any kernel or thread count.
+    The mass itself is float and keeps two cumsums, whose order of
+    rounding is fixed: a product would make `expected` depend on the
+    BLAS kernel.  An integer mass gives `expected` rounded once; a
     float mass may cancel by a few eps of the total, never below 0, and
     gives 0 where none is positive.
     A cylinder whose positive mass is within that rounding of 0 is summed
@@ -367,7 +401,7 @@ def space_time_scan(
         raise ParameterError("scan needs at least one event")
     n_slices = _count(n_slices, "n_slices", 1)
     _check_array_size("cells x slices", spec.ncells, n_slices)
-    nsim = _count(nsim, "nsim", 99)
+    nsim = _count(nsim, "nsim", _SCAN_NSIM_MIN)
     threads = _count(threads, "threads", 1)
     radii_arr = _positives(radii, "radii")
     dur_arr = _positives(durations, "durations")

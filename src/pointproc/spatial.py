@@ -49,6 +49,9 @@ from .core import (
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
+# The fewest CSR replicates `csr_envelope` takes.
+_ENVELOPE_NSIM_MIN = 19
+
 __all__ = [
     "EnvelopeResult",
     "NNI_MAX_HEX",
@@ -415,7 +418,7 @@ def csr_envelope(
     statistic = str(statistic).lower()
     if statistic not in ("g", "f", "k"):
         raise ParameterError(f"statistic must be one of 'g', 'f', 'k', got {statistic!r}")
-    nsim = _count(nsim, "nsim", 19)
+    nsim = _count(nsim, "nsim", _ENVELOPE_NSIM_MIN)
     threads = _count(threads, "threads", 1)
     if statistic == "f" and probe_spec is None:
         raise ParameterError("the F statistic needs a probe_spec")

@@ -25,6 +25,7 @@ from pointproc import (
     Region,
     RngStream,
     SpatialPattern,
+    detect,
     f_function,
     g_function,
     ripleys_k,
@@ -394,22 +395,27 @@ class TestAnalyze:
 
 class TestDetect:
     def test_scan_bytes_ignore_blas_and_worker_threads(self, tmp_path):
-        # one child process per BLAS setting (unset: OpenBLAS takes the core
-        # count), each writing scan.csv at --threads 1 and 2
+        # one child process per BLAS setting (threads unset: OpenBLAS takes the
+        # core count; a core type picks OpenBLAS's kernels, and other BLAS
+        # libraries ignore it), each writing scan.csv at --threads 1 and 2
         src = write_space_time(tmp_path, n=1500)
         argv = ["--seed", "3", "detect", "scan", "--in", str(src), "--region", "0,1,0,1",
                 "--horizon", "1", "--nx", "17", "--ny", "23", "--slices", "20",
                 "--radii", "0.05,0.1,0.15", "--durations", "0.1,0.2,0.4", "--nsim", "99"]
         outs = []
-        for blas in ("1", "2", None):
+        for blas, core in (("1", None), ("2", None), (None, None),
+                           (None, "Haswell"), (None, "Prescott")):
             env = child_env()
-            for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                        "OPENBLAS_CORETYPE"):
                 env.pop(var, None)
             if blas is not None:
                 env["OPENBLAS_NUM_THREADS"] = blas
+            if core is not None:
+                env["OPENBLAS_CORETYPE"] = core
             calls = []
             for threads in ("1", "2"):
-                outs.append(tmp_path / f"blas{blas}-threads{threads}")
+                outs.append(tmp_path / f"blas{blas}-{core}-threads{threads}")
                 calls.append([*argv, "--threads", threads, "--out", str(outs[-1])])
             code = f"from pointproc.cli import main\nfor a in {calls!r}:\n    assert main(a) == 0"
             res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -499,11 +505,11 @@ class TestDetect:
     def test_scan_low_nsim_fails_and_cleans_up(self, tmp_path):
         src = write_space_time(tmp_path)
         out = tmp_path / "run"
-        assert run("--out", out, "detect", "scan", "--in", src,
-                   "--region", "0,1,0,1", "--horizon", 1.0,
-                   "--nx", 5, "--ny", 5, "--slices", 5,
-                   "--radii", "0.15", "--durations", "0.2",
-                   "--nsim", 98) == 1
+        assert run_code("--out", out, "detect", "scan", "--in", src,
+                        "--region", "0,1,0,1", "--horizon", 1.0,
+                        "--nx", 5, "--ny", 5, "--slices", 5,
+                        "--radii", "0.15", "--durations", "0.2",
+                        "--nsim", 98) == 2
         assert not (out / "scan.csv").exists()
         assert not (out / "manifest.json").exists()
 
@@ -878,7 +884,11 @@ COUNT_FLAGS = [
     (("detect", "gistar"), "--nx"), (("detect", "gistar"), "--ny"),
     (("detect", "scan"), "--nx"), (("detect", "scan"), "--ny"), (("detect", "scan"), "--slices"),
     (("simulate", "hpp"), "--threads"),
+    (("analyze", "g"), "--envelope"), (("analyze", "f"), "--envelope"),
+    (("analyze", "k"), "--envelope"), (("detect", "scan"), "--nsim"),
 ]
+# the flags whose minimum is the library's own, not 1
+MINIMA = {"--envelope": spatial._ENVELOPE_NSIM_MIN, "--nsim": detect._SCAN_NSIM_MIN}
 
 
 @pytest.fixture(scope="module")
@@ -897,19 +907,11 @@ def count_manifests(small_argv, tmp_path_factory):
 @pytest.mark.parametrize("command, flag", COUNT_FLAGS,
                          ids=[f"{c[1]}{f}" for c, f in COUNT_FLAGS])
 class TestCountFlags:
-    """A count below 1 is an argparse error that names its flag, from argv
-    and from a replayed manifest alike."""
-
-    def check(self, argv, capsys, tmp_path, flag, value):
-        out = tmp_path / "run"
-        assert run_code("--out", out, *argv) == 2
-        err = capsys.readouterr().err
-        assert f"argument {flag}: expected an integer >= 1, got '{value}'" in err
-        assert not out.exists()
+    """A count below its minimum, 1 or the library's, is an argparse error
+    that names its flag, from argv and from a replayed manifest alike."""
 
     def test_argv(self, small_argv, tmp_path, capsys, command, flag, value):
-        pairs = [(f, v) for f, v in small_argv[command] if f != flag] + [(flag, value)]
-        self.check([*command, *(a for pair in pairs for a in pair)], capsys, tmp_path, flag, value)
+        check_count_refused(small_argv, tmp_path, capsys, command, flag, value)
 
     def test_manifest(self, count_manifests, tmp_path, capsys, command, flag, value):
         doc = json.loads(count_manifests[command].read_text(encoding="utf-8"))
@@ -920,7 +922,27 @@ class TestCountFlags:
             doc["params"][flag[2:].replace("-", "_")] = value
             argv = ["--manifest", m]
         m.write_text(json.dumps(doc), encoding="utf-8")
-        self.check(argv, capsys, tmp_path, flag, value)
+        check_refused(argv, capsys, tmp_path, flag, value)
+
+
+def check_refused(argv, capsys, tmp_path, flag, value):
+    out = tmp_path / "run"
+    assert run_code("--out", out, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >= {MINIMA.get(flag, 1)}, got '{value}'" in err
+    assert not out.exists()
+
+
+def check_count_refused(small_argv, tmp_path, capsys, command, flag, value):
+    """The command's small run with `flag` set to `value` is refused."""
+    pairs = [(f, v) for f, v in small_argv[command] if f != flag] + [(flag, value)]
+    check_refused([*command, *(a for pair in pairs for a in pair)], capsys, tmp_path, flag, value)
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, f in COUNT_FLAGS if f in MINIMA],
+                         ids=[f"{c[1]}{f}" for c, f in COUNT_FLAGS if f in MINIMA])
+def test_one_below_the_library_minimum(small_argv, tmp_path, capsys, command, flag):
+    check_count_refused(small_argv, tmp_path, capsys, command, flag, MINIMA[flag] - 1)
 
 
 class TestManifestReplay:

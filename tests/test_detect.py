@@ -359,6 +359,59 @@ class TestCandidateDiscs:
         assert peak < 32 * 2**20
 
 
+def cumsum_prefix(per_cell, nx, ny, dtype):
+    """The reference 2-D prefix sums: a cumsum along the slices, then one
+    down each grid column."""
+    n = per_cell.shape[1]
+    out = np.zeros((nx, ny + 1, n + 1), dtype=dtype)
+    np.cumsum(per_cell.reshape(nx, ny, n).cumsum(axis=2), axis=1, out=out[:, 1:, 1:])
+    return out.reshape(nx * (ny + 1), n + 1)
+
+
+TOP = detect._TRIANGLE_MAX
+# (nx, ny, n_slices): unit axes, and the column and slice axes at and past the limit
+PREFIX_SHAPES = [(1, 5, 7), (6, 1, 7), (6, 5, 1), (1, 1, 1), (17, 23, 7),
+                 (3, TOP, 4), (3, TOP + 1, 4), (3, 4, TOP), (3, 4, TOP + 1)]
+
+
+class TestPrefixSums:
+    """Whole numbers take the triangle products, floats and long axes the
+    cumsums; either way the bits are the reference's."""
+
+    def check(self, per_cell, shape, dtype, products):
+        nx, ny, _ = shape
+        with mock.patch.object(detect, "_triangle", wraps=detect._triangle) as tri:
+            got = detect._prefix_sums(per_cell, nx, ny, dtype)
+        np.testing.assert_array_equal(got, cumsum_prefix(per_cell, nx, ny, dtype), strict=True)
+        assert tri.called == products
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, bool])
+    @pytest.mark.parametrize("shape", PREFIX_SHAPES, ids=str)
+    def test_whole_numbers_match_the_cumsums(self, shape, kind, dtype):
+        nx, ny, n = shape
+        per_cell = np.random.default_rng(nx * ny * n).integers(0, 4, (nx * ny, n)).astype(kind)
+        self.check(per_cell, shape, dtype, max(ny, n) <= TOP)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (1, 1, 1)], ids=str)
+    def test_float32_is_exact_up_to_its_last_whole_number(self, shape):
+        # the last cell holds 2**24 - 1 events, so the full prefix sum is the
+        # largest whole number below float32's first gap of 2
+        nx, ny, n = shape
+        per_cell = np.zeros((nx * ny, n), dtype=np.int64)
+        per_cell[-1] = np.random.default_rng(1).multinomial(2**24 - 1, np.full(n, 1 / n))
+        self.check(per_cell, shape, np.float32, True)
+        assert detect._prefix_sums(per_cell, nx, ny, np.float32)[-1, -1] == 2**24 - 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(17, 23, 7), (3, 4, 200), (6, 5, 1)], ids=str)
+    def test_float_mass_keeps_the_cumsums(self, shape, dtype):
+        # magnitudes over 16 decades: a sum in any other order rounds elsewhere
+        nx, ny, n = shape
+        mass = 10.0 ** np.random.default_rng(5).uniform(-8, 8, (nx * ny, n))
+        self.check(mass, shape, dtype, False)
+
+
 def disc_masks(spec, radii):
     """The scan's distinct discs as a set of (nx, ny) boolean masks in bytes."""
     runs, _ = detect._candidate_discs(spec, np.asarray(radii, dtype=float))
