@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--nsim", type=_int_arg(_SCAN_NSIM_MIN), default=999)
     scan.add_argument("--baseline", type=_list_arg(str), default=None,
                       help="per-slice count grids, comma separated")
-    scan.add_argument("--top", type=int, default=None, help="keep only the best N")
+    scan.add_argument("--top", type=_count_arg, default=None, help="keep only the best N")
     return p
 
 
@@ -384,8 +384,6 @@ def _cmd_detect(subcommand, p, seed, threads, out) -> None:
         io.write_grid_csv(out("gistar.csv"), gi_star(counts, p["radius"]), "z")
         return
 
-    if p.get("top") is not None and p["top"] < 1:
-        raise ParameterError(f"--top must be positive, got {p['top']}")
     events = _load(p, with_times=True)
     spec = GridSpec(events.region, p["nx"], p["ny"])
     baseline = None

@@ -173,55 +173,59 @@ class ScanResults(Sequence):
     """Read-only scan results in rank order, as the columns of scan.csv.
 
     Built from nine columns, cx, cy, radius, t_start, t_end, observed,
-    expected, llr and p_value, in any row order.  Ranking is by decreasing
-    LLR, ties on cx, cy, radius and t_start, then the given order, and it
-    is lazy: `columns` sorts every row on first use and keeps the result,
-    one read-only array per column, row k being the k-th ranked cylinder;
-    `top(k)` sorts only the rows with the k-th LLR or above.  A
-    `ScanResult` is built only when indexed or iterated; a slice returns a
-    list of them.
+    expected, llr and p_value, in any row order.  `space_time_scan` builds
+    it from its factors instead: per cylinder only the observed sum,
+    `expected` and `llr`; (cx, cy, radius) once per disc, (t_start,
+    t_end) once per window, and the sorted replicate maxima, from which
+    each asked-for row's p-value is found.  Ranking is by decreasing LLR,
+    ties on cx, cy, radius and t_start, then the given (disc-major) order,
+    and it is lazy: `columns` ranks every row on first use and keeps the
+    result, one read-only array per column, row k being the k-th ranked
+    cylinder, in place of the factors; `top(k)` ranks only the rows with
+    the k-th LLR or above and builds the nine columns for the k it keeps.
+    A `ScanResult` is built only when indexed or iterated; a slice returns
+    a list of them.
     """
 
     def __init__(self, columns):
-        self._columns = tuple(columns)
-        for c in self._columns:
-            c.setflags(write=False)
-        self._ranked = False
+        self._rows = _Columns(tuple(columns))
+
+    @classmethod
+    def _of(cls, rows) -> ScanResults:
+        results = cls.__new__(cls)
+        results._rows = rows
+        return results
 
     @property
     def columns(self) -> tuple:
-        if not self._ranked:
-            # read once: a concurrent call may swap in ranked columns, and
-            # ranking those again gives the same rows
-            cols = self._columns
-            order = self._order(cols)
-            cols = tuple(c[order] for c in cols)
-            for c in cols:
-                c.setflags(write=False)
-            self._columns, self._ranked = cols, True
-        return self._columns
+        # read once: a concurrent call may rank and swap in the same columns
+        rows = self._rows
+        if not rows.ranked:
+            order = self._order(rows.keys(np.arange(len(rows))))
+            rows = _Columns(rows.take(order), ranked=True)
+            self._rows = rows
+        return rows.columns
 
     def top(self, k: int) -> tuple:
         """The columns of the best k rows in rank order: `columns` cut to k
         rows, but unless they are already ranked, only the rows with the
         k-th LLR or above are sorted."""
         k = _count(k, "top k")
-        cols = self._columns
-        if self._ranked or not 0 < k < len(self):
+        rows = self._rows
+        if rows.ranked or not 0 < k < len(rows):
             return tuple(c[:k] for c in self.columns)
-        key = -cols[7]
+        key = -rows.llr
         # every row tied with the k-th LLR, and NaN ones, which sort last
-        rows = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
-        rows = rows[self._order(tuple(c[rows] for c in cols))[:k]]
-        return tuple(c[rows] for c in cols)
+        cut = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
+        return rows.take(cut[self._order(rows.keys(cut))[:k]])
 
     @staticmethod
-    def _order(columns) -> np.ndarray:
-        cx, cy, radius, t_start, _, _, _, llr, _ = columns
+    def _order(keys) -> np.ndarray:
+        cx, cy, radius, t_start, llr = keys
         return np.lexsort((t_start, radius, cy, cx, -llr))
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -233,6 +237,58 @@ class ScanResults(Sequence):
 
     def __repr__(self):
         return f"ScanResults({len(self)} cylinders)"
+
+
+class _Columns:
+    """A `ScanResults`' rows as its nine read-only columns."""
+
+    def __init__(self, columns: tuple, ranked: bool = False):
+        for c in columns:
+            c.setflags(write=False)
+        self.columns, self.ranked = columns, ranked
+        self.llr = columns[7]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def keys(self, rows) -> tuple:
+        """cx, cy, radius, t_start and llr at `rows`, which rank them."""
+        return tuple(self.columns[i][rows] for i in (0, 1, 2, 3, 7))
+
+    def take(self, rows) -> tuple:
+        return tuple(c[rows] for c in self.columns)
+
+
+class _Cylinders:
+    """A scan's rows as discs x windows: row d * n_win + j is disc d over
+    window j.  `reps` holds each disc's (cx, cy, radius), `t_start` and
+    `t_end` each window's bounds; `obs`, `expected` and `llr` one value
+    per row; `max_llrs` the sorted replicate maxima."""
+
+    ranked = False
+
+    def __init__(self, reps, t_start, t_end, obs, expected, llr, max_llrs):
+        self.reps, self.t_start, self.t_end = reps, t_start, t_end
+        self.obs, self.expected, self.llr = obs, expected, llr
+        self.max_llrs = max_llrs
+
+    def __len__(self) -> int:
+        return self.llr.size
+
+    def keys(self, rows) -> tuple:
+        disc, win = np.divmod(rows, len(self.t_start))
+        return (*(self.reps[disc, i] for i in range(3)), self.t_start[win], self.llr[rows])
+
+    def take(self, rows) -> tuple:
+        disc, win = np.divmod(rows, len(self.t_start))
+        nsim = len(self.max_llrs)
+        llr = self.llr[rows]
+        # (1 + #{max_sim >= llr}) / (nsim + 1)
+        p_value = (1 + nsim - np.searchsorted(self.max_llrs, llr, side="left")) / (nsim + 1)
+        return (
+            *(self.reps[disc, i] for i in range(3)), self.t_start[win], self.t_end[win],
+            np.rint(self.obs[rows]).astype(np.int64), self.expected[rows], llr, p_value,
+        )
 
 
 def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
@@ -394,8 +450,13 @@ def space_time_scan(
     maximum, and evaluates one LLR per distinct expected value.
     Results come back as a read-only `ScanResults` sequence, the columns of
     scan.csv, ranked by decreasing LLR (ties: centre x, y, radius, start)
-    on first use.  Each replicate uses substream i+1 of `rng`, so the
-    output is independent of `threads`.
+    on first use.  They hold per cylinder only its observed sum, `expected`
+    and `llr`, computed only where observed > expected; per disc its
+    (cx, cy, radius), per window its (t_start, t_end), and the sorted
+    replicate maxima, from which each row's p-value is found when `top`
+    or `columns` builds it.  `top(k)` builds the nine columns for k rows;
+    `columns` still ranks and builds every row.  Each replicate uses
+    substream i+1 of `rng`, so the output is independent of `threads`.
     """
     if len(events) == 0:
         raise ParameterError("scan needs at least one event")
@@ -452,11 +513,14 @@ def space_time_scan(
     # >= 0, and a cylinder with no positive-mass (cell, slice) pair gets 0.
     obs = cylinder_sums(counts)
     positive = cylinder_sums(mass > 0) > 0
-    in_mass = np.where(positive, np.maximum(cylinder_sums(mass), 0.0), 0.0)
+    expected = cylinder_sums(mass)
+    np.maximum(expected, 0.0, out=expected)
+    expected[~positive] = 0.0
     # A positive mass within the prefix sums' rounding of 0 may have
     # cancelled to nothing: sum those cylinders over their pairs instead.
     bound = 4 * (spec.nx + spec.ny + n_slices) * np.finfo(float).eps * mass_total
-    near = positive & (in_mass <= bound)
+    near = positive & (expected <= bound)
+    del positive
     for d in np.flatnonzero(near.any(axis=1)).tolist():
         cells = np.concatenate([
             np.arange(ix * spec.ny + lo, ix * spec.ny + hi)
@@ -464,9 +528,15 @@ def space_time_scan(
         ])
         per_slice = [math.fsum(col) for col in mass[cells].T.tolist()]
         for j in np.flatnonzero(near[d]).tolist():
-            in_mass[d, j] = math.fsum(per_slice[starts[j]:ends[j]])
-    expected = total * in_mass / mass_total
-    llr = _poisson_llr(obs, expected, total).ravel()
+            expected[d, j] = math.fsum(per_slice[starts[j]:ends[j]])
+    del near
+    expected *= total
+    expected /= mass_total
+    # the LLR is 0 unless obs > expected: score only those cylinders
+    hot = obs > expected
+    llr = np.zeros_like(expected)
+    llr[hot] = _poisson_llr(obs[hot], expected[hot], total)
+    del hot
 
     # Null distribution of the maximum LLR.  The LLR is 0 for n <= mu and
     # rises with n above it, so each replicate's maximum is reached at the
@@ -482,6 +552,7 @@ def space_time_scan(
     ranked = expected[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    del ranked
     label = np.cumsum(first) - 1
     shared = np.bincount(label)[label] > 1
     order = np.concatenate([order[shared], order[~shared]])
@@ -521,11 +592,7 @@ def space_time_scan(
         return float(_poisson_llr(peaks, mu, total).max())
 
     max_llrs = np.sort(indexed_map(replicate, nsim, threads))
-    # (1 + #{max_sim >= llr}) / (nsim + 1), for every cylinder at once
-    p_value = (1 + nsim - np.searchsorted(max_llrs, llr, side="left")) / (nsim + 1)
-
-    cx, cy, radius = np.repeat(reps, n_win, axis=0).T
-    t_start = np.tile(starts * slice_len, len(reps))
-    t_end = np.tile(np.minimum(ends * slice_len, events.horizon), len(reps))
-    observed = np.rint(obs).astype(np.int64).ravel()
-    return ScanResults((cx, cy, radius, t_start, t_end, observed, expected.ravel(), llr, p_value))
+    t_end = np.minimum(ends * slice_len, events.horizon)
+    return ScanResults._of(_Cylinders(
+        reps, starts * slice_len, t_end, obs.ravel(), expected.ravel(), llr.ravel(), max_llrs
+    ))

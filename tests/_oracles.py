@@ -12,7 +12,9 @@ cells, at every (centre, cell) pair.
 
 `read_table_rows` parses a CSV one line, then one field, at a time, the
 reference for the reader's numpy parse and its `float()` loop, and `dense_discs` is the
-dense-mask disc builder, the reference for the scan's sparse one.  `csr_envelope`
+dense-mask disc builder, the reference for the scan's sparse one.  `scan_columns`
+builds a scan's nine columns whole, the reference for the rows its results
+build from their factors.  `csr_envelope`
 redraws a replicate by an explicit minimum size, the reference for the envelope,
 which leaves that rule to the statistic.
 """
@@ -289,6 +291,26 @@ def space_time_scan(events, spec, n_slices, radii, durations, nsim, rng, baselin
         p = float((1 + np.count_nonzero(max_llrs >= lr)) / (nsim + 1))
         rows.append((cyl, int(round(float(obs[i, j]))), float(expected[i, j]), lr, p))
     return rows, max_llrs
+
+
+def scan_columns(results, total):
+    """The nine scan.csv columns of a scan's `ScanResults`, in its given
+    row order, each built whole: every disc's (cx, cy, radius) repeated
+    over the windows, the windows tiled over the discs, the LLR of every
+    cylinder from `expected` and `total` events, and a p-value for every
+    row.  The reference for the rows it builds from its factors."""
+    from pointproc.detect import _poisson_llr
+
+    rows = results._rows
+    n_win = len(rows.t_start)
+    cx, cy, radius = np.repeat(rows.reps, n_win, axis=0).T
+    t_start = np.tile(rows.t_start, len(rows.reps))
+    t_end = np.tile(rows.t_end, len(rows.reps))
+    llr = _poisson_llr(rows.obs, rows.expected, total)
+    nsim = len(rows.max_llrs)
+    p_value = (1 + nsim - np.searchsorted(rows.max_llrs, llr, side="left")) / (nsim + 1)
+    observed = np.rint(rows.obs).astype(np.int64)
+    return cx, cy, radius, t_start, t_end, observed, rows.expected.copy(), llr, p_value
 
 
 def read_table_rows(path, header: str):

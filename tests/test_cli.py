@@ -498,9 +498,9 @@ class TestDetect:
 
         monkeypatch.setattr("pointproc.cli.space_time_scan", no_scan)
         out = tmp_path / "run"
-        assert run("--out", out, *argv) == 1
-        assert "error: --top must be positive, got 0" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert run_code("--out", out, *argv) == 2
+        assert "argument --top: expected an integer >= 1, got '0'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_low_nsim_fails_and_cleans_up(self, tmp_path):
         src = write_space_time(tmp_path)
@@ -886,6 +886,7 @@ COUNT_FLAGS = [
     (("simulate", "hpp"), "--threads"),
     (("analyze", "g"), "--envelope"), (("analyze", "f"), "--envelope"),
     (("analyze", "k"), "--envelope"), (("detect", "scan"), "--nsim"),
+    (("detect", "scan"), "--top"),
 ]
 # the flags whose minimum is the library's own, not 1
 MINIMA = {"--envelope": spatial._ENVELOPE_NSIM_MIN, "--nsim": detect._SCAN_NSIM_MIN}

@@ -1036,6 +1036,67 @@ class TestScanResults:
         rows = [sorted(zip(*(c.tolist() for c in r.columns))) for r in (again, res)]
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize("kind", ["default", "integer", "float"])
+    def test_rows_match_the_whole_columns(self, kind):
+        # the results build each row from per-disc, per-window and
+        # per-cylinder factors; the reference repeats and tiles them into
+        # nine whole columns and ranks every row
+        g = np.random.default_rng(9)
+        spec, ev = GridSpec(UNIT, 5, 5), make_events(3)
+        baseline = {
+            "default": None,
+            "integer": [Grid(spec, g.integers(0, 4, (5, 5))) for _ in range(5)],
+            "float": [Grid(spec, g.random((5, 5)) + 0.1) for _ in range(5)],
+        }[kind]
+
+        def fresh():
+            return space_time_scan(ev, spec, 5, [0.15, 0.3], [0.2, 0.4], 99, RngStream(1),
+                                   baseline=baseline)
+
+        whole = brute.scan_columns(fresh(), len(ev))
+        cx, cy, radius, t_start, _, _, _, llr, _ = whole
+        want = tuple(c[np.lexsort((t_start, radius, cy, cx, -llr))] for c in whole)
+        n = len(llr)
+        # past the positive LLRs, k cuts inside the llr == 0 ties
+        tied = np.count_nonzero(llr > 0) + np.count_nonzero(llr == 0) // 2
+        assert 0 < np.count_nonzero(llr > 0) < tied < n
+
+        def same(got, cut=n):
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b[:cut], strict=True)
+
+        for k in (1, 100, tied, n, n + 5):
+            same(fresh().top(k), k)
+            same(ScanResults(whole).top(k), k)
+        res, ref = fresh(), ScanResults(whole)
+        same(res.columns)
+        same(res.top(tied), tied)  # once ranked, cut from the columns
+        same(ref.columns)
+        assert len(res) == len(ref) == n and repr(res) == repr(ref) == f"ScanResults({n} cylinders)"
+        assert list(res) == list(ref)
+        assert all(res[k] == ref[k] for k in (0, 1, tied, -1, -n))
+        for sl in (slice(None, 3), slice(5, 12), slice(None, None, -7), slice(-4, None)):
+            assert res[sl] == ref[sl]
+
+    def test_bench_geometry_holds_per_cylinder_only_its_sums(self):
+        # 30 x 30 cells, 20 slices: 2,696 discs x 49 windows.  The nine
+        # scan.csv columns of every cylinder would take 9 MiB; the results
+        # keep 3 floats per cylinder, 1 MiB each
+        from scipy import sparse  # noqa: F401  imported before tracing: not the scan's
+        g = np.random.default_rng(11)
+        ev = SpaceTimeEvents(g.random((1650, 3)), UNIT, 1.0)
+        tracemalloc.start()
+        try:
+            res = space_time_scan(ev, GridSpec(UNIT, 30, 30), 20, [0.05, 0.1, 0.15],
+                                  [0.1, 0.2, 0.4], 99, RngStream(1))
+            top = res.top(100)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res) == 2696 * 49 and len(top[7]) == 100
+        assert peak < 11 * 2**20
+        assert held < 5 * 2**20
+
 
 class TestCylinder:
     def test_validation(self):
