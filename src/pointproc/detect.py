@@ -10,13 +10,16 @@ no BLAS kernel or thread count changes them; a float baseline mass is
 summed by cumsums in one fixed order.
 A replicate takes the sums of each window width as one strided difference
 of its discs' slice sums, and cuts the discs with equal expected counts to
-their largest count before any likelihood ratio.
+their largest count before any likelihood ratio.  Replicates run in
+batches of `_BATCH` through one sparse product, in arrays that each worker
+thread allocates once and reuses for every batch it runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,6 +59,10 @@ _F32_EXACT = 2**24
 _TRIANGLE_MAX = 256
 # The fewest Monte Carlo replicates `space_time_scan` takes: p-values to 0.01.
 _SCAN_NSIM_MIN = 99
+# Scan replicates evaluated together, through one sparse product.
+_BATCH = 4
+# Observed cylinders scored per likelihood-ratio call, which bounds its temporaries.
+_LLR_BLOCK = 2**14
 
 
 def rss(a: Grid, b: Grid) -> float:
@@ -212,7 +219,9 @@ class ScanResults(Sequence):
         k-th LLR or above are sorted."""
         k = _count(k, "top k")
         rows = self._rows
-        if rows.ranked or not 0 < k < len(rows):
+        if k == 0:
+            return rows.take(np.arange(0))
+        if rows.ranked or k >= len(rows):
             return tuple(c[:k] for c in self.columns)
         key = -rows.llr
         # every row tied with the k-th LLR, and NaN ones, which sort last
@@ -367,13 +376,17 @@ def _triangle(n: int, dtype) -> np.ndarray:
     return tri
 
 
-def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float) -> np.ndarray:
-    """(ncells, n) values -> (nx * (ny + 1), n + 1) 2-D prefix sums in `dtype`.
+def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float, *, out=None) -> np.ndarray:
+    """(ncells, ..., n) values -> (nx * (ny + 1), ..., n + 1) 2-D prefix sums in `dtype`.
 
     Row ix * (ny + 1) + j, column s holds the sum over cells (ix, iy < j)
-    and slices < s: summed along the slices, then down each column.
+    and slices < s: summed along the slices, then down each column.  Axes
+    between the first and the last are stacked sets of values, each
+    summed on its own; they stay in the middle, so the result is one
+    C-contiguous row per prefix-sum row.  `out`, if given, is a
+    C-contiguous array of the result's shape and `dtype`, written in full.
     Integer or bool input takes two products with 0/1 triangles, each
-    built once per size and dtype.  The caller keeps the input's total
+    built once per size and dtype.  The caller keeps each set's total
     below `dtype`'s exact integers (2**24 in float32, 2**53 in float64),
     so every partial sum is exact and any BLAS kernel, thread count or
     blocking gives the bits of the cumsums.  Float input keeps the
@@ -381,14 +394,19 @@ def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float) -> np.ndar
     So does a column or slice axis past `_TRIANGLE_MAX`, where the
     product, quadratic in that length, costs more.
     """
-    n = per_cell.shape[1]
+    *stack, n = per_cell.shape[1:]
+    if out is None:
+        out = np.empty((nx * (ny + 1), *stack, n + 1), dtype=dtype)
     if per_cell.dtype.kind in "biu" and max(ny, n) <= _TRIANGLE_MAX:
-        along = per_cell.astype(dtype) @ _triangle(n, dtype)
-        out = _triangle(ny, dtype).T @ along.reshape(nx, ny, n + 1)
-        return out.reshape(nx * (ny + 1), n + 1)
-    out = np.zeros((nx, ny + 1, n + 1), dtype=dtype)
-    np.cumsum(per_cell.reshape(nx, ny, n).cumsum(axis=2), axis=1, out=out[:, 1:, 1:])
-    return out.reshape(nx * (ny + 1), n + 1)
+        along = per_cell.reshape(-1, n).astype(dtype) @ _triangle(n, dtype)
+        np.matmul(_triangle(ny, dtype).T, along.reshape(nx, ny, -1),
+                  out=out.reshape(nx, ny + 1, -1))
+        return out
+    grid = out.reshape(nx, ny + 1, -1, n + 1)
+    grid[:, 0] = 0
+    grid[..., 0] = 0
+    np.cumsum(per_cell.reshape(nx, ny, -1, n).cumsum(axis=-1), axis=1, out=grid[:, 1:, :, 1:])
+    return out
 
 
 def _window_widths(n_slices: int, slice_len: float, durations: np.ndarray) -> list[int]:
@@ -448,10 +466,17 @@ def space_time_scan(
     equal form a class, found once; each replicate takes one strided
     difference of its slice sums per window width, cuts every class to its
     maximum, and evaluates one LLR per distinct expected value.
+    Replicates run `_BATCH` at a time: their prefix sums are stacked
+    side by side, so one product gives the slice sums of the batch, and
+    one window, class and group pass cuts them.  Each worker thread
+    allocates the batch's counts, prefix sums, slice sums and maxima once
+    and reuses them for every batch it runs, so the loop does not fault
+    in fresh pages per batch.  The observed LLR is scored in blocks of
+    `_LLR_BLOCK` cylinders, which bounds its temporaries.
     Results come back as a read-only `ScanResults` sequence, the columns of
     scan.csv, ranked by decreasing LLR (ties: centre x, y, radius, start)
     on first use.  They hold per cylinder only its observed sum, `expected`
-    and `llr`, computed only where observed > expected; per disc its
+    and `llr`, which is 0 unless observed > expected; per disc its
     (cx, cy, radius), per window its (t_start, t_end), and the sorted
     replicate maxima, from which each row's p-value is found when `top`
     or `columns` builds it.  `top(k)` builds the nine columns for k rows;
@@ -505,8 +530,9 @@ def space_time_scan(
     n_win = len(starts)
 
     def cylinder_sums(per_cell: np.ndarray) -> np.ndarray:
+        # in C order, which `llr` and the results flatten without a copy
         sums = discs @ _prefix_sums(per_cell, spec.nx, spec.ny)
-        return sums[:, ends] - sums[:, starts]
+        return np.take(sums, ends, axis=1) - np.take(sums, starts, axis=1)
 
     # Integer values sum exactly in any order: the counts, and an integer
     # mass.  A float mass cancels in the prefix sums; its sums are kept
@@ -529,14 +555,15 @@ def space_time_scan(
         per_slice = [math.fsum(col) for col in mass[cells].T.tolist()]
         for j in np.flatnonzero(near[d]).tolist():
             expected[d, j] = math.fsum(per_slice[starts[j]:ends[j]])
-    del near
+    del near, runs
     expected *= total
     expected /= mass_total
-    # the LLR is 0 unless obs > expected: score only those cylinders
-    hot = obs > expected
-    llr = np.zeros_like(expected)
-    llr[hot] = _poisson_llr(obs[hot], expected[hot], total)
-    del hot
+    # scored a block of cylinders at a time, which bounds the temporaries;
+    # the LLR is 0 unless obs > expected
+    llr = np.empty(obs.size)
+    for lo in range(0, llr.size, _LLR_BLOCK):
+        block = slice(lo, lo + _LLR_BLOCK)
+        llr[block] = _poisson_llr(obs.ravel()[block], expected.ravel()[block], total)
 
     # Null distribution of the maximum LLR.  The LLR is 0 for n <= mu and
     # rises with n above it, so each replicate's maximum is reached at the
@@ -559,6 +586,7 @@ def space_time_scan(
     class_starts = np.flatnonzero(first[shared])
     n_shared = np.count_nonzero(shared)
     class_discs = discs[order].astype(narrow, copy=False)
+    del discs
     # (window, column) entries, a column being one class or one lone disc
     columns = np.concatenate([order[class_starts], order[n_shared:]])
     mu, group = np.unique(expected[columns].T.ravel(), return_inverse=True)
@@ -571,28 +599,53 @@ def space_time_scan(
     # floor(u); any other mass is searched with the uniforms sorted.
     cum_mass = np.cumsum(mass.ravel())
 
-    def replicate(i: int) -> float:
-        u = rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total)
-        if baseline is None:
-            cells = u.astype(np.int64)
-        else:
-            cells = np.searchsorted(cum_mass, np.sort(u), side="right")
-        sim = np.bincount(cells, minlength=mass.size).reshape(ncells, n_slices)
-        # (slices + 1, ndiscs) slice sums: a width's window sums are one
-        # strided difference, cut to each class's maximum
-        st = (class_discs @ _prefix_sums(sim, spec.nx, spec.ny, narrow)).T.copy()
-        best = np.empty((n_win, len(columns)), dtype=narrow)
+    # A batch's counts, their prefix sums, its discs' slice sums and its
+    # (window, column) maxima.  Each worker thread allocates them once for
+    # a full batch and reuses them for every batch it runs, a short one
+    # taking the leading part of each, so no batch faults in fresh pages.
+    batch, local = _BATCH, threading.local()
+
+    def layouts(b: int) -> tuple:
+        return (((ncells, b, n_slices), np.intp),
+                ((spec.nx * (spec.ny + 1), b, n_slices + 1), narrow),
+                ((b, n_slices + 1, len(order)), narrow),
+                ((b, n_win, len(columns)), narrow))
+
+    def replicates(j: int) -> np.ndarray:
+        ids = range(j * batch, min((j + 1) * batch, nsim))
+        b = len(ids)
+        if not hasattr(local, "flat"):
+            local.flat = [np.empty(math.prod(shape), dtype) for shape, dtype in layouts(batch)]
+        sim, prefix, st, best = (flat[:math.prod(shape)].reshape(shape)
+                                 for flat, (shape, _) in zip(local.flat, layouts(b)))
+        for k, i in enumerate(ids):
+            u = rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total)
+            if baseline is None:
+                cells = u.astype(np.int64)
+            else:
+                cells = np.searchsorted(cum_mass, np.sort(u), side="right")
+            sim[:, k] = np.bincount(cells, minlength=mass.size).reshape(ncells, n_slices)
+        # one product for the batch: (ndiscs, b * (slices + 1)) slice sums,
+        # then (b, slices + 1, ndiscs), where a width's window sums are one
+        # strided difference, written into the product's array and cut to
+        # each class's maximum
+        _prefix_sums(sim, spec.nx, spec.ny, narrow, out=prefix)
+        sums = class_discs @ prefix.reshape(len(prefix), -1)
+        st[...] = sums.reshape(-1, b, n_slices + 1).transpose(1, 2, 0)
         for k, w in enumerate(widths):
             rows = slice(width_rows[k], width_rows[k + 1])
-            sim_obs = st[w:] - st[:n_slices + 1 - w]
-            np.maximum.reduceat(sim_obs[:, :n_shared], class_starts, axis=1,
-                                out=best[rows, :n_classes])
-            best[rows, n_classes:] = sim_obs[:, n_shared:]
-        peaks = np.maximum.reduceat(np.take(best, by_group), group_starts)
-        return float(_poisson_llr(peaks, mu, total).max())
+            later, earlier = st[:, w:], st[:, :n_slices + 1 - w]
+            sim_obs = sums.reshape(-1)[:later.size].reshape(later.shape)
+            np.subtract(later, earlier, out=sim_obs)
+            np.maximum.reduceat(sim_obs[..., :n_shared], class_starts, axis=2,
+                                out=best[:, rows, :n_classes])
+            best[:, rows, n_classes:] = sim_obs[..., n_shared:]
+        peaks = np.maximum.reduceat(np.take(best.reshape(b, -1), by_group, axis=1),
+                                    group_starts, axis=1)
+        return _poisson_llr(peaks, mu, total).max(axis=1)
 
-    max_llrs = np.sort(indexed_map(replicate, nsim, threads))
+    max_llrs = np.sort(np.concatenate(indexed_map(replicates, -(-nsim // batch), threads)))
     t_end = np.minimum(ends * slice_len, events.horizon)
     return ScanResults._of(_Cylinders(
-        reps, starts * slice_len, t_end, obs.ravel(), expected.ravel(), llr.ravel(), max_llrs
+        reps, starts * slice_len, t_end, obs.ravel(), expected.ravel(), llr, max_llrs
     ))

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -410,6 +411,22 @@ class TestPrefixSums:
         nx, ny, n = shape
         mass = 10.0 ** np.random.default_rng(5).uniform(-8, 8, (nx * ny, n))
         self.check(mass, shape, dtype, False)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.float64])
+    @pytest.mark.parametrize("shape", [(17, 23, 7), (3, 4, TOP + 1), (1, 1, 1)], ids=str)
+    def test_stacked_sets_are_summed_one_by_one(self, shape, kind):
+        # (ncells, 2, 3, n): each of the six sets, into `out` or not, as alone
+        nx, ny, n = shape
+        per_cell = np.random.default_rng(n).integers(0, 9, (nx * ny, 2, 3, n)).astype(kind)
+        out = np.full((nx * (ny + 1), 2, 3, n + 1), np.nan, dtype=np.float32)
+        for got in (detect._prefix_sums(per_cell, nx, ny, np.float32),
+                    detect._prefix_sums(per_cell, nx, ny, np.float32, out=out)):
+            assert got.shape == out.shape and got.flags.c_contiguous
+            for i in range(2):
+                for j in range(3):
+                    want = detect._prefix_sums(per_cell[:, i, j], nx, ny, np.float32)
+                    np.testing.assert_array_equal(got[:, i, j], want, strict=True)
+        assert detect._prefix_sums(per_cell, nx, ny, np.float32, out=out) is out
 
 
 def disc_masks(spec, radii):
@@ -940,6 +957,70 @@ class TestFloatMassCancellation:
         assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
 
 
+class TestBatchesAndBlocks:
+    """Replicates run `_BATCH` at a time and the observed LLR is scored
+    `_LLR_BLOCK` cylinders at a time; neither changes a bit."""
+
+    SPEC = GridSpec(UNIT, 5, 5)
+
+    def baseline(self, kind):
+        g = np.random.default_rng(9)
+        return {
+            "default": None,
+            "integer": [Grid(self.SPEC, g.integers(0, 4, (5, 5))) for _ in range(5)],
+            "float": [Grid(self.SPEC, g.random((5, 5)) + 0.1) for _ in range(5)],
+        }[kind]
+
+    def scan(self, kind, nsim=99, threads=1):
+        return space_time_scan(make_events(4), self.SPEC, 5, [0.15, 0.3], [0.2, 0.4], nsim,
+                               RngStream(2), baseline=self.baseline(kind), threads=threads)
+
+    @pytest.mark.parametrize("kind", ["default", "integer", "float"])
+    @pytest.mark.parametrize("nsim", [99, 101, 102, 103])  # last batch of 3, 1, 2 and 3
+    def test_a_batch_equals_its_replicates_one_at_a_time(self, monkeypatch, nsim, kind):
+        runs = {}
+        for batch in (1, 4):
+            monkeypatch.setattr(detect, "_BATCH", batch)
+            for threads in (1, 2):
+                with mock.patch.object(detect, "indexed_map", wraps=detect.indexed_map) as calls:
+                    res = self.scan(kind, nsim, threads)
+                assert calls.call_args.args[1] == -(-nsim // batch)
+                runs[batch, threads] = res._rows.max_llrs, res.columns
+        (want_max, want), *others = runs.values()
+        assert len(want_max) == nsim
+        for got_max, got in others:
+            np.testing.assert_array_equal(got_max, want_max, strict=True)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b, strict=True)
+
+    def test_threads_keep_their_own_arrays(self):
+        # more workers than cores, switching often: an array shared between
+        # two threads would mix their batches and change some maximum
+        want = self.scan("integer", 103)._rows.max_llrs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = self.scan("integer", 103, threads=8)._rows.max_llrs
+                np.testing.assert_array_equal(got, want, strict=True)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("kind", ["default", "integer", "float"])
+    def test_observed_llr_blocks_split_discs(self, monkeypatch, kind):
+        # 50 discs x 9 windows: blocks of 7 split discs, and the last holds 2
+        runs = []
+        for block in (7, 10**9):
+            monkeypatch.setattr(detect, "_LLR_BLOCK", block)
+            with mock.patch.object(detect, "_poisson_llr", wraps=detect._poisson_llr) as llr:
+                runs.append(self.scan(kind).columns)
+            first = llr.call_args_list[0].args[0]
+            assert len(first) == min(block, 450)
+        assert np.count_nonzero(runs[0][7] > 0) > 0
+        for a, b in zip(*runs, strict=True):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
 class TestScanResults:
     @pytest.fixture(scope="class")
     def res(self):
@@ -1015,6 +1096,19 @@ class TestScanResults:
         # k = 300 cuts inside the llr == 0 ties
         assert np.sum(full[7] > 0) < 300 < len(full[7])
         assert all(np.array_equal(a, b[:k]) for a, b in zip(top, full, strict=True))
+
+    def test_top_zero_ranks_nothing(self, res):
+        # nine empty columns with the dtypes of top(1), from fresh, given and
+        # ranked results alike
+        fresh = space_time_scan(make_events(3), GridSpec(UNIT, 5, 5), 5, [0.15, 0.3],
+                                [0.2, 0.4], 99, RngStream(1))
+        given = ScanResults(res.columns)
+        for results in (fresh, given, res):
+            with mock.patch.object(ScanResults, "_order", side_effect=AssertionError):
+                none = results.top(0)
+            one = results.top(1)
+            assert len(none) == len(one) == 9
+            assert [(c.shape, c.dtype) for c in none] == [((0,), c.dtype) for c in one]
 
     @pytest.mark.parametrize("k", [-1, -3, -450, *NOT_COUNTS])
     def test_negative_top_rejected(self, res, k):
