@@ -8,11 +8,12 @@ live on the same discrete aggregation, so the rank-based p-value is exact
 under the null.  The scan's whole-number sums are exact in any order, so
 no BLAS kernel or thread count changes them; a float baseline mass is
 summed by cumsums in one fixed order.
-A replicate takes the sums of each window width as one strided difference
-of its discs' slice sums, and cuts the discs with equal expected counts to
-their largest count before any likelihood ratio.  Replicates run in
-batches of `_BATCH` through one sparse product, in arrays that each worker
-thread allocates once and reuses for every batch it runs.
+Each candidate disc is built as one sparse row of run ends, so one product
+with the prefix sums gives every disc's slice sums.  A replicate takes
+each window width's sums as one strided difference of them, and cuts the
+discs with equal expected counts to their largest count before any
+likelihood ratio.  Replicates run in batches of `_BATCH` through one such
+product, in arrays that each worker thread allocates once and reuses.
 """
 
 from __future__ import annotations
@@ -315,57 +316,52 @@ def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
     return np.where(n > mu, inside + outside, 0.0)
 
 
-def _candidate_discs(spec: GridSpec, radii: np.ndarray):
-    """Distinct cell sets reachable as (centre, radius) discs, as column runs.
+def _disc_rows(spec: GridSpec, radii: np.ndarray):
+    """Distinct cell sets reachable as (centre, radius) discs, as the rows of
+    a CSR matrix over the rows of `_prefix_sums`.
 
-    Returns the discs as an (ndiscs, nx, 2) int32 array of [lo, hi) bounds
-    on iy, one run per grid column, (0, 0) where a disc misses the column;
-    and their (cx, cy, radius) representatives as an (ndiscs, 3) array.  A
-    disc is its radius's `_disc_template` moved to the centre cell and
+    A disc is its radius's `_disc_template` moved to the centre cell and
     clipped to the grid, so it holds the cells whose offset from the
     centre is under the radius, and every centre of a radius sees one
-    shape.  The runs are built one grid column of centres at a time.
-    Discs with identical runs are evaluated once; the first (centre,
-    radius) producing a set, centre-major with the radii in the order
-    given, is kept as its representative.
-    """
-    nx, ny = spec.nx, spec.ny
-    nrad = len(radii)
-    half = np.stack([_disc_template(spec, r) for r in radii.tolist()])
-    iy = np.arange(ny)[:, None, None]
-    width = 2 * nx * np.dtype(np.int32).itemsize
-    first: dict[bytes, int] = {}  # runs -> flat (centre, radius) index, in insertion order
-    for ix in range(nx):
-        # (nrad, nx) half-heights about column ix, then (ny, nrad, nx) runs
-        h = half[:, np.abs(np.arange(nx) - ix)]
-        lo = np.where(h >= 0, np.maximum(iy - h, 0), 0)
-        hi = np.where(h >= 0, np.minimum(iy + h + 1, ny), 0)
-        buf = np.stack([lo, hi], axis=-1).astype(np.int32).tobytes()
-        base = ix * ny * nrad
-        for m in range(ny * nrad):
-            first.setdefault(buf[m * width:(m + 1) * width], base + m)
-    runs = np.frombuffer(b"".join(first), dtype=np.int32).reshape(len(first), nx, 2)
-    cell, k = np.divmod(np.fromiter(first.values(), dtype=np.int64, count=len(first)), nrad)
-    return runs, np.column_stack([spec.centre_points()[cell], radii[k]])
-
-
-def _run_matrix(runs: np.ndarray, ny: int):
-    """The discs' runs as a CSR matrix over the rows of `_prefix_sums`.
-
-    Row d holds +1 at each run's hi and -1 at its lo, so its product with
-    the prefix sums is the sum over disc d's cells.
+    shape.  It hits a contiguous range of grid columns, in one run
+    [lo, hi) of iy each; its row holds -1 at ix * (ny + 1) + lo and +1 at
+    ix * (ny + 1) + hi for each hit column ix, so its product with the
+    prefix sums is the sum over its cells.  The rows are built one grid
+    column of centres and one radius at a time, as (ny, hits, 2) ends.
+    Discs with identical rows, and so identical cells, are evaluated once;
+    the first (centre, radius) producing a set, centre-major with the radii
+    in the order given, is kept as its representative.  Returns the matrix
+    and the representatives' (cx, cy, radius) as an (ndiscs, 3) array.
     """
     from scipy import sparse  # on use: only the scan needs it, ~0.2 s to import
 
-    ndiscs, nx = runs.shape[:2]
-    lo, hi = runs[..., 0], runs[..., 1]
-    hit = hi > lo
-    base = np.arange(nx) * (ny + 1)
-    indices = np.stack([base + lo, base + hi], axis=-1)[hit].ravel()
-    indptr = np.zeros(ndiscs + 1, dtype=np.int64)
-    np.cumsum(2 * hit.sum(axis=1), out=indptr[1:])
+    nx, ny = spec.nx, spec.ny
+    nrad = len(radii)
+    dtype = np.dtype(np.int32 if nx * (ny + 1) <= np.iinfo(np.int32).max else np.int64)
+    halves = [_disc_template(spec, r) for r in radii.tolist()]
+    iy = np.arange(ny, dtype=dtype)[:, None]
+    first: dict[bytes, int] = {}  # row ends -> flat (centre, radius) index, in insertion order
+    for ix in range(nx):
+        keys = []  # per radius, the rows of the column's ny centres
+        for half in halves:
+            h = half[np.abs(np.arange(nx) - ix)]
+            cols = np.flatnonzero(h >= 0)
+            h, base = h[cols].astype(dtype), (cols * (ny + 1)).astype(dtype)
+            buf = np.stack([base + np.maximum(iy - h, 0), base + np.minimum(iy + h + 1, ny)],
+                           axis=-1).tobytes()
+            width = len(buf) // ny
+            keys.append([buf[m * width:(m + 1) * width] for m in range(ny)])
+        flat = ix * ny * nrad  # centre (ix, iy) with radius k is flat + iy * nrad + k
+        for m, key in enumerate(key for row in zip(*keys) for key in row):
+            first.setdefault(key, flat + m)
+    ndiscs = len(first)
+    indptr = np.cumsum([0, *map(len, first)], dtype=np.int64) // dtype.itemsize
+    cell, k = np.divmod(np.fromiter(first.values(), dtype=np.int64, count=ndiscs), nrad)
+    indices = np.frombuffer(b"".join(first), dtype=dtype)
+    del first
     data = np.tile([-1.0, 1.0], indices.size // 2)
-    return sparse.csr_matrix((data, indices, indptr), shape=(ndiscs, nx * (ny + 1)))
+    discs = sparse.csr_matrix((data, indices, indptr), shape=(ndiscs, nx * (ny + 1)))
+    return discs, np.column_stack([spec.centre_points()[cell], radii[k]])
 
 
 @functools.lru_cache(maxsize=8)
@@ -445,12 +441,13 @@ def space_time_scan(
     proportion to the mass; a cylinder's p-value is the rank of its LLR
     among the replicate maxima, (1 + #{max_sim >= llr}) / (nsim + 1).
 
-    Each disc is held as one run of cells per grid column, so one sparse
-    product of +1/-1 run ends with 2-D prefix sums gives every disc's
-    slice sums: of the counts, the mass and each replicate.  A replicate's
-    counts, prefix sums, disc sums and every partial sum between are
-    integers in [-N, N]: float32 while N < 2**24, float64 from there on,
-    exact either way.  So the prefix sums of the counts, of each replicate
+    Each disc covers one run of cells in each grid column it hits, and is
+    built directly as one sparse row of -1/+1 at its runs' ends, so one
+    product with 2-D prefix sums gives every disc's slice sums: of the
+    counts, the mass and each replicate.  A replicate's counts, prefix
+    sums, disc sums and every partial sum between are integers in
+    [-N, N]: float32 while N < 2**24, float64 from there on, exact either
+    way.  So the prefix sums of the counts, of each replicate
     and of where the mass is positive come from BLAS products with 0/1
     triangles while the grid columns and the slices are at most
     `_TRIANGLE_MAX` long: the same bits under any kernel or thread count.
@@ -521,8 +518,7 @@ def space_time_scan(
     if mass_total <= 0.0:
         raise DegenerateDataError("baseline has zero total mass")
 
-    runs, reps = _candidate_discs(spec, radii_arr)
-    discs = _run_matrix(runs, spec.ny)
+    discs, reps = _disc_rows(spec, radii_arr)
     widths = _window_widths(n_slices, slice_len, dur_arr)
     per_width = [n_slices + 1 - w for w in widths]  # windows of each width, by start
     starts = np.concatenate([np.arange(n) for n in per_width])
@@ -548,14 +544,15 @@ def space_time_scan(
     near = positive & (expected <= bound)
     del positive
     for d in np.flatnonzero(near.any(axis=1)).tolist():
+        # the end ix * (ny + 1) + iy of a row marks cell ix * ny + iy
+        row = discs.indices[discs.indptr[d]:discs.indptr[d + 1]]
         cells = np.concatenate([
-            np.arange(ix * spec.ny + lo, ix * spec.ny + hi)
-            for ix, (lo, hi) in enumerate(runs[d].tolist())
+            np.arange(lo, hi) for lo, hi in (row - row // (spec.ny + 1)).reshape(-1, 2).tolist()
         ])
         per_slice = [math.fsum(col) for col in mass[cells].T.tolist()]
         for j in np.flatnonzero(near[d]).tolist():
             expected[d, j] = math.fsum(per_slice[starts[j]:ends[j]])
-    del near, runs
+    del near
     expected *= total
     expected /= mass_total
     # scored a block of cylinders at a time, which bounds the temporaries;

@@ -478,7 +478,7 @@ class TestIndexedMap:
     @pytest.mark.parametrize("entry", ["csr_envelope", "space_time_scan"])
     def test_entry_points_refuse_threads_before_any_work(self, monkeypatch, entry, threads):
         reached = []
-        for module, name in ((spatial, "g_function"), (detect, "_candidate_discs")):
+        for module, name in ((spatial, "g_function"), (detect, "_disc_rows")):
             def spy(*args, real=getattr(module, name), name=name, **kwargs):
                 reached.append(name)
                 return real(*args, **kwargs)

@@ -295,14 +295,19 @@ class TestPoissonLlr:
         assert np.all(np.diff(vals) > 0)
 
 
-def run_masks(spec, runs):
-    """Column runs [lo, hi) of iy expanded to one dense 0/1 row per disc:
-    +1 at each lo and -1 at each hi, cumulated down the column."""
-    disc, ix = np.indices(runs.shape[:2])
-    edges = np.zeros((len(runs), spec.nx, spec.ny + 1))
-    np.add.at(edges, (disc, ix, runs[..., 0]), 1.0)
-    np.add.at(edges, (disc, ix, runs[..., 1]), -1.0)
-    return edges.cumsum(axis=2)[..., :-1].reshape(len(runs), spec.ncells)
+def row_runs(spec, discs, d):
+    """Disc d's CSR row as its hit grid columns and their [lo, hi) runs of iy."""
+    ends = discs.indices[discs.indptr[d]:discs.indptr[d + 1]].reshape(-1, 2)
+    cols = ends[:, 0] // (spec.ny + 1)
+    return cols, ends - (cols * (spec.ny + 1))[:, None]
+
+
+def row_masks(spec, discs):
+    """The discs' CSR rows expanded to one dense 0/1 row per disc: a row
+    holds -1 at each run's lo and +1 at its hi among its column's ny + 1
+    prefix-sum rows, so the negated cumsum down the column is its mask."""
+    edges = discs.toarray().reshape(-1, spec.nx, spec.ny + 1)
+    return -edges.cumsum(axis=2)[..., :-1].reshape(len(edges), spec.ncells)
 
 
 DISC_GEOMETRIES = pytest.mark.parametrize("spec,radii", [
@@ -321,27 +326,27 @@ DISC_GEOMETRIES = pytest.mark.parametrize("spec,radii", [
 
 
 class TestCandidateDiscs:
-    """The column-run disc builder against the dense-mask reference: the
-    same cells and the same representatives, in the same order."""
+    """The CSR disc builder against the dense-mask reference: the same
+    cells and the same representatives, in the same order."""
 
     @DISC_GEOMETRIES
     def test_matches_dense_masks(self, spec, radii):
         radii = tie_radii(spec) if radii is None else np.asarray(radii, dtype=float)
-        runs, reps = detect._candidate_discs(spec, radii)
+        discs, reps = detect._disc_rows(spec, radii)
         want, want_reps = brute.dense_discs(spec, radii)
-        assert runs.shape == (len(want), spec.nx, 2)
-        assert np.array_equal(run_masks(spec, runs), want)
+        assert discs.shape == (len(want), spec.nx * (spec.ny + 1))
+        assert np.array_equal(row_masks(spec, discs), want)
         assert np.array_equal(reps, np.array(want_reps))
 
     @DISC_GEOMETRIES
     def test_run_sums_match_the_dense_members(self, spec, radii):
         radii = tie_radii(spec) if radii is None else np.asarray(radii, dtype=float)
-        runs, _ = detect._candidate_discs(spec, radii)
+        discs, _ = detect._disc_rows(spec, radii)
         members, _ = brute.dense_discs(spec, radii)
         counts = np.random.default_rng(spec.ncells).integers(0, 50, (spec.ncells, 6))
         cum = np.zeros((spec.ncells, 7))
         np.cumsum(counts, axis=1, out=cum[:, 1:])
-        sums = detect._run_matrix(runs, spec.ny) @ detect._prefix_sums(counts, spec.nx, spec.ny)
+        sums = discs @ detect._prefix_sums(counts, spec.nx, spec.ny)
         assert np.array_equal(sums, members @ cum)
 
     def test_whole_region_radius_lists_no_pairs(self):
@@ -350,14 +355,33 @@ class TestCandidateDiscs:
         # template is measured once per column offset
         tracemalloc.start()
         try:
-            runs, reps = detect._candidate_discs(GridSpec(UNIT, 60, 60), np.array([2.0]))
+            discs, reps = detect._disc_rows(GridSpec(UNIT, 60, 60), np.array([2.0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        members = run_masks(GridSpec(UNIT, 60, 60), runs)
+        members = row_masks(GridSpec(UNIT, 60, 60), discs)
         assert members.shape == (1, 3600) and np.count_nonzero(members) == 3600
         assert reps.shape == (1, 3) and reps[0, 2] == 2.0
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("n,radii,ndiscs,bound", [
+        # dense (ndiscs, nx) runs of these discs and their matrix intermediates take 118 MiB
+        (100, [0.05, 0.1, 0.15], 30_000, 40 * 2**20),
+        # rows padded to 2 nx - 1 columns would take 14 MiB for this one disc
+        (60, [2.0], 1, 0.25 * 2**20),
+    ], ids=["100x100", "60x60-radius-2"])
+    def test_build_holds_no_dense_rows(self, n, radii, ndiscs, bound):
+        from scipy import sparse  # imported outside the trace
+
+        spec = GridSpec(UNIT, n, n)
+        tracemalloc.start()
+        try:
+            discs, reps = detect._disc_rows(spec, np.array(radii))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(discs, sparse.csr_matrix) and discs.shape[0] == len(reps) == ndiscs
+        assert peak < bound, peak / 2**20
 
 
 def cumsum_prefix(per_cell, nx, ny, dtype):
@@ -431,8 +455,8 @@ class TestPrefixSums:
 
 def disc_masks(spec, radii):
     """The scan's distinct discs as a set of (nx, ny) boolean masks in bytes."""
-    runs, _ = detect._candidate_discs(spec, np.asarray(radii, dtype=float))
-    masks = run_masks(spec, runs).reshape(-1, spec.nx, spec.ny) > 0
+    discs, _ = detect._disc_rows(spec, np.asarray(radii, dtype=float))
+    masks = row_masks(spec, discs).reshape(-1, spec.nx, spec.ny) > 0
     return masks, {m.tobytes() for m in masks}
 
 
@@ -445,7 +469,7 @@ class TestOneShapePerRadius:
         (GridSpec(Region(-3.25, 9.75, 2.5, 11.5), 13, 9), 3.0),
     ], ids=["bench-3-cells", "17x17-2-cells", "60x60-3-cells", "17x23", "offset-13x9"])
     def test_interior_discs_are_translates_of_one_shape(self, spec, radius):
-        runs, reps = detect._candidate_discs(spec, np.array([radius]))
+        discs, reps = detect._disc_rows(spec, np.array([radius]))
         ix = np.rint((reps[:, 0] - spec.region.xmin) / spec.cell_width - 0.5).astype(int)
         iy = np.rint((reps[:, 1] - spec.region.ymin) / spec.cell_height - 0.5).astype(int)
         half = brute.disc_template(spec, radius)
@@ -455,9 +479,10 @@ class TestOneShapePerRadius:
         assert np.count_nonzero(interior) == (spec.nx - 2 * rx) * (spec.ny - 2 * ry) > 0
         shapes = set()
         for d in np.flatnonzero(interior):
-            cols = slice(ix[d] - rx, ix[d] + rx + 1)
-            assert np.count_nonzero(runs[d, :, 1] > runs[d, :, 0]) == 2 * rx + 1
-            shapes.add((runs[d, cols] - iy[d]).tobytes())
+            cols, runs = row_runs(spec, discs, d)
+            assert np.count_nonzero(runs[:, 1] > runs[:, 0]) == 2 * rx + 1
+            assert np.array_equal(cols, np.arange(ix[d] - rx, ix[d] + rx + 1))
+            shapes.add((runs - iy[d]).tobytes())
         assert len(shapes) == 1
 
     @pytest.mark.parametrize("spec,radii", [
