@@ -13,7 +13,10 @@ with the prefix sums gives every disc's slice sums.  A replicate takes
 each window width's sums as one strided difference of them, and cuts the
 discs with equal expected counts to their largest count before any
 likelihood ratio.  Replicates run in batches of `_BATCH` through one such
-product, in arrays that each worker thread allocates once and reuses.
+product, in arrays that each worker thread allocates once and reuses.  A
+replicate of N events sums whole numbers in [-N, N], so its arrays take
+the narrowest exact dtype: int16 below 2**15 events, float32 below 2**24,
+float64 beyond.
 """
 
 from __future__ import annotations
@@ -52,8 +55,10 @@ __all__ = [
     "space_time_scan",
 ]
 
-# Integers of magnitude up to 2**24 are exact in float32: a replicate of
-# fewer events than this sums its counts in float32.
+# A replicate of N events sums its counts as whole numbers in [-N, N]:
+# in int16 while N is below 2**15, in float32 while N is below 2**24,
+# where float32's exact integers end, and in float64 beyond.
+_I16_EXACT = 2**15
 _F32_EXACT = 2**24
 # The longest grid column or slice axis whose prefix sums come from 0/1
 # triangle products; past it two cumsums cost less.
@@ -380,7 +385,9 @@ def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float, *, out=Non
     between the first and the last are stacked sets of values, each
     summed on its own; they stay in the middle, so the result is one
     C-contiguous row per prefix-sum row.  `out`, if given, is a
-    C-contiguous array of the result's shape and `dtype`, written in full.
+    C-contiguous array of the result's shape and `dtype`, written in full
+    and never read.  `dtype` is a float: a scan's int16 replicates take
+    these float32 sums and cast them.
     Integer or bool input takes two products with 0/1 triangles, each
     built once per size and dtype.  The caller keeps each set's total
     below `dtype`'s exact integers (2**24 in float32, 2**53 in float64),
@@ -388,7 +395,8 @@ def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float, *, out=Non
     blocking gives the bits of the cumsums.  Float input keeps the
     cumsums: a product would round its partial sums in another order.
     So does a column or slice axis past `_TRIANGLE_MAX`, where the
-    product, quadratic in that length, costs more.
+    product, quadratic in that length, costs more.  The cumsums run in
+    the input's dtype and are then cast to `dtype`.
     """
     *stack, n = per_cell.shape[1:]
     if out is None:
@@ -401,7 +409,10 @@ def _prefix_sums(per_cell: np.ndarray, nx: int, ny: int, dtype=float, *, out=Non
     grid = out.reshape(nx, ny + 1, -1, n + 1)
     grid[:, 0] = 0
     grid[..., 0] = 0
-    np.cumsum(per_cell.reshape(nx, ny, -1, n).cumsum(axis=-1), axis=1, out=grid[:, 1:, :, 1:])
+    # in the input's dtype, then cast: the bits of a cumsum into `out`, but
+    # `out` is written without reading what it held
+    along = per_cell.reshape(nx, ny, -1, n).cumsum(axis=-1)
+    grid[:, 1:, :, 1:] = along.cumsum(axis=1, out=along)
     return out
 
 
@@ -446,8 +457,14 @@ def space_time_scan(
     product with 2-D prefix sums gives every disc's slice sums: of the
     counts, the mass and each replicate.  A replicate's counts, prefix
     sums, disc sums and every partial sum between are integers in
-    [-N, N]: float32 while N < 2**24, float64 from there on, exact either
-    way.  So the prefix sums of the counts, of each replicate
+    [-N, N], so its arrays take one of three rungs, exact on each: int16
+    while N < 2**15, float32 while N < 2**24, float64 from there on.  On
+    the int16 rung the prefix sums are float32 triangle products cast once
+    per batch, and the sparse product, the window differences and the
+    class and group maxima move half the bytes of float32.  The bound
+    holds for replicate counts only, which sum to N; the observed sums, the
+    mass and its positive part are never narrowed.  So the prefix sums of
+    the counts, of each replicate
     and of where the mass is positive come from BLAS products with 0/1
     triangles while the grid columns and the slices are at most
     `_TRIANGLE_MAX` long: the same bits under any kernel or thread count.
@@ -571,7 +588,10 @@ def space_time_scan(
     # two or more discs are made contiguous and the lone discs follow,
     # passed through: a reduceat over one-disc segments costs more than
     # the gather it saves, and a non-uniform baseline leaves most discs alone.
-    narrow = np.float32 if total < _F32_EXACT else np.float64
+    narrow = np.dtype(np.int16 if total < _I16_EXACT else
+                      np.float32 if total < _F32_EXACT else np.float64)
+    # the dtype of the prefix sums' BLAS products, cast once into int16
+    wide = np.dtype(np.float32) if narrow.kind == "i" else narrow
     order = np.lexsort(expected.T)
     ranked = expected[order]
     first = np.ones(len(order), dtype=bool)
@@ -596,25 +616,30 @@ def space_time_scan(
     # floor(u); any other mass is searched with the uniforms sorted.
     cum_mass = np.cumsum(mass.ravel())
 
-    # A batch's counts, their prefix sums, its discs' slice sums and its
-    # (window, column) maxima.  Each worker thread allocates them once for
-    # a full batch and reuses them for every batch it runs, a short one
-    # taking the leading part of each, so no batch faults in fresh pages.
+    # A batch's counts, its discs' slice sums, its (window, column) maxima
+    # and its prefix sums, then those cast to int16 on that rung.  Each
+    # worker thread allocates them once for a full batch and reuses them for
+    # every batch it runs, a short one taking the leading part of each, so
+    # no batch faults in fresh pages.
     batch, local = _BATCH, threading.local()
 
-    def layouts(b: int) -> tuple:
-        return (((ncells, b, n_slices), np.intp),
-                ((spec.nx * (spec.ny + 1), b, n_slices + 1), narrow),
-                ((b, n_slices + 1, len(order)), narrow),
-                ((b, n_win, len(columns)), narrow))
+    def layouts(b: int) -> list:
+        prefix = (spec.nx * (spec.ny + 1), b, n_slices + 1)
+        arrays = [((ncells, b, n_slices), np.intp),
+                  ((b, n_slices + 1, len(order)), narrow),
+                  ((b, n_win, len(columns)), narrow),
+                  (prefix, wide)]
+        if narrow != wide:
+            arrays.append((prefix, narrow))
+        return arrays
 
     def replicates(j: int) -> np.ndarray:
         ids = range(j * batch, min((j + 1) * batch, nsim))
         b = len(ids)
         if not hasattr(local, "flat"):
             local.flat = [np.empty(math.prod(shape), dtype) for shape, dtype in layouts(batch)]
-        sim, prefix, st, best = (flat[:math.prod(shape)].reshape(shape)
-                                 for flat, (shape, _) in zip(local.flat, layouts(b)))
+        sim, st, best, prefix, *cast = (flat[:math.prod(shape)].reshape(shape)
+                                        for flat, (shape, _) in zip(local.flat, layouts(b)))
         for k, i in enumerate(ids):
             u = rng.substream(i + 1).uniforms(0.0, cum_mass[-1], total)
             if baseline is None:
@@ -626,7 +651,10 @@ def space_time_scan(
         # then (b, slices + 1, ndiscs), where a width's window sums are one
         # strided difference, written into the product's array and cut to
         # each class's maximum
-        _prefix_sums(sim, spec.nx, spec.ny, narrow, out=prefix)
+        _prefix_sums(sim, spec.nx, spec.ny, wide, out=prefix)
+        if cast:  # the int16 rung takes the exact float32 sums cast
+            cast[0][...] = prefix
+            prefix = cast[0]
         sums = class_discs @ prefix.reshape(len(prefix), -1)
         st[...] = sums.reshape(-1, b, n_slices + 1).transpose(1, 2, 0)
         for k, w in enumerate(widths):

@@ -16,10 +16,12 @@ dense-mask disc builder, the reference for the scan's sparse one.  `scan_columns
 builds a scan's nine columns whole, the reference for the rows its results
 build from their factors.  `csr_envelope`
 redraws a replicate by an explicit minimum size, the reference for the envelope,
-which leaves that rule to the statistic.
+which leaves that rule to the statistic.  `poisson_pmf` is the Poisson pmf in
+`decimal` arithmetic, the reference for `poisson_count_pmf`'s saddle-point form.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -344,3 +346,42 @@ def read_table_rows(path, header: str):
                     f"{path}:{lineno}: column {col}: not a number: {f.strip()!r}") from None
         rows.append(row)
     return np.array(rows, dtype=float).reshape(-1, k)
+
+
+# B_2k / (2k (2k - 1)), k = 1 ... 8: the terms of Stirling's series for ln(n!)
+_STIRLING_TERMS = [Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260), Fraction(-1, 1680),
+                   Fraction(1, 1188), Fraction(-691, 360360), Fraction(1, 156),
+                   Fraction(-3617, 122400)]
+
+
+def _atan_inverse(k: int) -> Decimal:
+    """atan(1 / k) by its series, to the context's precision."""
+    total, power, j, sign = Decimal(0), Decimal(1) / k, 1, 1
+    while True:
+        more = total + sign * power / j
+        if more == total:
+            return total
+        total, power, j, sign = more, power / (k * k), j + 2, -sign
+
+
+def poisson_pmf(n: int, mu: float) -> float:
+    """exp(n ln mu - mu - ln n!) to the nearest float, for a whole n >= 0
+    and the exact binary value of `mu` > 0.
+
+    In 360-digit `decimal` arithmetic, which keeps ~50 digits after the
+    point of n ln mu up to 1e306.  ln n! is exact up to n = 1000, and past
+    it Stirling's series with eight terms, the ninth below 1e-50.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 360
+        m = Decimal(mu)
+        if n < 1000:
+            log_factorial = Decimal(math.factorial(n)).ln()
+        else:
+            pi = 16 * _atan_inverse(5) - 4 * _atan_inverse(239)
+            x = Decimal(n)
+            log_factorial = (x + Decimal("0.5")) * x.ln() - x + (2 * pi).ln() / 2 + sum(
+                Decimal(c.numerator) / c.denominator / x ** (2 * k + 1)
+                for k, c in enumerate(_STIRLING_TERMS)
+            )
+        return float((n * m.ln() - m - log_factorial).exp())

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -452,6 +453,20 @@ class TestPrefixSums:
                     np.testing.assert_array_equal(got[:, i, j], want, strict=True)
         assert detect._prefix_sums(per_cell, nx, ny, np.float32, out=out) is out
 
+    @pytest.mark.parametrize("kind, shape", [(np.float64, (3, 4, 7)), (np.int64, (3, 4, TOP + 44))],
+                             ids=["float-input", "long-slice-axis"])
+    def test_out_is_written_without_being_read(self, kind, shape):
+        # a signalling NaN in every float32 of `out`: a cumsum that read it
+        # while casting would raise `invalid value encountered in cast`
+        nx, ny, n = shape
+        per_cell = np.random.default_rng(2).integers(0, 9, (nx * ny, n)).astype(kind)
+        out = np.full((nx * (ny + 1), n + 1), 0x7F800001, dtype=np.uint32).view(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = detect._prefix_sums(per_cell, nx, ny, np.float32, out=out)
+        np.testing.assert_array_equal(got, cumsum_prefix(per_cell, nx, ny, np.float32),
+                                      strict=True)
+
 
 def disc_masks(spec, radii):
     """The scan's distinct discs as a set of (nx, ny) boolean masks in bytes."""
@@ -647,8 +662,25 @@ class TestSpaceTimeScan:
         for a, b in zip(self.scan(ev).columns, self.scan(ev, baseline=uniform).columns):
             np.testing.assert_array_equal(a, b, strict=True)
 
+    def ladder_scan(self, events, baseline, i16=detect._I16_EXACT, f32=detect._F32_EXACT):
+        """The scan's columns under these rung limits, with the dtypes of the
+        replicates' group peaks and of the prefix sums that name a dtype,
+        which are the replicates' too."""
+        llr = mock.patch.object(detect, "_poisson_llr", wraps=detect._poisson_llr)
+        prefix = mock.patch.object(detect, "_prefix_sums", wraps=detect._prefix_sums)
+        limits = mock.patch.multiple(detect, _I16_EXACT=i16, _F32_EXACT=f32)
+        with limits, llr as llrs, prefix as prefixes:
+            columns = self.scan(events, baseline=baseline).columns
+        # the observed cylinders are scored in 1-D blocks, the replicates' peaks in 2-D
+        peaks = [c.args[0] for c in llrs.call_args_list if c.args[0].ndim == 2]
+        assert len(peaks) == -(-99 // detect._BATCH)
+        dtypes = {p.dtype for p in peaks}, {c.args[3] for c in prefixes.call_args_list
+                                              if len(c.args) > 3}
+        return columns, peaks, dtypes
+
     @pytest.mark.parametrize("kind", ["default", "integer", "float"])
-    def test_float32_replicates_match_float64(self, kind):
+    def test_replicate_ladder_matches_float64(self, kind):
+        # 60 events: int16 by default, float32 and float64 as the limits fall
         g = np.random.default_rng(9)
         baseline = {
             "default": None,
@@ -657,15 +689,29 @@ class TestSpaceTimeScan:
         }[kind]
         ev = make_events(10)
         runs = {}
-        for limit in (detect._F32_EXACT, 0):
-            spy = mock.patch.object(detect, "_prefix_sums", wraps=detect._prefix_sums)
-            with mock.patch.object(detect, "_F32_EXACT", limit), spy as prefix:
-                runs[limit] = self.scan(ev, baseline=baseline).columns
-            # the replicates' prefix sums are the calls that name a dtype
-            assert {c.args[3] for c in prefix.call_args_list if len(c.args) > 3} == {
-                np.float32 if limit else np.float64
-            }
-        for a, b in zip(*runs.values()):
+        for limits, narrow, wide in [((), np.int16, np.float32),
+                                     ((0,), np.float32, np.float32),
+                                     ((0, 0), np.float64, np.float64)]:
+            runs[narrow], _, dtypes = self.ladder_scan(ev, baseline, *limits)
+            assert dtypes == ({np.dtype(narrow)}, {np.dtype(wide)})
+        for narrow in (np.int16, np.float32):
+            for a, b in zip(runs[narrow], runs[np.float64]):
+                np.testing.assert_array_equal(a, b, strict=True)
+
+    @pytest.mark.parametrize("n, narrow", [(2**15 - 1, np.int16), (2**15, np.float32)])
+    def test_int16_holds_the_largest_sum_below_its_limit(self, n, narrow):
+        # every event and all the baseline mass in one (cell, slice): every
+        # replicate sums n in each cylinder about it, int16's largest value
+        # at n = 2**15 - 1
+        ev = SpaceTimeEvents(np.tile([0.5, 0.5, 0.5], (n, 1)), UNIT, 1.0)
+        mass = np.zeros((5, 5), dtype=int)
+        mass[2, 2] = 1
+        baseline = [Grid(self.SPEC, mass * (s == 2)) for s in range(5)]
+        got, peaks, (dtypes, _) = self.ladder_scan(ev, baseline)
+        assert dtypes == {np.dtype(narrow)}
+        assert {p.max() for p in peaks} == {n}
+        want, _, _ = self.ladder_scan(ev, baseline, 0, 0)
+        for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b, strict=True)
 
     def test_concentrated_baseline_absorbs_cluster(self):

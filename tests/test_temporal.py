@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import _oracles as exact
 from pointproc import (
     Branching,
     EnvelopeError,
@@ -138,6 +140,32 @@ class TestPoissonCountPmf:
     ])
     def test_limits_of_extreme_means_and_counts(self, args, limit):
         assert poisson_count_pmf(*args) == limit
+
+    @pytest.mark.parametrize("mu", [10.0**k for k in range(-300, 301, 50)]
+                             + [3.7, 1e12, 1e16, sys.float_info.max], ids=repr)
+    def test_matches_the_exact_pmf(self, mu):
+        # exp turns the rounding of its argument, which is about ln p, into
+        # relative error: a few eps plus |ln p| eps.  Counts 0, 1, 2 and 5,
+        # and whole floats at the mode and out to 37 standard deviations
+        counts = {0, 1, 2, 5} | {math.floor(mu + z * math.sqrt(mu))
+                                 for z in (-37, -5, 0, 1, 5, 37) if mu >= 1}
+        checked = 0
+        for n in sorted(c for c in counts if c >= 0):
+            want = exact.poisson_pmf(n, mu)
+            if want < sys.float_info.min:  # the normal floats only
+                continue
+            got = poisson_count_pmf(1.0, 0.0, mu, n)
+            assert abs(got - want) <= (4 + abs(math.log(want))) * sys.float_info.epsilon * want, n
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("mu", [1.0, 3.7, 1e12, 1e16, 1e300, sys.float_info.max], ids=repr)
+    def test_two_ulps_at_the_mode(self, mu):
+        # ln(n!) and n ln(mu) cancelled to 1.0 at 1e16, and to -0.4% at 1e12
+        n = math.floor(mu)
+        want = exact.poisson_pmf(n, mu)
+        assert poisson_count_pmf(1.0, 0.0, mu, n) == pytest.approx(
+            want, rel=2 * sys.float_info.epsilon, abs=0)
 
 
 class TestSimulateHpp:
