@@ -185,62 +185,68 @@ class ScanResult:
 class ScanResults(Sequence):
     """Read-only scan results in rank order, as the columns of scan.csv.
 
-    Built from nine columns, cx, cy, radius, t_start, t_end, observed,
-    expected, llr and p_value, in any row order.  `space_time_scan` builds
-    it from its factors instead: per cylinder only the observed sum,
-    `expected` and `llr`; (cx, cy, radius) once per disc, (t_start,
-    t_end) once per window, and the sorted replicate maxima, from which
-    each asked-for row's p-value is found.  Ranking is by decreasing LLR,
-    ties on cx, cy, radius and t_start, then the given (disc-major) order,
-    and it is lazy: `columns` ranks every row on first use and keeps the
-    result, one read-only array per column, row k being the k-th ranked
-    cylinder, in place of the factors; `top(k)` ranks only the rows with
-    the k-th LLR or above and builds the nine columns for the k it keeps.
-    A `ScanResult` is built only when indexed or iterated; a slice returns
+    Built from a scan's factors, its rows being discs x windows: row
+    d * n_win + j is disc d over window j.  `reps` holds each disc's
+    (cx, cy, radius), `t_start` and `t_end` each window's bounds; `obs`,
+    `expected` and `llr` one value per row, the LLR being 0 unless
+    observed > expected; `max_llrs` the sorted replicate maxima, from
+    which each row's p-value is found when the row is built.  Ranking is
+    by decreasing LLR, ties on cx, cy, radius and t_start, then the
+    disc-major order, and it is lazy: `columns` ranks every row once and
+    keeps the nine read-only columns beside the factors, row k being the
+    k-th ranked cylinder; `top(k)` ranks only the rows with the k-th LLR
+    or above, and builds the nine columns for the k it keeps.  A
+    `ScanResult` is built only when indexed or iterated; a slice returns
     a list of them.
     """
 
-    def __init__(self, columns):
-        self._rows = _Columns(tuple(columns))
-
-    @classmethod
-    def _of(cls, rows) -> ScanResults:
-        results = cls.__new__(cls)
-        results._rows = rows
-        return results
+    def __init__(self, reps, t_start, t_end, obs, expected, llr, max_llrs):
+        self._reps, self._t_start, self._t_end = reps, t_start, t_end
+        self._obs, self._expected, self._llr, self._max_llrs = obs, expected, llr, max_llrs
+        self._columns = None
 
     @property
     def columns(self) -> tuple:
-        # read once: a concurrent call may rank and swap in the same columns
-        rows = self._rows
-        if not rows.ranked:
-            order = self._order(rows.keys(np.arange(len(rows))))
-            rows = _Columns(rows.take(order), ranked=True)
-            self._rows = rows
-        return rows.columns
+        # read once: a concurrent call may rank and keep the same columns
+        columns = self._columns
+        if columns is None:
+            columns = self._take(self._order(np.arange(len(self))))
+            for c in columns:
+                c.setflags(write=False)
+            self._columns = columns
+        return columns
 
     def top(self, k: int) -> tuple:
         """The columns of the best k rows in rank order: `columns` cut to k
         rows, but unless they are already ranked, only the rows with the
         k-th LLR or above are sorted."""
         k = _count(k, "top k")
-        rows = self._rows
         if k == 0:
-            return rows.take(np.arange(0))
-        if rows.ranked or k >= len(rows):
+            return self._take(np.arange(0))
+        if self._columns is not None or k >= len(self):
             return tuple(c[:k] for c in self.columns)
-        key = -rows.llr
+        key = -self._llr
         # every row tied with the k-th LLR, and NaN ones, which sort last
         cut = np.flatnonzero(~(key > np.partition(key, k - 1)[k - 1]))
-        return rows.take(cut[self._order(rows.keys(cut))[:k]])
+        return self._take(cut[self._order(cut)[:k]])
 
-    @staticmethod
-    def _order(keys) -> np.ndarray:
-        cx, cy, radius, t_start, llr = keys
-        return np.lexsort((t_start, radius, cy, cx, -llr))
+    def _order(self, rows) -> np.ndarray:
+        """`rows` ranked, as positions into them."""
+        disc, win = np.divmod(rows, len(self._t_start))
+        cx, cy, radius = (self._reps[disc, i] for i in range(3))
+        return np.lexsort((self._t_start[win], radius, cy, cx, -self._llr[rows]))
+
+    def _take(self, rows) -> tuple:
+        """The nine columns at `rows`."""
+        disc, win = np.divmod(rows, len(self._t_start))
+        nsim, llr = len(self._max_llrs), self._llr[rows]
+        # (1 + #{max_sim >= llr}) / (nsim + 1)
+        p_value = (1 + nsim - np.searchsorted(self._max_llrs, llr, side="left")) / (nsim + 1)
+        return (*(self._reps[disc, i] for i in range(3)), self._t_start[win], self._t_end[win],
+                np.rint(self._obs[rows]).astype(np.int64), self._expected[rows], llr, p_value)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._llr.size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -252,58 +258,6 @@ class ScanResults(Sequence):
 
     def __repr__(self):
         return f"ScanResults({len(self)} cylinders)"
-
-
-class _Columns:
-    """A `ScanResults`' rows as its nine read-only columns."""
-
-    def __init__(self, columns: tuple, ranked: bool = False):
-        for c in columns:
-            c.setflags(write=False)
-        self.columns, self.ranked = columns, ranked
-        self.llr = columns[7]
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def keys(self, rows) -> tuple:
-        """cx, cy, radius, t_start and llr at `rows`, which rank them."""
-        return tuple(self.columns[i][rows] for i in (0, 1, 2, 3, 7))
-
-    def take(self, rows) -> tuple:
-        return tuple(c[rows] for c in self.columns)
-
-
-class _Cylinders:
-    """A scan's rows as discs x windows: row d * n_win + j is disc d over
-    window j.  `reps` holds each disc's (cx, cy, radius), `t_start` and
-    `t_end` each window's bounds; `obs`, `expected` and `llr` one value
-    per row; `max_llrs` the sorted replicate maxima."""
-
-    ranked = False
-
-    def __init__(self, reps, t_start, t_end, obs, expected, llr, max_llrs):
-        self.reps, self.t_start, self.t_end = reps, t_start, t_end
-        self.obs, self.expected, self.llr = obs, expected, llr
-        self.max_llrs = max_llrs
-
-    def __len__(self) -> int:
-        return self.llr.size
-
-    def keys(self, rows) -> tuple:
-        disc, win = np.divmod(rows, len(self.t_start))
-        return (*(self.reps[disc, i] for i in range(3)), self.t_start[win], self.llr[rows])
-
-    def take(self, rows) -> tuple:
-        disc, win = np.divmod(rows, len(self.t_start))
-        nsim = len(self.max_llrs)
-        llr = self.llr[rows]
-        # (1 + #{max_sim >= llr}) / (nsim + 1)
-        p_value = (1 + nsim - np.searchsorted(self.max_llrs, llr, side="left")) / (nsim + 1)
-        return (
-            *(self.reps[disc, i] for i in range(3)), self.t_start[win], self.t_end[win],
-            np.rint(self.obs[rows]).astype(np.int64), self.expected[rows], llr, p_value,
-        )
 
 
 def _poisson_llr(n: np.ndarray, mu: np.ndarray, total: float) -> np.ndarray:
@@ -487,15 +441,9 @@ def space_time_scan(
     and reuses them for every batch it runs, so the loop does not fault
     in fresh pages per batch.  The observed LLR is scored in blocks of
     `_LLR_BLOCK` cylinders, which bounds its temporaries.
-    Results come back as a read-only `ScanResults` sequence, the columns of
-    scan.csv, ranked by decreasing LLR (ties: centre x, y, radius, start)
-    on first use.  They hold per cylinder only its observed sum, `expected`
-    and `llr`, which is 0 unless observed > expected; per disc its
-    (cx, cy, radius), per window its (t_start, t_end), and the sorted
-    replicate maxima, from which each row's p-value is found when `top`
-    or `columns` builds it.  `top(k)` builds the nine columns for k rows;
-    `columns` still ranks and builds every row.  Each replicate uses
-    substream i+1 of `rng`, so the output is independent of `threads`.
+    Results come back as a `ScanResults` over the scan's factors.  Each
+    replicate uses substream i+1 of `rng`, so the output is independent
+    of `threads`.
     """
     if len(events) == 0:
         raise ParameterError("scan needs at least one event")
@@ -671,6 +619,5 @@ def space_time_scan(
 
     max_llrs = np.sort(np.concatenate(indexed_map(replicates, -(-nsim // batch), threads)))
     t_end = np.minimum(ends * slice_len, events.horizon)
-    return ScanResults._of(_Cylinders(
-        reps, starts * slice_len, t_end, obs.ravel(), expected.ravel(), llr, max_llrs
-    ))
+    return ScanResults(reps, starts * slice_len, t_end, obs.ravel(), expected.ravel(), llr,
+                       max_llrs)

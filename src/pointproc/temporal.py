@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -367,7 +368,31 @@ class PowerLawKernel:
         return self.alpha / (np.asarray(x, dtype=float) + self.delta) ** (self.eta + 1.0)
 
     def total_mass(self) -> float:
-        return self.alpha / (self.eta * self.delta**self.eta)
+        """alpha / (eta delta^eta), to a few ulps wherever it is a normal
+        float, even where delta^eta or eta delta^eta is not; 0.0 or inf
+        where the mass itself leaves the float range."""
+        if self.alpha == 0.0:
+            return 0.0
+        # delta^eta = p^k for the least k of 1, 2, 4 with p a normal float
+        for k in (1, 2, 4):
+            try:
+                p = self.delta ** (self.eta / k)
+            except OverflowError:
+                continue
+            if p >= sys.float_info.min:
+                break
+        else:
+            # |eta log2 delta| > 4088, and alpha / eta is within 2^±2098
+            return 0.0 if self.delta > 1.0 else math.inf
+        # the mantissas multiplied and divided as the floats would be,
+        # with the exponents summed apart
+        (m_alpha, e_alpha), (den, e_eta), (m_p, e_p) = map(math.frexp, (self.alpha, self.eta, p))
+        for _ in range(k):
+            den *= m_p
+        try:
+            return math.ldexp(m_alpha / den, e_alpha - e_eta - k * e_p)
+        except OverflowError:
+            return math.inf
 
 
 Kernel = Union[ExponentialKernel, PowerLawKernel]
@@ -425,7 +450,8 @@ def branching_factor(model: HawkesModel) -> Branching:
 
 def expected_cluster_size(n_star: float) -> float:
     """Mean total progeny of one immigrant, 1 / (1 - n*); finite only
-    for n* < 1."""
+    for n* < 1.  Correctly rounded from n* = 1/2 on, where 1 - n* is
+    exact; within one ulp below it."""
     n_star = float(n_star)
     if math.isnan(n_star) or n_star < 0.0:
         raise ParameterError(f"branching factor must be >= 0, got {n_star}")

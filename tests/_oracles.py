@@ -17,7 +17,10 @@ builds a scan's nine columns whole, the reference for the rows its results
 build from their factors.  `csr_envelope`
 redraws a replicate by an explicit minimum size, the reference for the envelope,
 which leaves that rule to the statistic.  `poisson_pmf` is the Poisson pmf in
-`decimal` arithmetic, the reference for `poisson_count_pmf`'s saddle-point form.
+`decimal` arithmetic, the reference for `poisson_count_pmf`'s saddle-point form,
+and `power_law_mass` the power-law kernel's mass, the reference for its
+`total_mass` wherever delta^eta leaves the float range.  `nearest_float`
+rounds an exact `Fraction` once.
 """
 
 import math
@@ -303,16 +306,16 @@ def scan_columns(results, total):
     row.  The reference for the rows it builds from its factors."""
     from pointproc.detect import _poisson_llr
 
-    rows = results._rows
-    n_win = len(rows.t_start)
-    cx, cy, radius = np.repeat(rows.reps, n_win, axis=0).T
-    t_start = np.tile(rows.t_start, len(rows.reps))
-    t_end = np.tile(rows.t_end, len(rows.reps))
-    llr = _poisson_llr(rows.obs, rows.expected, total)
-    nsim = len(rows.max_llrs)
-    p_value = (1 + nsim - np.searchsorted(rows.max_llrs, llr, side="left")) / (nsim + 1)
-    observed = np.rint(rows.obs).astype(np.int64)
-    return cx, cy, radius, t_start, t_end, observed, rows.expected.copy(), llr, p_value
+    reps, t_start, t_end = results._reps, results._t_start, results._t_end
+    obs, expected, max_llrs = results._obs, results._expected, results._max_llrs
+    n_win = len(t_start)
+    cx, cy, radius = np.repeat(reps, n_win, axis=0).T
+    llr = _poisson_llr(obs, expected, total)
+    nsim = len(max_llrs)
+    p_value = (1 + nsim - np.searchsorted(max_llrs, llr, side="left")) / (nsim + 1)
+    observed = np.rint(obs).astype(np.int64)
+    return (cx, cy, radius, np.tile(t_start, len(reps)), np.tile(t_end, len(reps)), observed,
+            expected.copy(), llr, p_value)
 
 
 def read_table_rows(path, header: str):
@@ -385,3 +388,32 @@ def poisson_pmf(n: int, mu: float) -> float:
                 for k, c in enumerate(_STIRLING_TERMS)
             )
         return float((n * m.ln() - m - log_factorial).exp())
+
+
+def nearest_float(x: Fraction) -> float:
+    """The float nearest the exact value `x` >= 0, inf past the largest."""
+    try:
+        return float(x)  # the integers' true division, correctly rounded
+    except OverflowError:
+        return math.inf
+
+
+def power_law_mass(alpha: float, delta: float, eta: float) -> float:
+    """alpha / (eta delta^eta) to the nearest float, for the exact binary
+    values of alpha >= 0 and delta, eta > 0: 0.0 or inf outside the float
+    range.
+
+    exp(ln alpha - ln eta - eta ln delta) in 80-digit `decimal`
+    arithmetic.  Where the mass is in range, |eta ln delta| is below 2,300,
+    so the exponent keeps over 70 digits after the point.
+    """
+    if alpha == 0.0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 80
+        log_mass = Decimal(alpha).ln() - Decimal(eta).ln() - Decimal(eta) * Decimal(delta).ln()
+        if log_mass > 710:
+            return math.inf
+        if log_mass < -746:
+            return 0.0
+        return float(log_mass.exp())

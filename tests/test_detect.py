@@ -1056,7 +1056,7 @@ class TestBatchesAndBlocks:
                 with mock.patch.object(detect, "indexed_map", wraps=detect.indexed_map) as calls:
                     res = self.scan(kind, nsim, threads)
                 assert calls.call_args.args[1] == -(-nsim // batch)
-                runs[batch, threads] = res._rows.max_llrs, res.columns
+                runs[batch, threads] = res._max_llrs, res.columns
         (want_max, want), *others = runs.values()
         assert len(want_max) == nsim
         for got_max, got in others:
@@ -1067,12 +1067,12 @@ class TestBatchesAndBlocks:
     def test_threads_keep_their_own_arrays(self):
         # more workers than cores, switching often: an array shared between
         # two threads would mix their batches and change some maximum
-        want = self.scan("integer", 103)._rows.max_llrs
+        want = self.scan("integer", 103)._max_llrs
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                got = self.scan("integer", 103, threads=8)._rows.max_llrs
+                got = self.scan("integer", 103, threads=8)._max_llrs
                 np.testing.assert_array_equal(got, want, strict=True)
         finally:
             sys.setswitchinterval(interval)
@@ -1169,17 +1169,33 @@ class TestScanResults:
         assert all(np.array_equal(a, b[:k]) for a, b in zip(top, full, strict=True))
 
     def test_top_zero_ranks_nothing(self, res):
-        # nine empty columns with the dtypes of top(1), from fresh, given and
+        # nine empty columns with the dtypes of top(1), from fresh and
         # ranked results alike
         fresh = space_time_scan(make_events(3), GridSpec(UNIT, 5, 5), 5, [0.15, 0.3],
                                 [0.2, 0.4], 99, RngStream(1))
-        given = ScanResults(res.columns)
-        for results in (fresh, given, res):
+        for results in (fresh, res):
             with mock.patch.object(ScanResults, "_order", side_effect=AssertionError):
                 none = results.top(0)
             one = results.top(1)
             assert len(none) == len(one) == 9
             assert [(c.shape, c.dtype) for c in none] == [((0,), c.dtype) for c in one]
+
+    def test_every_row_is_ranked_once(self):
+        # `columns` ranks every row and keeps the result: a later top(k),
+        # index, slice or iteration cuts from it without ranking again
+        res = space_time_scan(make_events(3), GridSpec(UNIT, 5, 5), 5, [0.15, 0.3],
+                              [0.2, 0.4], 99, RngStream(1))
+        with mock.patch.object(ScanResults, "_order", autospec=True,
+                               side_effect=ScanResults._order) as order:
+            columns = res.columns
+            assert res.columns is columns
+            for k in (0, 1, 7, len(res), len(res) + 1):
+                res.top(k)
+            rows = list(res)
+            assert res[0] == rows[0] and res[-1] == rows[-1] and res[3:9] == rows[3:9]
+        assert order.call_count == 1
+        (_, rows), _ = order.call_args
+        np.testing.assert_array_equal(rows, np.arange(len(res)))
 
     @pytest.mark.parametrize("k", [-1, -3, -450, *NOT_COUNTS])
     def test_negative_top_rejected(self, res, k):
@@ -1191,15 +1207,6 @@ class TestScanResults:
         want = res.top(3)
         for k in (np.int64(3), 3.0):
             assert all(np.array_equal(a, b) for a, b in zip(res.top(k), want, strict=True))
-
-    def test_columns_given_in_any_order_are_ranked(self, res):
-        shuffled = np.random.default_rng(0).permutation(len(res))
-        again = ScanResults(tuple(c[shuffled] for c in res.columns))
-        # the rank keys match row for row; rows tied on all of them (one
-        # start, two durations) keep the order they were given in
-        assert all(np.array_equal(again.columns[i], res.columns[i]) for i in (0, 1, 2, 3, 7))
-        rows = [sorted(zip(*(c.tolist() for c in r.columns))) for r in (again, res)]
-        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("kind", ["default", "integer", "float"])
     def test_rows_match_the_whole_columns(self, kind):
@@ -1232,16 +1239,16 @@ class TestScanResults:
 
         for k in (1, 100, tied, n, n + 5):
             same(fresh().top(k), k)
-            same(ScanResults(whole).top(k), k)
-        res, ref = fresh(), ScanResults(whole)
+        res = fresh()
         same(res.columns)
         same(res.top(tied), tied)  # once ranked, cut from the columns
-        same(ref.columns)
-        assert len(res) == len(ref) == n and repr(res) == repr(ref) == f"ScanResults({n} cylinders)"
-        assert list(res) == list(ref)
-        assert all(res[k] == ref[k] for k in (0, 1, tied, -1, -n))
+        assert len(res) == n and repr(res) == f"ScanResults({n} cylinders)"
+        rows = [ScanResult(Cylinder(*row[:5]), *row[5:])
+                for row in zip(*(c.tolist() for c in want))]
+        assert list(res) == rows
+        assert all(res[k] == rows[k] for k in (0, 1, tied, -1, -n))
         for sl in (slice(None, 3), slice(5, 12), slice(None, None, -7), slice(-4, None)):
-            assert res[sl] == ref[sl]
+            assert res[sl] == rows[sl]
 
     def test_bench_geometry_holds_per_cylinder_only_its_sums(self):
         # 30 x 30 cells, 20 slices: 2,696 discs x 49 windows.  The nine

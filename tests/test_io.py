@@ -287,11 +287,12 @@ class TestScanCsv:
                                RngStream(2))
 
     def test_columns_and_values(self, tmp_path):
-        res = ScanResults((
-            np.array([0.5, 0.1]), np.array([0.5, 0.9]), np.array([0.1, 0.2]),
-            np.array([0.0, 0.5]), np.array([0.5, 1.0]), np.array([12, 3]),
-            np.array([4.0, 2.0]), np.array([5.25, 0.25]), np.array([0.01, 0.44]),
-        ))
+        # 2 discs x 1 window, the second disc's LLR below every replicate maximum
+        res = ScanResults(
+            np.array([[0.5, 0.5, 0.1], [0.1, 0.9, 0.2]]), np.array([0.0]), np.array([0.5]),
+            np.array([12.0, 3.0]), np.array([4.0, 2.0]), np.array([5.25, 0.25]),
+            np.linspace(1.0, 6.0, 99),
+        )
         p = tmp_path / "scan.csv"
         write_scan_csv(p, res)
         lines = p.read_text(encoding="utf-8").splitlines()

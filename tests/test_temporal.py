@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -464,6 +465,35 @@ class TestNhppMean:
         assert nhpp_mean(f, 0.0, 6.0) == pytest.approx(exact(0, 6), rel=1e-9)
         assert nhpp_mean(f, 5.0, 17.0) == pytest.approx(exact(5, 17), rel=1e-9)
 
+    @pytest.mark.parametrize("base,amp,period,horizon,t1,t2", [
+        (3.0, 2.0, 24.0, 96.0, 0.0, 96.0),
+        (3.0, 3.0, 1e-3, 0.05, 0.0, 0.05),
+        (2.0, -1.5, 1e-3, 0.2, 0.0123, 0.1987),
+        (1e6, 1e6, 1.0, 100.0, 0.3, 99.7),
+        (5.0, 1.0, 250.0, 1000.0, 0.0, 1000.0),
+        (0.5, 0.5, 7.3, 1000.0, 13.1, 977.7),
+        (1e-6, 1e-6, 3.0, 30.0, 1.0, 29.0),
+    ])
+    def test_sinusoid_within_the_stated_tolerance(self, base, amp, period, horizon, t1, t2):
+        # absolute tolerance 1e-9 (t2 - t1) max bound, against the closed form
+        f = IntensityFn.sinusoid(base, amp, period, horizon)
+        w = 2 * math.pi / period
+        want = base * (t2 - t1) + amp / w * (math.cos(w * t1) - math.cos(w * t2))
+        assert abs(nhpp_mean(f, t1, t2) - want) <= 1e-9 * (t2 - t1) * f.max_bound
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_piecewise_within_the_stated_tolerance(self, seed):
+        # the exact integral: each rate times its overlap with (t1, t2]
+        g = np.random.default_rng(seed)
+        edges = np.unique(np.r_[0.0, g.uniform(0.0, 50.0, g.integers(1, 30))]).tolist()
+        rates = (10.0 ** g.uniform(-5, 5, len(edges) - 1) * (g.random(len(edges) - 1) > 0.2))
+        segs = list(zip(edges[:-1], edges[1:], rates.tolist()))
+        f = IntensityFn.piecewise(segs)
+        t1, t2 = sorted(g.uniform(0.0, edges[-1], 2).tolist())
+        want = sum(Fraction(r) * max(Fraction(0), min(Fraction(b), Fraction(t2))
+                                     - max(Fraction(a), Fraction(t1))) for a, b, r in segs)
+        assert abs(Fraction(nhpp_mean(f, t1, t2)) - want) <= 1e-9 * (t2 - t1) * f.max_bound
+
     def test_rejects_bad_interval(self):
         f = IntensityFn.constant(1.0, 10.0)
         for t1, t2 in [(-1, 5), (5, 5), (7, 3), (0, 11)]:
@@ -484,6 +514,62 @@ class TestKernels:
     def test_power_law_mass(self):
         k = PowerLawKernel(1.0, 2.0, 1.5)
         assert k.total_mass() == pytest.approx(1.0 / (1.5 * 2.0**1.5), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-5, 0.7, 1e5, 1e300])
+    def test_exponential_mass_is_correctly_rounded(self, alpha):
+        # one division, rounded once: inf past the largest float, 0.0 or a
+        # subnormal below the smallest
+        for beta in (5e-324, 1e-300, 1e-20, 0.3, 1.0, 7.0, 1e20, 1e300, sys.float_info.max):
+            want = exact.nearest_float(Fraction(alpha) / Fraction(beta))
+            assert ExponentialKernel(alpha, beta).total_mass() == want, beta
+
+    @pytest.mark.parametrize("alpha,delta,eta,near", [
+        (1.0, 1e10, 40.0, 0.0),
+        (1.0, 1e-10, 40.0, math.inf),
+        (1e300, 1e10, 40.0, 2.5e-102),
+        (1e-300, 1e-10, 40.0, 2.5e98),
+        (5e-324, 2.0**-1040, 2.0, 2.0**1005),  # delta^(eta / 2) is not normal either
+        (1e300, 1.001, 1e6, 8.4e-141),
+        (1e-300, 1 / 1.001, 1e6, 1.2e128),
+    ])
+    def test_power_law_mass_where_delta_to_the_eta_is_out_of_range(self, alpha, delta, eta,
+                                                                     near):
+        # delta^eta overflowed (OverflowError) or underflowed (ZeroDivisionError)
+        k = PowerLawKernel(alpha, delta, eta)
+        want = exact.power_law_mass(alpha, delta, eta)
+        assert want == pytest.approx(near, rel=0.03)
+        if want in (0.0, math.inf):
+            assert k.total_mass() == want
+        else:
+            assert abs(k.total_mass() - want) <= 4 * math.ulp(want)
+        assert branching_factor(HawkesModel(1.0, k)).value == k.total_mass()
+
+    def test_power_law_mass_matches_the_exact_mass(self):
+        # within 4 ulps where the mass is a normal float, one step of 2^-1074
+        # where it is subnormal, and 0.0 or inf outside the float range;
+        # half the cases take delta so that the mass is in range, whatever
+        # delta^eta is
+        g = np.random.default_rng(5)
+        checked = 0
+        for _ in range(600):
+            alpha, eta = 10.0 ** g.uniform(-320, 308), 10.0 ** g.uniform(-5, 5)
+            if g.random() < 0.5:
+                delta = 10.0 ** g.uniform(-300, 300)
+            else:  # log10 mass drawn in range, delta solved for it
+                log_delta = (math.log10(alpha / eta) - g.uniform(-320, 308)) / eta
+                if abs(log_delta) > 300:
+                    continue
+                delta = 10.0 ** log_delta
+            got, want = PowerLawKernel(alpha, delta, eta).total_mass(), \
+                exact.power_law_mass(alpha, delta, eta)
+            if want in (0.0, math.inf):
+                assert got == want, (alpha, delta, eta)
+            elif want < sys.float_info.min:
+                assert abs(got - want) <= 5e-324, (alpha, delta, eta)
+            else:
+                assert abs(got - want) <= 4 * math.ulp(want), (alpha, delta, eta)
+                checked += 1
+        assert checked > 300
 
     def test_mass_matches_quadrature(self):
         from scipy.integrate import quad
@@ -524,6 +610,20 @@ class TestBranching:
     def test_regimes(self):
         assert branching_factor(HawkesModel(1, ExponentialKernel(2.0, 1.0))).regime == "supercritical"
         assert branching_factor(HawkesModel(1, ExponentialKernel(1.0, 1.0))).regime == "critical"
+
+    @pytest.mark.parametrize("n_star", [
+        0.0, 5e-324, 1e-300, 1e-16, 0.1, 0.2, 1 / 3, math.nextafter(0.5, 0.0), 0.5, 0.9,
+        0.99, 1 - 2.0**-40, 1 - 2.0**-52, math.nextafter(1.0, 0.0),
+    ])
+    def test_expected_cluster_size_against_the_exact_value(self, n_star):
+        # from 1/2 on, 1 - n* is exact and the division rounds once; below
+        # it, 1 - n* rounds too, and the size is within one ulp
+        want = exact.nearest_float(1 / (1 - Fraction(n_star)))
+        got = expected_cluster_size(n_star)
+        if n_star >= 0.5:
+            assert got == want
+        else:
+            assert abs(got - want) <= math.ulp(want)
 
     def test_expected_cluster_size(self):
         assert abs(expected_cluster_size(0.5) - 2.0) < 1e-12
